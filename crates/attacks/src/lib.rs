@@ -5,11 +5,11 @@
 //!   of two locked-circuit copies with shared inputs and independent keys
 //!   yields *distinguishing input patterns* (DIPs); each DIP is resolved
 //!   against the oracle and added as an IO constraint until no DIP remains,
-//!   at which point any consistent key is functionally correct. The default
-//!   [`DipMode::Incremental`](sat_attack::DipMode) keeps one persistent
-//!   solver (learned clauses included) across all DIP iterations and key
-//!   extraction; a conflict and iteration budget reproduces the paper's
-//!   48-hour timeout at this scale.
+//!   at which point any consistent key is functionally correct. One
+//!   persistent solver (learned clauses included) serves all DIP iterations
+//!   and key extraction, and a checkpointed run resumes by replaying its DIP
+//!   prefix; a conflict and iteration budget reproduces the paper's 48-hour
+//!   timeout at this scale.
 //! * [`cyclic_reduction`] — the preprocessing of \[26\]: combinational cycles
 //!   introduced by eFPGA routing are cut before encoding, mirroring how an
 //!   attacker rules out cyclical configurations. Cutting can sever paths the
@@ -37,7 +37,7 @@ pub use removal::{removal_attack, RemovalOutcome};
 pub use sat_attack::{
     sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells,
     xor_lock_outputs, AttackCheckpoint,
-    AttackReport, DipCost, DipMode, SatAttackOptions, SatAttackOutcome, ScanError,
+    AttackReport, SatAttackOptions, SatAttackOutcome, ScanError,
     DEFAULT_CONFLICT_QUOTA,
 };
 pub use structural::{structural_mux_attack, structural_mux_attack_budgeted, StructuralReport};

@@ -8,23 +8,19 @@
 //! remaining key candidate is functionally correct; one is extracted and
 //! verified.
 //!
-//! The DIP loop runs in one of two modes ([`DipMode`]). The default,
-//! [`DipMode::Incremental`], keeps **one persistent solver** for the whole
-//! attack: the miter is encoded once with its difference clause gated behind
-//! an activation literal, each DIP appends two IO-pinned circuit copies to
-//! the same solver, and learned clauses plus VSIDS/phase state carry across
+//! The DIP loop keeps **one persistent solver** for the whole attack: the
+//! miter is encoded once with its difference clause gated behind an
+//! activation literal, each DIP appends two IO-pinned circuit copies to the
+//! same solver, and learned clauses plus VSIDS/phase state carry across
 //! iterations. Key extraction flips the activation literal on that same
-//! solver instead of building another one. [`DipMode::Scratch`] rebuilds the
-//! solver from the DIP prefix every iteration — the pre-incremental
-//! reference behavior, kept for benchmarking (`bench_sat`) and as a
-//! cross-check oracle in tests.
+//! solver instead of building another one.
 //!
-//! Either way each iteration is a pure function of the DIP prefix, which is
-//! the property the checkpoint format depends on: a resumed incremental run
-//! *replays* the prefix solves deterministically from iteration 0 (using the
-//! recorded oracle responses, so the oracle is not re-queried), arriving at
-//! the exact solver state the interrupted run had — and therefore at the
-//! same key, conflict totals, and byte-identical report JSON.
+//! Each iteration is a pure function of the DIP prefix, which is the
+//! property the checkpoint format depends on: a resumed run *replays* the
+//! prefix solves deterministically from iteration 0 (using the recorded
+//! oracle responses, so the oracle is not re-queried), arriving at the exact
+//! solver state the interrupted run had — and therefore at the same key,
+//! conflict totals, and byte-identical report JSON.
 //!
 //! Sequential designs enter through [`scan_frame`], matching the paper's
 //! full-scan threat model: flip-flop outputs become scannable pseudo-inputs
@@ -34,52 +30,23 @@
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::equiv::{equiv_exhaustive, equiv_random, EquivResult};
 use shell_netlist::{CellKind, NetId, Netlist};
-use shell_sat::{
-    encode_miter, encode_miter_gated, encode_netlist, Lit, SatResult, Solver, Var,
-};
+use shell_sat::{encode_miter_gated, encode_netlist, Lit, SatResult, Solver, Var};
 use shell_chaos::Io;
 use shell_util::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default conflict quota — the 48-hour stand-in at laptop scale.
 pub const DEFAULT_CONFLICT_QUOTA: u64 = 2_000_000;
 
-/// How the DIP loop manages its solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DipMode {
-    /// One persistent solver across all DIP iterations and key extraction:
-    /// the miter is encoded once (difference clause gated by an activation
-    /// literal), DIP constraints append incrementally, and learned clauses
-    /// carry over. Resume replays the DIP prefix from iteration 0 to
-    /// rebuild the solver state deterministically.
-    #[default]
-    Incremental,
-    /// Rebuild the solver from the DIP prefix every iteration. Slower, but
-    /// each iteration is trivially independent; used as the benchmark
-    /// baseline and as a differential oracle for the incremental mode.
-    Scratch,
-}
+/// The checkpoint JSON's `mode` field: a constant format tag. Checkpoints
+/// with another value (the retired rebuild-per-iteration loop's
+/// `"scratch"`) are refused, and so are checkpoints without it, which that
+/// loop wrote before the field existed.
+const CHECKPOINT_MODE: &str = "incremental";
 
-impl DipMode {
-    /// Stable serialization label (checkpoint JSON, bench output).
-    pub fn label(self) -> &'static str {
-        match self {
-            DipMode::Incremental => "incremental",
-            DipMode::Scratch => "scratch",
-        }
-    }
-
-    /// Inverse of [`DipMode::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "incremental" => Some(DipMode::Incremental),
-            "scratch" => Some(DipMode::Scratch),
-            _ => None,
-        }
-    }
-}
+/// What a checkpoint without a `mode` field reads as.
+const LEGACY_CHECKPOINT_MODE: &str = "scratch";
 
 /// Attack configuration.
 #[derive(Debug, Clone)]
@@ -87,12 +54,10 @@ pub struct SatAttackOptions {
     /// DIP-loop iteration cap (a structural timeout).
     pub max_iterations: usize,
     /// Shared governance token: one quota step is a solver conflict, spent
-    /// across every solver the attack builds. Defaults to
+    /// by the DIP solves and the key extraction alike. Defaults to
     /// [`DEFAULT_CONFLICT_QUOTA`] conflicts plus whatever deadline
     /// `SHELL_DEADLINE_MS` specifies (see [`Budget::from_env`]).
     pub budget: Budget,
-    /// Solver lifecycle across DIP iterations (see [`DipMode`]).
-    pub mode: DipMode,
     /// Verify the extracted key against the oracle before claiming success.
     pub verify_key: bool,
     /// Vectors for the Monte-Carlo verification of wide designs.
@@ -101,9 +66,9 @@ pub struct SatAttackOptions {
     /// every completed DIP iteration (best-effort: I/O errors are ignored
     /// so a full disk cannot kill the attack).
     pub checkpoint_path: Option<PathBuf>,
-    /// Resume state from an earlier exhausted run. Scratch mode continues
-    /// from the recorded prefix; incremental mode replays the prefix solves
-    /// first to reconstruct the persistent solver, then continues.
+    /// Resume state from an earlier exhausted run: the attack replays the
+    /// prefix solves first to reconstruct the persistent solver, then
+    /// continues.
     pub resume_from: Option<AttackCheckpoint>,
     /// Filesystem seam for checkpoint writes. Production keeps the default
     /// ([`shell_chaos::real`]); the crash-point matrix swaps in a
@@ -116,7 +81,6 @@ impl Default for SatAttackOptions {
         Self {
             max_iterations: 512,
             budget: Budget::from_env().with_quota(DEFAULT_CONFLICT_QUOTA),
-            mode: DipMode::default(),
             verify_key: true,
             verify_vectors: 512,
             checkpoint_path: None,
@@ -128,18 +92,13 @@ impl Default for SatAttackOptions {
 
 /// Resumable state of an interrupted SAT attack: the DIP/response prefix
 /// plus spend bookkeeping. The DIP prefix determines the rest of the attack
-/// exactly (in both [`DipMode`]s), so a resumed run produces the same key,
-/// iteration count, and conflict total as an uninterrupted one.
+/// exactly, so a resumed run produces the same key, iteration count, and
+/// conflict total as an uninterrupted one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackCheckpoint {
     /// Name of the locked design the checkpoint belongs to (sanity-checked
     /// on resume).
     pub design: String,
-    /// The [`DipMode`] that recorded this checkpoint. Resume refuses a
-    /// mode mismatch: the DIP *sequences* of the two modes agree, but their
-    /// budget-spend trajectories do not, so silently crossing modes would
-    /// break the resumed-equals-uninterrupted accounting contract.
-    pub mode: DipMode,
     /// Completed DIP iterations.
     pub iterations: usize,
     /// Solver conflicts spent by the completed iterations. Partial work of
@@ -156,7 +115,7 @@ impl AttackCheckpoint {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("design", Json::Str(self.design.clone())),
-            ("mode", Json::Str(self.mode.label().to_string())),
+            ("mode", Json::Str(CHECKPOINT_MODE.to_string())),
             ("iterations", Json::Num(self.iterations as f64)),
             ("conflicts_spent", Json::Num(self.conflicts_spent as f64)),
             (
@@ -175,19 +134,22 @@ impl AttackCheckpoint {
     }
 
     /// Parses the [`AttackCheckpoint::to_json`] schema. A missing `mode`
-    /// field (checkpoints from before the incremental attack landed) reads
-    /// as [`DipMode::Scratch`], which is what recorded it back then.
+    /// reads as `"scratch"`; any `mode` other than `"incremental"` is an
+    /// error: such checkpoints were recorded by a DIP loop whose spend
+    /// trajectory the persistent solver does not replay.
     pub fn from_json(json: &Json) -> Result<Self, String> {
         let design = json
             .get("design")
             .and_then(Json::as_str)
             .ok_or("checkpoint: missing `design`")?
             .to_string();
-        let mode = match json.get("mode").and_then(Json::as_str) {
-            Some(label) => DipMode::from_label(label)
-                .ok_or_else(|| format!("checkpoint: unknown mode `{label}`"))?,
-            None => DipMode::Scratch,
-        };
+        let mode = json
+            .get("mode")
+            .and_then(Json::as_str)
+            .unwrap_or(LEGACY_CHECKPOINT_MODE);
+        if mode != CHECKPOINT_MODE {
+            return Err(format!("checkpoint: unsupported mode `{mode}`"));
+        }
         let iterations = json
             .get("iterations")
             .and_then(Json::as_usize)
@@ -221,7 +183,6 @@ impl AttackCheckpoint {
         }
         Ok(Self {
             design,
-            mode,
             iterations,
             conflicts_spent,
             dips,
@@ -292,24 +253,6 @@ impl SatAttackOutcome {
     }
 }
 
-/// Deterministic per-iteration solve cost of one DIP, plus wall time.
-///
-/// The counter fields are run-invariant (same in a resumed replay); `nanos`
-/// is wall clock and therefore excluded from [`AttackReport::to_json`]
-/// along with the rest of this struct — it feeds `bench_sat` curves, not
-/// the report contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DipCost {
-    /// Solver conflicts of this iteration's DIP solve.
-    pub conflicts: u64,
-    /// Decisions of this iteration's DIP solve.
-    pub decisions: u64,
-    /// Propagations of this iteration's DIP solve.
-    pub propagations: u64,
-    /// Wall time of the solve (not deterministic; never serialized).
-    pub nanos: u64,
-}
-
 /// Full attack report: the outcome plus partial-progress accounting, so an
 /// exhausted attack says *how far* it got instead of silently stopping.
 #[derive(Debug, Clone)]
@@ -331,10 +274,6 @@ pub struct AttackReport {
     /// [`AttackReport::to_json`] so resumed and uninterrupted runs emit
     /// byte-identical reports.
     pub resumed_from: usize,
-    /// Per-DIP solve costs in iteration order (replayed iterations
-    /// included, so the curve always starts at iteration 0). Excluded from
-    /// [`AttackReport::to_json`]: the `nanos` field is wall clock.
-    pub per_dip: Vec<DipCost>,
     /// Where the last checkpoint was written, if checkpointing was on.
     pub checkpoint_written: Option<PathBuf>,
 }
@@ -342,8 +281,7 @@ pub struct AttackReport {
 impl AttackReport {
     /// Deterministic report JSON. Contains only run-invariant fields: a run
     /// resumed from a checkpoint serializes byte-identically to the same
-    /// attack run uninterrupted, and both [`DipMode`]s serialize
-    /// identically when they agree on the DIP sequence.
+    /// attack run uninterrupted.
     pub fn to_json(&self) -> Json {
         let (status, key, iterations, conflicts) = match &self.outcome {
             SatAttackOutcome::Broken {
@@ -522,11 +460,11 @@ pub fn scan_frame(netlist: &Netlist) -> Netlist {
 /// the correct key is not all-zeros).
 ///
 /// Because every key bit is independently observable at its own output,
-/// **exactly one** key is functionally correct. That makes this lock the
-/// determinism yardstick for the attack modes: any sound attack must
-/// recover this exact key, so `bench_sat` and the cross-mode tests can
-/// compare recovered keys bit-for-bit. (Contrast with internal-node XOR
-/// locks, where chained inversions can cancel and many keys are correct.)
+/// **exactly one** key is functionally correct. That makes this lock a
+/// determinism yardstick for the attack: any sound attack must recover this
+/// exact key, so tests can compare recovered keys bit-for-bit. (Contrast
+/// with internal-node XOR locks, where chained inversions can cancel and
+/// many keys are correct.)
 ///
 /// Returns the locked netlist and the unique correct key.
 pub fn xor_lock_outputs(oracle: &Netlist, bits: usize) -> (Netlist, Vec<bool>) {
@@ -607,14 +545,21 @@ pub fn sat_attack(
 }
 
 /// The full attack driver: [`sat_attack`] plus progress accounting,
-/// per-iteration checkpointing, and resume. Dispatches on
-/// [`SatAttackOptions::mode`]; both modes walk the same DIP sequence and
-/// emit identical report JSON (see the [module docs](self)).
+/// per-iteration checkpointing, and resume.
+///
+/// One gated miter is encoded once; every iteration solves under the
+/// `+activation` assumption, appends the found DIP's two IO-pinned copies,
+/// and keeps all learned clauses. On resume the loop starts from iteration
+/// 0 and *replays* the checkpoint prefix: the solves re-run (deterministic,
+/// so they re-find the recorded DIPs — asserted), the recorded oracle
+/// responses are reused, and checkpoint writes are suppressed until the
+/// replay passes the prefix, protecting the on-disk checkpoint from a
+/// mid-replay crash.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatches, non-combinational inputs, or a resume
-/// checkpoint recorded for a different design name or [`DipMode`].
+/// checkpoint recorded for a different design.
 pub fn sat_attack_report(
     locked: &Netlist,
     oracle: &Netlist,
@@ -640,119 +585,7 @@ pub fn sat_attack_report(
             locked.name(),
             "resume checkpoint was recorded for a different design"
         );
-        assert_eq!(
-            cp.mode,
-            options.mode,
-            "resume checkpoint was recorded by a {} run, not {}",
-            cp.mode.label(),
-            options.mode.label()
-        );
     }
-    match options.mode {
-        DipMode::Incremental => incremental_attack(locked, oracle, options),
-        DipMode::Scratch => scratch_attack(locked, oracle, options),
-    }
-}
-
-/// Writes a best-effort checkpoint; `None` when checkpointing is off or the
-/// write failed (checkpointing must never kill the attack).
-fn write_checkpoint(
-    locked: &Netlist,
-    options: &SatAttackOptions,
-    iterations: usize,
-    conflicts: u64,
-    dips: &[(Vec<bool>, Vec<bool>)],
-) -> Option<PathBuf> {
-    let path = options.checkpoint_path.as_ref()?;
-    let cp = AttackCheckpoint {
-        design: locked.name().to_string(),
-        mode: options.mode,
-        iterations,
-        conflicts_spent: conflicts,
-        dips: dips.to_vec(),
-    };
-    cp.save_with(&*options.checkpoint_io, path)
-        .ok()
-        .map(|()| path.clone())
-}
-
-/// Appends one IO-pinned copy of `locked` (keys shared with `keys`) for the
-/// recorded `(dip, response)` pair — the step that "teaches" a key
-/// candidate set the oracle's answer.
-fn pin_dip_copy(
-    solver: &mut Solver,
-    locked: &Netlist,
-    keys: &[Var],
-    dip: &[bool],
-    response: &[bool],
-) {
-    let fresh = encode_netlist(solver, locked, None, Some(keys));
-    for (i, &v) in fresh.inputs.iter().enumerate() {
-        solver.add_clause(&[Lit::new(v, dip[i])]);
-    }
-    for (o, &v) in fresh.outputs.iter().enumerate() {
-        solver.add_clause(&[Lit::new(v, response[o])]);
-    }
-}
-
-/// Builds the final report once the miter goes UNSAT and a key candidate
-/// has been extracted (or not).
-#[allow(clippy::too_many_arguments)]
-fn unsat_report(
-    locked: &Netlist,
-    oracle: &Netlist,
-    options: &SatAttackOptions,
-    key: Option<Vec<bool>>,
-    iterations: usize,
-    conflicts: u64,
-    dips_found: usize,
-    resumed_from: usize,
-    per_dip: Vec<DipCost>,
-    checkpoint_written: Option<PathBuf>,
-) -> AttackReport {
-    let outcome = match key {
-        Some(key) => {
-            if !options.verify_key || verify_key(locked, oracle, &key, options.verify_vectors) {
-                SatAttackOutcome::Broken {
-                    key,
-                    iterations,
-                    conflicts,
-                }
-            } else {
-                SatAttackOutcome::WrongKey { key, iterations }
-            }
-        }
-        None => SatAttackOutcome::WrongKey {
-            key: Vec::new(),
-            iterations,
-        },
-    };
-    AttackReport {
-        outcome,
-        dips_found,
-        conflicts_spent: conflicts,
-        stop: None,
-        resumed_from,
-        per_dip,
-        checkpoint_written,
-    }
-}
-
-/// The persistent-solver DIP loop ([`DipMode::Incremental`]).
-///
-/// One gated miter is encoded once; every iteration solves under the
-/// `+activation` assumption, appends the found DIP's two IO-pinned copies,
-/// and keeps all learned clauses. On resume the loop starts from iteration
-/// 0 and *replays* the checkpoint prefix: the solves re-run (deterministic,
-/// so they re-find the recorded DIPs — asserted), the recorded oracle
-/// responses are reused, and checkpoint writes are suppressed until the
-/// replay passes the prefix, protecting the on-disk checkpoint from a
-/// mid-replay crash.
-fn incremental_attack(
-    locked: &Netlist,
-    oracle: &Netlist,
-    options: &SatAttackOptions,
-) -> AttackReport {
     let replay: &[(Vec<bool>, Vec<bool>)] = options
         .resume_from
         .as_ref()
@@ -769,18 +602,23 @@ fn incremental_attack(
     let mut iterations = 0usize;
     let mut conflicts = 0u64;
     let mut dips: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-    let mut per_dip: Vec<DipCost> = Vec::new();
     let mut checkpoint_written = None;
 
-    let stopped = loop {
+    let (outcome, stop) = loop {
         if iterations >= options.max_iterations {
-            break None; // structural timeout, not a budget event
+            // Structural timeout, not a budget event.
+            break (
+                SatAttackOutcome::Resilient {
+                    iterations,
+                    conflicts,
+                },
+                None,
+            );
         }
         // One span per DIP iteration; the iteration index lines up with the
         // `iterations` field of the checkpoint JSON, so a trace can be
         // joined against a resumed run's checkpoint.
         let _iter_span = shell_trace::span!("attack.sat.dip", iteration = iterations);
-        let t0 = Instant::now();
         let result = solver.solve_with_assumptions(&[Lit::pos(act)]);
         let delta = solver.take_delta();
         match result {
@@ -788,7 +626,14 @@ fn incremental_attack(
                 // Budget exhausted mid-iteration: the partial conflicts are
                 // excluded from the report, matching the checkpoint (the
                 // iteration re-runs in full on resume).
-                break Some(solver.stop_reason().unwrap_or(Exhausted::Quota));
+                let stop = solver.stop_reason().unwrap_or(Exhausted::Quota);
+                break (
+                    SatAttackOutcome::Resilient {
+                        iterations,
+                        conflicts,
+                    },
+                    Some(stop),
+                );
             }
             SatResult::Unsat => {
                 conflicts += delta.conflicts;
@@ -800,7 +645,7 @@ fn incremental_attack(
                 solver.set_budget(Some(options.budget.fresh()));
                 let extracted = solver.solve_with_assumptions(&[Lit::neg(act)]);
                 conflicts += solver.take_delta().conflicts;
-                let key = match extracted {
+                let key: Option<Vec<bool>> = match extracted {
                     SatResult::Sat => Some(
                         miter
                             .lhs
@@ -811,27 +656,26 @@ fn incremental_attack(
                     ),
                     _ => None,
                 };
-                return unsat_report(
-                    locked,
-                    oracle,
-                    options,
-                    key,
-                    iterations,
-                    conflicts,
-                    dips.len(),
-                    resumed_from,
-                    per_dip,
-                    checkpoint_written,
-                );
+                let outcome = match key {
+                    Some(key)
+                        if !options.verify_key
+                            || verify_key(locked, oracle, &key, options.verify_vectors) =>
+                    {
+                        SatAttackOutcome::Broken {
+                            key,
+                            iterations,
+                            conflicts,
+                        }
+                    }
+                    key => SatAttackOutcome::WrongKey {
+                        key: key.unwrap_or_default(),
+                        iterations,
+                    },
+                };
+                break (outcome, None);
             }
             SatResult::Sat => {
                 conflicts += delta.conflicts;
-                per_dip.push(DipCost {
-                    conflicts: delta.conflicts,
-                    decisions: delta.decisions,
-                    propagations: delta.propagations,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                });
                 // Read the model *before* appending constraints: adding a
                 // clause backtracks to level 0 and discards it.
                 let dip: Vec<bool> = miter
@@ -886,150 +730,53 @@ fn incremental_attack(
     };
 
     AttackReport {
-        outcome: SatAttackOutcome::Resilient {
-            iterations,
-            conflicts,
-        },
+        outcome,
         dips_found: dips.len(),
         conflicts_spent: conflicts,
-        stop: stopped,
+        stop,
         resumed_from,
-        per_dip,
         checkpoint_written,
     }
 }
 
-/// The rebuild-per-iteration DIP loop ([`DipMode::Scratch`]): every
-/// iteration encodes a fresh solver with the miter plus one IO-pinned copy
-/// pair per recorded DIP. Resume continues from the recorded prefix
-/// directly (nothing to replay — the next iteration rebuilds from the
-/// prefix anyway).
-fn scratch_attack(
+/// Writes a best-effort checkpoint; `None` when checkpointing is off or the
+/// write failed (checkpointing must never kill the attack).
+fn write_checkpoint(
     locked: &Netlist,
-    oracle: &Netlist,
     options: &SatAttackOptions,
-) -> AttackReport {
-    let (mut iterations, mut conflicts, mut dips, resumed_from) = match &options.resume_from {
-        Some(cp) => (cp.iterations, cp.conflicts_spent, cp.dips.clone(), cp.iterations),
-        None => (0, 0, Vec::new(), 0),
-    };
-
-    let n_inputs = locked.inputs().len();
-    let mut per_dip: Vec<DipCost> = Vec::new();
-    let mut checkpoint_written = None;
-
-    let stopped = loop {
-        if iterations >= options.max_iterations {
-            break None; // structural timeout, not a budget event
-        }
-        let _iter_span = shell_trace::span!("attack.sat.dip", iteration = iterations);
-        // Fresh solver: miter of two copies of the locked design (shared
-        // inputs, independent key candidates, some output pair forced to
-        // differ) plus one IO-pinned copy per key set per recorded DIP.
-        let mut solver = Solver::new();
-        solver.set_budget(Some(options.budget.clone()));
-        let miter = encode_miter(&mut solver, locked, locked);
-        let (copy_a, copy_b) = (miter.lhs, miter.rhs);
-        for (dip, response) in &dips {
-            for keys in [&copy_a.keys, &copy_b.keys] {
-                pin_dip_copy(&mut solver, locked, keys, dip, response);
-            }
-        }
-        solver.take_delta(); // encoding cost is not a DIP-solve cost
-        let t0 = Instant::now();
-        let result = solver.solve();
-        let delta = solver.take_delta();
-        match result {
-            SatResult::Unknown => {
-                // Excluded from the report, matching the checkpoint — see
-                // the incremental driver.
-                break Some(solver.stop_reason().unwrap_or(Exhausted::Quota));
-            }
-            SatResult::Unsat => {
-                conflicts += delta.conflicts;
-                let (key, extract_conflicts) = extract_key(locked, &dips, options);
-                conflicts += extract_conflicts;
-                return unsat_report(
-                    locked,
-                    oracle,
-                    options,
-                    key,
-                    iterations,
-                    conflicts,
-                    dips.len(),
-                    resumed_from,
-                    per_dip,
-                    checkpoint_written,
-                );
-            }
-            SatResult::Sat => {
-                conflicts += delta.conflicts;
-                per_dip.push(DipCost {
-                    conflicts: delta.conflicts,
-                    decisions: delta.decisions,
-                    propagations: delta.propagations,
-                    nanos: t0.elapsed().as_nanos() as u64,
-                });
-                iterations += 1;
-                shell_trace::counter_add("attack.dips", 1);
-                let dip: Vec<bool> = copy_a
-                    .inputs
-                    .iter()
-                    .map(|&v| solver.value(v).unwrap_or(false))
-                    .collect();
-                debug_assert_eq!(dip.len(), n_inputs);
-                let response = oracle.eval_comb(&dip);
-                dips.push((dip, response));
-                if let Some(p) = write_checkpoint(locked, options, iterations, conflicts, &dips) {
-                    checkpoint_written = Some(p);
-                }
-            }
-        }
-    };
-
-    AttackReport {
-        outcome: SatAttackOutcome::Resilient {
-            iterations,
-            conflicts,
-        },
-        dips_found: dips.len(),
-        conflicts_spent: conflicts,
-        stop: stopped,
-        resumed_from,
-        per_dip,
-        checkpoint_written,
-    }
-}
-
-/// Solves for one key consistent with the recorded DIP/response pairs in a
-/// fresh solver (the [`DipMode::Scratch`] extraction path; incremental mode
-/// extracts on its persistent solver instead). Sound by the SAT attack's
-/// termination argument: once the miter is UNSAT, keys agreeing on all DIPs
-/// agree everywhere. Returns the key (if any) and the conflicts this solve
-/// spent. Runs under a *re-armed* copy of the attack budget so extraction
-/// behaves identically whether the DIP loop ran straight through or was
-/// resumed from a checkpoint.
-fn extract_key(
-    locked: &Netlist,
+    iterations: usize,
+    conflicts: u64,
     dips: &[(Vec<bool>, Vec<bool>)],
-    options: &SatAttackOptions,
-) -> (Option<Vec<bool>>, u64) {
-    let mut solver = Solver::new();
-    solver.set_budget(Some(options.budget.fresh()));
-    let copy = encode_netlist(&mut solver, locked, None, None);
-    for (dip, response) in dips {
-        pin_dip_copy(&mut solver, locked, &copy.keys, dip, response);
-    }
-    let key = match solver.solve() {
-        SatResult::Sat => Some(
-            copy.keys
-                .iter()
-                .map(|&k| solver.value(k).unwrap_or(false))
-                .collect(),
-        ),
-        _ => None,
+) -> Option<PathBuf> {
+    let path = options.checkpoint_path.as_ref()?;
+    let cp = AttackCheckpoint {
+        design: locked.name().to_string(),
+        iterations,
+        conflicts_spent: conflicts,
+        dips: dips.to_vec(),
     };
-    (key, solver.take_delta().conflicts)
+    cp.save_with(&*options.checkpoint_io, path)
+        .ok()
+        .map(|()| path.clone())
+}
+
+/// Appends one IO-pinned copy of `locked` (keys shared with `keys`) for the
+/// recorded `(dip, response)` pair — the step that "teaches" a key
+/// candidate set the oracle's answer.
+fn pin_dip_copy(
+    solver: &mut Solver,
+    locked: &Netlist,
+    keys: &[Var],
+    dip: &[bool],
+    response: &[bool],
+) {
+    let fresh = encode_netlist(solver, locked, None, Some(keys));
+    for (i, &v) in fresh.inputs.iter().enumerate() {
+        solver.add_clause(&[Lit::new(v, dip[i])]);
+    }
+    for (o, &v) in fresh.outputs.iter().enumerate() {
+        solver.add_clause(&[Lit::new(v, response[o])]);
+    }
 }
 
 /// Checks the candidate key against the oracle (exhaustive up to 12 inputs,
@@ -1100,23 +847,15 @@ mod tests {
     }
 
     #[test]
-    fn both_modes_break_xor_locking_with_same_key() {
+    fn breaks_output_xor_locking_with_the_planted_key() {
         // Output-XOR locking has a unique correct key, so any sound attack
-        // must recover exactly it — the strongest cross-mode agreement
-        // check available without pinning search internals.
+        // must recover exactly it — the strongest check available without
+        // pinning search internals.
         let oracle = small_oracle();
         let (locked, true_key) = xor_lock_outputs(&oracle, 5);
-        for mode in [DipMode::Incremental, DipMode::Scratch] {
-            let opts = SatAttackOptions {
-                mode,
-                ..Default::default()
-            };
-            match sat_attack(&locked, &oracle, &opts) {
-                SatAttackOutcome::Broken { key, .. } => {
-                    assert_eq!(key, true_key, "{} mode", mode.label());
-                }
-                other => panic!("{} mode: expected break, got {other:?}", mode.label()),
-            }
+        match sat_attack(&locked, &oracle, &SatAttackOptions::default()) {
+            SatAttackOutcome::Broken { key, .. } => assert_eq!(key, true_key),
+            other => panic!("expected break, got {other:?}"),
         }
     }
 
@@ -1197,7 +936,6 @@ mod tests {
     fn checkpoint_json_round_trips() {
         let cp = AttackCheckpoint {
             design: "adder".to_string(),
-            mode: DipMode::Incremental,
             iterations: 2,
             conflicts_spent: 17,
             dips: vec![
@@ -1205,19 +943,19 @@ mod tests {
                 (vec![false, false], vec![true]),
             ],
         };
-        let parsed = AttackCheckpoint::from_json(&cp.to_json()).unwrap();
+        let json = cp.to_json();
+        // `mode` is a constant format tag.
+        assert_eq!(json.get("mode").and_then(Json::as_str), Some("incremental"));
+        let parsed = AttackCheckpoint::from_json(&json).unwrap();
         assert_eq!(parsed, cp);
         // Corrupt JSON is a typed error, not a panic.
         assert!(AttackCheckpoint::from_json(&Json::obj([("design", Json::Null)])).is_err());
     }
 
-    #[test]
-    fn checkpoint_without_mode_reads_as_scratch() {
-        // Pre-incremental checkpoints carry no mode field; they were
-        // recorded by the scratch driver and must keep resuming as such.
+    /// A checkpoint's JSON with its `mode` field replaced (`None` drops it).
+    fn checkpoint_json_with_mode(design: &str, mode: Option<&str>) -> Json {
         let mut json = AttackCheckpoint {
-            design: "adder".to_string(),
-            mode: DipMode::Incremental,
+            design: design.to_string(),
             iterations: 0,
             conflicts_spent: 0,
             dips: Vec::new(),
@@ -1225,9 +963,43 @@ mod tests {
         .to_json();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| k != "mode");
+            if let Some(mode) = mode {
+                fields.push(("mode".to_string(), Json::Str(mode.to_string())));
+            }
         }
-        let parsed = AttackCheckpoint::from_json(&json).unwrap();
-        assert_eq!(parsed.mode, DipMode::Scratch);
+        json
+    }
+
+    #[test]
+    fn checkpoint_without_mode_reads_as_scratch() {
+        // Checkpoints from before the persistent solver carry no `mode`;
+        // they were recorded by the retired scratch loop, read as such, and
+        // are refused with the same error as an explicit `"scratch"`.
+        let missing = AttackCheckpoint::from_json(&checkpoint_json_with_mode("adder", None));
+        let scratch =
+            AttackCheckpoint::from_json(&checkpoint_json_with_mode("adder", Some("scratch")));
+        assert_eq!(missing, scratch);
+        assert_eq!(
+            missing,
+            Err("checkpoint: unsupported mode `scratch`".to_string())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported mode `scratch`")]
+    fn resume_refuses_mode_mismatch() {
+        // A checkpoint recorded by the scratch loop never reaches the
+        // persistent solver: the resume path fails at parse time.
+        let oracle = small_oracle();
+        let (locked, _) = xor_lock(&oracle, 2);
+        let json = checkpoint_json_with_mode(locked.name(), Some("scratch"));
+        let cp = AttackCheckpoint::from_json(&json)
+            .unwrap_or_else(|e| panic!("resume checkpoint refused: {e}"));
+        let opts = SatAttackOptions {
+            resume_from: Some(cp),
+            ..Default::default()
+        };
+        sat_attack_report(&locked, &oracle, &opts);
     }
 
     #[test]
@@ -1281,7 +1053,6 @@ mod tests {
         };
         assert!(checkpoint.iterations >= 1);
         assert!(checkpoint.iterations < full_iters);
-        assert_eq!(checkpoint.mode, DipMode::Incremental);
 
         // Resume and compare: same key, same totals, byte-identical JSON.
         let resumed = sat_attack_report(
@@ -1299,26 +1070,6 @@ mod tests {
             "resumed report must be byte-identical to the uninterrupted one"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "recorded by a scratch run")]
-    fn resume_refuses_mode_mismatch() {
-        let oracle = small_oracle();
-        let (locked, _) = xor_lock(&oracle, 2);
-        let cp = AttackCheckpoint {
-            design: locked.name().to_string(),
-            mode: DipMode::Scratch,
-            iterations: 0,
-            conflicts_spent: 0,
-            dips: Vec::new(),
-        };
-        let opts = SatAttackOptions {
-            mode: DipMode::Incremental,
-            resume_from: Some(cp),
-            ..Default::default()
-        };
-        sat_attack_report(&locked, &oracle, &opts);
     }
 
     #[test]

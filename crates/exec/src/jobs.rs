@@ -48,8 +48,8 @@ pub fn set_jobs_override(jobs: Option<usize>) {
 /// override afterwards (also on panic).
 ///
 /// This is how the determinism tests sweep `jobs = 1, 2, 8` inside one
-/// process, and how `bench_exec` times sequential vs parallel medians
-/// without re-spawning itself.
+/// process, and how a benchmark pins its worker count without re-spawning
+/// itself.
 pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -62,14 +62,23 @@ pub fn with_jobs<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Serializes every test in this crate that sets the override: it is
+/// process-global, cargo runs `#[test]` functions concurrently, and a test
+/// that reads the ambient count must not observe another test's pin.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the guarded `()` carries no state.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // One test owns all override scenarios: the override is process-global
-    // and cargo runs #[test] functions concurrently.
     #[test]
     fn override_and_restore() {
+        let _override = override_lock();
         let ambient = current_jobs();
         assert!(ambient >= 1);
 

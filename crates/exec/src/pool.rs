@@ -275,12 +275,13 @@ fn pop_or_steal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobs::with_jobs;
+    use crate::jobs::{override_lock, with_jobs};
     use shell_util::forall;
     use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_matches_sequential_for_random_inputs() {
+        let _override = override_lock();
         // The subsystem's core contract, as a property: for random sizes
         // (including 0 and 1), grains and worker counts, parallel_map equals
         // the sequential map element for element.
@@ -312,6 +313,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_element() {
+        let _override = override_lock();
         for jobs in [1, 2, 8] {
             with_jobs(jobs, || {
                 let empty: Vec<u32> = parallel_map(&[] as &[u32], |&x| x + 1);
@@ -323,6 +325,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _override = override_lock();
         let caught = std::panic::catch_unwind(|| {
             with_jobs(4, || {
                 let items: Vec<usize> = (0..64).collect();
@@ -346,6 +349,7 @@ mod tests {
 
     #[test]
     fn sequential_fallback_panic_propagates_too() {
+        let _override = override_lock();
         let caught = std::panic::catch_unwind(|| {
             with_jobs(1, || parallel_map(&[1u8], |_| -> u8 { panic!("seq") }))
         });
@@ -354,6 +358,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_compose() {
+        let _override = override_lock();
         // A parallel_map whose tasks themselves call parallel_map — the
         // router does exactly this shape (map over nets, each consulting
         // shared read-only state). Inner pools just spawn their own scoped
@@ -374,6 +379,7 @@ mod tests {
 
     #[test]
     fn oversubscription_stress() {
+        let _override = override_lock();
         // Far more tasks than workers, tiny grain, workers outnumbering
         // cores: the steal/yield loop must neither lose nor duplicate work.
         let items: Vec<u64> = (0..10_000).collect();
@@ -393,6 +399,7 @@ mod tests {
 
     #[test]
     fn for_chunks_visits_each_chunk_once() {
+        let _override = override_lock();
         for jobs in [1, 4] {
             with_jobs(jobs, || {
                 let mut data = vec![0u32; 103];
@@ -410,6 +417,7 @@ mod tests {
 
     #[test]
     fn for_chunks_panic_propagates() {
+        let _override = override_lock();
         let caught = std::panic::catch_unwind(|| {
             with_jobs(4, || {
                 let mut data = vec![0u8; 40];
@@ -431,6 +439,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_and_propagates_panics() {
+        let _override = override_lock();
         for jobs in [1, 2] {
             with_jobs(jobs, || {
                 let (a, b) = join(|| 6 * 7, || "ok");

@@ -219,37 +219,6 @@ impl Budget {
         Budget::build(self.inner.initial_quota, self.inner.deadline_duration)
     }
 
-    /// A new budget armed like this one at construction but with `spent`
-    /// steps already consumed from the quota (unlimited stays unlimited;
-    /// the deadline re-arms from now; not cancelled).
-    ///
-    /// This is the resume arithmetic for long-running engines: a run resumed
-    /// from a checkpoint that recorded `spent` steps continues under
-    /// `budget.with_spent(spent)` and exhausts at exactly the same total
-    /// step count as the uninterrupted run would have. [`Budget::spent`] on
-    /// the new budget starts at `spent`, and [`Budget::fresh`] still
-    /// re-arms to the *full* original quota — inner stages (e.g. key
-    /// extraction) stay resume-invariant.
-    pub fn with_spent(&self, spent: u64) -> Self {
-        let initial = self.inner.initial_quota;
-        let quota = if initial == UNLIMITED {
-            UNLIMITED
-        } else {
-            initial.saturating_sub(spent)
-        };
-        Budget {
-            inner: Arc::new(Inner {
-                quota: AtomicU64::new(quota),
-                initial_quota: initial,
-                deadline: self.inner.deadline_duration.map(|d| Instant::now() + d),
-                deadline_duration: self.inner.deadline_duration,
-                cancelled: AtomicBool::new(false),
-                expired: AtomicBool::new(false),
-                polls: AtomicU64::new(0),
-            }),
-        }
-    }
-
     /// Requests cooperative cancellation. Every holder of a clone observes
     /// it at its next [`Budget::checkpoint`].
     pub fn cancel(&self) {
@@ -409,30 +378,6 @@ mod tests {
         assert!(f.checkpoint().is_ok());
         // And the original is untouched by the fresh copy.
         assert_eq!(b.checkpoint(), Err(Exhausted::Cancelled));
-    }
-
-    #[test]
-    fn with_spent_precharges_the_quota() {
-        let b = Budget::unlimited().with_quota(10);
-        let resumed = b.with_spent(7);
-        assert_eq!(resumed.remaining_quota(), Some(3));
-        assert_eq!(resumed.spent(), 7);
-        resumed.spend(3).unwrap();
-        assert_eq!(resumed.spend(1), Err(Exhausted::Quota));
-        // fresh() of a pre-charged budget re-arms to the FULL quota, so
-        // inner stages behave identically on resumed and fresh runs.
-        assert_eq!(resumed.fresh().remaining_quota(), Some(10));
-        // Over-spent checkpoints start exhausted instead of underflowing.
-        assert_eq!(b.with_spent(99).checkpoint(), Err(Exhausted::Quota));
-    }
-
-    #[test]
-    fn with_spent_on_unlimited_stays_unlimited() {
-        let b = Budget::unlimited();
-        let resumed = b.with_spent(1_000_000);
-        assert_eq!(resumed.remaining_quota(), None);
-        assert_eq!(resumed.spent(), 0);
-        assert!(resumed.spend(1).is_ok());
     }
 
     #[test]

@@ -45,13 +45,6 @@ impl BenchReport {
         )
     }
 
-    /// Median wall-clock speedup of `self` over `other` (> 1 means `self`
-    /// is faster). Intended for sequential-vs-parallel comparisons of the
-    /// same kernel recorded at different [`BenchReport::jobs`].
-    pub fn speedup_over(&self, other: &BenchReport) -> f64 {
-        other.median_ns as f64 / self.median_ns.max(1) as f64
-    }
-
     /// JSON object for `results/*.json`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -227,14 +220,6 @@ mod tests {
         assert_eq!(arr[0].get("name").and_then(Json::as_str), Some("x"));
         assert!(arr[0].get("median_ns").and_then(Json::as_u64).is_some());
         assert_eq!(arr[0].get("jobs").and_then(Json::as_u64), Some(3));
-    }
-
-    #[test]
-    fn speedup_compares_medians() {
-        let seq = summarize("k", &mut [400, 400, 400], 1);
-        let par = summarize("k", &mut [100, 100, 100], 4);
-        assert!((par.speedup_over(&seq) - 4.0).abs() < 1e-9);
-        assert!((seq.speedup_over(&par) - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -47,6 +47,12 @@ SHELL_JOBS=1 cargo test -q --offline
 echo "== cargo test -q --offline (SHELL_JOBS=4) =="
 SHELL_JOBS=4 cargo test -q --offline
 
+# The benchmark that BENCHMARK.json runs is a package of its own (an empty
+# `[workspace]`), so the runs above skip its tests — among them the check
+# that the metrics it prints are exactly the ones BENCHMARK.json declares.
+echo "== bench_e2e package tests =="
+cargo test -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
+
 echo "== cargo build --offline --benches --examples --bins =="
 cargo build -q --offline --benches --examples --bins
 
@@ -178,26 +184,6 @@ for verdict in roundtrip_ok tamper_corrected double_detected \
     grep -q "\"$verdict\": true" results/BENCH_bitstream.json || {
         echo "bench_bitstream verdict failed: $verdict" >&2
         grep "\"$verdict\"" results/BENCH_bitstream.json >&2
-        exit 1
-    }
-done
-echo "ok"
-
-# Incremental-SAT smoke: the attack bench runs both DIP-loop modes on a
-# table-1-style circuit and self-checks two invariants — the persistent
-# solver recovers the same (unique) key as the from-scratch baseline, and
-# its summed per-DIP conflicts are no worse. Both job counts, since the
-# attack must be scheduling-independent. (The artifact carries wall times,
-# so whole-file cmp would be flaky; the verdict booleans are the contract.)
-echo "== bench_sat smoke: incremental vs scratch, SHELL_JOBS=1 and 4 =="
-for jobs in 1 4; do
-    SHELL_JOBS=$jobs cargo run -q --release --offline --bin bench_sat >/dev/null
-    grep -q '"same_key": true' results/BENCH_sat.json || {
-        echo "bench_sat (SHELL_JOBS=$jobs): modes disagree on the key" >&2
-        exit 1
-    }
-    grep -q '"no_worse": true' results/BENCH_sat.json || {
-        echo "bench_sat (SHELL_JOBS=$jobs): incremental spent more DIP conflicts" >&2
         exit 1
     }
 done

@@ -5,9 +5,11 @@
 //! repeat runs with the same seed, and different under a different seed
 //! where the artifact is seed-sensitive at all.
 
+use shell_attacks::structural_mux_attack;
 use shell_circuits::{axi_xbar, generate, Benchmark, Scale};
 use shell_fabric::{Fabric, FabricConfig};
 use shell_netlist::verilog::write_verilog;
+use shell_netlist::{CellKind, Netlist};
 use shell_pnr::place::{pack, place};
 use shell_pnr::{place_and_route_with_chains, PnrOptions};
 use shell_synth::lut_map;
@@ -129,4 +131,66 @@ fn bitstream_differs_across_seeds() {
         b.bitstream.to_hex(),
         "seed must steer the flow"
     );
+}
+
+/// Runs `f` at `jobs` = 1, 2 and 8 and asserts the three results agree.
+fn assert_jobs_invariant<T: PartialEq + std::fmt::Debug>(what: &str, f: impl Fn() -> T) {
+    let baseline = shell_exec::with_jobs(1, &f);
+    for jobs in [2usize, 8] {
+        assert_eq!(
+            baseline,
+            shell_exec::with_jobs(jobs, &f),
+            "{what} must not depend on jobs={jobs}"
+        );
+    }
+}
+
+/// LUT mapping enumerates cuts level-parallel and derives cone truth
+/// tables in parallel; the mapped netlist must not depend on the worker
+/// count.
+#[test]
+fn lut_mapping_identical_across_jobs_settings() {
+    let design = axi_xbar(8, 4);
+    assert_jobs_invariant("lut_map", || {
+        let mapped = lut_map(&design, 4).expect("acyclic");
+        (
+            write_verilog(&mapped.netlist),
+            mapped.lut_count,
+            mapped.depth,
+        )
+    });
+}
+
+/// The structural attack scores key muxes in parallel; its guesses must
+/// not depend on the worker count.
+#[test]
+fn structural_attack_identical_across_jobs_settings() {
+    let (locked, key) = locked_mux_design(24);
+    assert_jobs_invariant("structural_mux_attack", || {
+        structural_mux_attack(&locked, &key)
+    });
+}
+
+/// A Fig. 1(c)-style localized mux-locked netlist: each key mux picks
+/// between a real AND term and a shared decoy.
+fn locked_mux_design(bits: usize) -> (Netlist, Vec<bool>) {
+    let mut n = Netlist::new("mux_lock");
+    let da = n.add_input("da");
+    let db = n.add_input("db");
+    let decoy = n.add_cell("decoy", CellKind::Xor, vec![da, db]);
+    n.add_output("decoy_o", decoy);
+    let mut key = Vec::new();
+    for i in 0..bits {
+        let a = n.add_input(format!("a{i}"));
+        let b = n.add_input(format!("b{i}"));
+        let t = n.add_cell(format!("t{i}"), CellKind::And, vec![a, b]);
+        let k = n.add_key_input(format!("k{i}"));
+        let key_bit = i % 2 == 1;
+        let (p1, p2) = if key_bit { (decoy, t) } else { (t, decoy) };
+        let m = n.add_cell(format!("km{i}"), CellKind::Mux2, vec![k, p1, p2]);
+        let f = n.add_cell(format!("f{i}"), CellKind::Or, vec![m, a]);
+        n.add_output(format!("o{i}"), f);
+        key.push(key_bit);
+    }
+    (n, key)
 }

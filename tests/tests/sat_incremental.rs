@@ -1,27 +1,27 @@
-//! Cross-crate pins for the incremental SAT attack: mode agreement,
-//! run-to-run determinism, and the interrupt/resume accounting contract in
-//! both [`DipMode`]s.
+//! Cross-crate pins for the incremental SAT attack: key recovery on a
+//! unique-key lock, run-to-run determinism, and the interrupt/resume
+//! accounting contract.
 //!
 //! The load-bearing property: a resumed attack must produce **byte-identical
-//! report JSON** to the same attack run uninterrupted — incremental mode by
-//! deterministic replay of the DIP prefix, scratch mode by rebuild-purity
-//! plus [`Budget::with_spent`] pre-charging the quota with the checkpointed
-//! spend. These tests pin that equality at completion *and* at budget
-//! exhaustion, where the old accounting drifted (partial conflicts of the
-//! interrupted iteration leaked into the report but not the checkpoint).
+//! report JSON** to the same attack run uninterrupted, by deterministic
+//! replay of the DIP prefix — even when both stop at budget exhaustion,
+//! which holds only because neither the report nor the checkpoint counts the
+//! partial conflicts of the interrupted iteration.
 
 use shell_attacks::{
-    sat_attack_report, xor_lock_outputs, AttackCheckpoint, AttackReport, DipMode,
+    sat_attack_report, scan_frame, xor_lock_outputs, AttackCheckpoint, AttackReport,
     SatAttackOptions, SatAttackOutcome,
 };
-use shell_circuits::ripple_adder;
+use shell_circuits::{axi_xbar, ripple_adder};
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::{CellKind, NetId, Netlist};
 
-/// A point lock (see `bench_sat`): key bit `i` is observable only on inputs
+/// A SARLock-flavored point lock: key bit `i` is observable only on inputs
 /// whose `prefix_bits`-wide prefix equals `i`, so the attack needs one DIP
 /// per key bit — enough iterations to interrupt mid-flight. The last prefix
-/// value carries no key bit, which keeps the correct key unique.
+/// value carries no key bit: no key assignment then shifts the output
+/// globally, so the correct key stays unique even composed with
+/// [`xor_lock_outputs`].
 fn point_lock(oracle: &Netlist, prefix_bits: usize) -> (Netlist, Vec<bool>) {
     let mut locked = oracle.clone();
     locked.set_name(format!("{}_pl", oracle.name()));
@@ -72,12 +72,10 @@ fn broken_key(r: &AttackReport) -> &[bool] {
 fn interrupt_mid_flight(
     locked: &Netlist,
     oracle: &Netlist,
-    mode: DipMode,
     cp_path: &std::path::Path,
 ) -> (u64, AttackCheckpoint) {
     for quota in 1..10_000 {
         let opts = SatAttackOptions {
-            mode,
             budget: Budget::unlimited().with_quota(quota),
             checkpoint_path: Some(cp_path.to_path_buf()),
             ..Default::default()
@@ -106,21 +104,17 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The `axi_xbar(4,1)` scan frame under a 4-bit-prefix point lock, then an
+/// output-XOR lock: both keys are unique, so the attack must recover exactly
+/// the planted one.
 #[test]
-fn both_modes_recover_the_unique_key() {
-    let oracle = ripple_adder(3);
-    let (locked, true_key) = xor_lock_outputs(&oracle, 4);
-    for mode in [DipMode::Incremental, DipMode::Scratch] {
-        let report = sat_attack_report(
-            &locked,
-            &oracle,
-            &SatAttackOptions {
-                mode,
-                ..Default::default()
-            },
-        );
-        assert_eq!(broken_key(&report), true_key, "{} mode", mode.label());
-    }
+fn recovers_the_unique_key_of_the_point_locked_xbar() {
+    let oracle = scan_frame(&axi_xbar(4, 1));
+    let (point_locked, point_key) = point_lock(&oracle, 4);
+    let (locked, xor_key) = xor_lock_outputs(&point_locked, 4);
+    let true_key: Vec<bool> = point_key.into_iter().chain(xor_key).collect();
+    let report = sat_attack_report(&locked, &oracle, &SatAttackOptions::default());
+    assert_eq!(broken_key(&report), true_key);
 }
 
 #[test]
@@ -132,14 +126,6 @@ fn incremental_reports_are_run_to_run_deterministic() {
     let b = sat_attack_report(&locked, &oracle, &opts);
     assert!(a.outcome.is_broken());
     assert_eq!(report_bytes(&a), report_bytes(&b));
-    // Per-DIP counter curves are deterministic too (wall time is not).
-    assert_eq!(a.per_dip.len(), b.per_dip.len());
-    for (x, y) in a.per_dip.iter().zip(&b.per_dip) {
-        assert_eq!(
-            (x.conflicts, x.decisions, x.propagations),
-            (y.conflicts, y.decisions, y.propagations)
-        );
-    }
 }
 
 #[test]
@@ -149,9 +135,9 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
     let dir = tmp_dir("inc_exhaust");
     let cp_path = dir.join("cp.json");
 
-    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Incremental, &cp_path);
+    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, &cp_path);
     // A larger quota that still exhausts, strictly past the checkpoint.
-    let q2 = loop_quota_past(&locked, &oracle, DipMode::Incremental, q1, cp.iterations);
+    let q2 = loop_quota_past(&locked, &oracle, q1, cp.iterations);
 
     let uninterrupted = sat_attack_report(
         &locked,
@@ -161,9 +147,9 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
             ..Default::default()
         },
     );
-    // Incremental resume replays the prefix from iteration 0, re-spending
-    // the same conflicts from the same quota — so a plain with_quota(q2)
-    // budget reproduces the uninterrupted trajectory exactly.
+    // Resume replays the prefix from iteration 0, re-spending the same
+    // conflicts from the same quota — so a plain with_quota(q2) budget
+    // reproduces the uninterrupted trajectory exactly.
     let resumed = sat_attack_report(
         &locked,
         &oracle,
@@ -176,113 +162,17 @@ fn incremental_resume_matches_uninterrupted_at_exhaustion() {
     assert_eq!(resumed.resumed_from, cp.iterations);
     assert_eq!(report_bytes(&resumed), report_bytes(&uninterrupted));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn scratch_resume_with_spent_matches_uninterrupted_at_exhaustion() {
-    let oracle = ripple_adder(3);
-    let (locked, _) = point_lock(&oracle, 3);
-    let dir = tmp_dir("scr_exhaust");
-    let cp_path = dir.join("cp.json");
-
-    let (q1, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Scratch, &cp_path);
-    let q2 = loop_quota_past(&locked, &oracle, DipMode::Scratch, q1, cp.iterations);
-
-    let uninterrupted = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            budget: Budget::unlimited().with_quota(q2),
-            ..Default::default()
-        },
-    );
-    // Scratch resume skips the prefix entirely, so the quota must be
-    // pre-charged with the checkpointed spend for the exhaustion point to
-    // line up — that is what Budget::with_spent is for.
-    let resumed = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            budget: Budget::unlimited().with_quota(q2).with_spent(cp.conflicts_spent),
-            resume_from: Some(cp.clone()),
-            ..Default::default()
-        },
-    );
-    assert_eq!(resumed.resumed_from, cp.iterations);
-    assert_eq!(report_bytes(&resumed), report_bytes(&uninterrupted));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn scratch_resume_to_completion_matches_uninterrupted() {
-    let oracle = ripple_adder(3);
-    let (locked, _) = point_lock(&oracle, 3);
-    let dir = tmp_dir("scr_complete");
-    let cp_path = dir.join("cp.json");
-
-    let full = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            ..Default::default()
-        },
-    );
-    assert!(full.outcome.is_broken());
-    let (_, cp) = interrupt_mid_flight(&locked, &oracle, DipMode::Scratch, &cp_path);
-    let resumed = sat_attack_report(
-        &locked,
-        &oracle,
-        &SatAttackOptions {
-            mode: DipMode::Scratch,
-            resume_from: Some(cp),
-            ..Default::default()
-        },
-    );
-    assert_eq!(report_bytes(&resumed), report_bytes(&full));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn incremental_spends_no_more_dip_conflicts_than_scratch() {
-    // The point of the persistent solver: carried learned clauses must not
-    // make the attack more expensive. Pin the bench_sat invariant at test
-    // scale so a regression fails fast, not just in the bench artifact.
-    let oracle = ripple_adder(3);
-    let (locked, _) = point_lock(&oracle, 3);
-    let dip_total = |mode: DipMode| {
-        let r = sat_attack_report(
-            &locked,
-            &oracle,
-            &SatAttackOptions {
-                mode,
-                ..Default::default()
-            },
-        );
-        assert!(r.outcome.is_broken(), "{} mode", mode.label());
-        r.per_dip.iter().map(|d| d.conflicts).sum::<u64>()
-    };
-    assert!(dip_total(DipMode::Incremental) <= dip_total(DipMode::Scratch));
 }
 
 /// Finds a quota `> from` at which the attack still exhausts but records
 /// strictly more iterations than `past_iterations` (so the resumed segment
 /// is non-empty on both sides of the comparison).
-fn loop_quota_past(
-    locked: &Netlist,
-    oracle: &Netlist,
-    mode: DipMode,
-    from: u64,
-    past_iterations: usize,
-) -> u64 {
+fn loop_quota_past(locked: &Netlist, oracle: &Netlist, from: u64, past_iterations: usize) -> u64 {
     for quota in (from + 1)..20_000 {
         let report = sat_attack_report(
             locked,
             oracle,
             &SatAttackOptions {
-                mode,
                 budget: Budget::unlimited().with_quota(quota),
                 ..Default::default()
             },

@@ -241,8 +241,16 @@ fn drain_checkpoints_running_attack_and_restart_finishes_it() {
 
 #[test]
 fn orphaned_and_torn_records_recover_without_double_runs() {
+    // Reference for job 5 below: the same attack, uninterrupted.
+    let attack = attack_request(5, 11);
+    let ref_dir = state_dir("orphanref");
+    let (ref_server, mut ref_client) = start_with(&ref_dir, |_| {});
+    let ref_id = ref_client.submit(&attack).expect("submit").id;
+    let reference = finished_payload(&mut ref_client, ref_id).to_string_compact();
+    ref_server.stop();
+
     let dir = state_dir("orphan");
-    for sub in ["jobs", "results"] {
+    for sub in ["jobs", "results", "checkpoints"] {
         std::fs::create_dir_all(dir.join(sub)).unwrap();
     }
     let pending = |id: u64, request: &JobRequest| {
@@ -272,6 +280,21 @@ fn orphaned_and_torn_records_recover_without_double_runs() {
     // pending file must re-queue it and the torn record must be evicted.
     std::fs::write(dir.join("results/4.json"), "{\"id\": 4, \"stat").unwrap();
     std::fs::write(dir.join("jobs/4.json"), pending(4, &fuzz_request(4))).unwrap();
+    // Job 5: a pending attack whose checkpoint has no `mode`, as written
+    // before the persistent-solver attack. It must not resume (its design
+    // name does not even match); the attack restarts from iteration 0.
+    std::fs::write(dir.join("jobs/5.json"), pending(5, &attack)).unwrap();
+    std::fs::write(
+        dir.join("checkpoints/5.json"),
+        Json::obj([
+            ("design", Json::from("legacy")),
+            ("iterations", Json::from(0u64)),
+            ("conflicts_spent", Json::from(0u64)),
+            ("dips", Json::arr([])),
+        ])
+        .to_string_pretty(),
+    )
+    .unwrap();
 
     let (server, mut client) = start_with(&dir, |_| {});
     let resolved = finished_payload(&mut client, 2);
@@ -288,11 +311,17 @@ fn orphaned_and_torn_records_recover_without_double_runs() {
         let payload = finished_payload(&mut client, id);
         assert_eq!(payload.get("kind").and_then(Json::as_str), Some("fuzz"));
     }
+    assert_eq!(
+        finished_payload(&mut client, 5).to_string_compact(),
+        reference,
+        "an attack with an unreadable checkpoint must restart, not fail"
+    );
     // A fresh submit gets an id beyond everything recovered.
     let fresh = client.submit(&fuzz_request(50)).expect("submit").id;
-    assert!(fresh > 4, "recovered ids must not be reissued: {fresh}");
+    assert!(fresh > 5, "recovered ids must not be reissued: {fresh}");
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[test]
