@@ -10,8 +10,13 @@
 //! key bits remain.
 
 use crate::bitstream::Bitstream;
+use shell_graph::{for_each_scc, NodeId};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
-use shell_synth::{clean_netlist, propagate_constants_cyclic};
+use shell_synth::{
+    clean_netlist, propagate_constants_cyclic, rebuild_resolved, resolve, resolve_cell, Resolution,
+    CYCLIC_PROPAGATION_ROUNDS,
+};
+use std::collections::BTreeSet;
 
 /// Binds **all** key inputs of `locked` to constant values, producing an
 /// unkeyed netlist (used to activate a locked design for comparison).
@@ -41,18 +46,7 @@ pub fn bind_keys(locked: &Netlist, values: &[bool]) -> Netlist {
 ///
 /// Panics when the bitstream length differs from the key count.
 pub fn shrink_locked_netlist(locked: &Netlist, bitstream: &Bitstream) -> Netlist {
-    assert_eq!(
-        bitstream.len(),
-        locked.key_inputs().len(),
-        "bitstream/key width mismatch"
-    );
-    let shrunk = rebind(locked, |i| {
-        if bitstream.is_used(i) {
-            None // stays a key input
-        } else {
-            Some(bitstream.bit(i))
-        }
-    });
+    let shrunk = tie_off_unused(locked, bitstream);
     // Residual structural cycles may survive through *used* key muxes (their
     // alternatives stay in hardware for secrecy). The defender knows the
     // true key, so any cycle-forming alternative that the correct
@@ -63,102 +57,382 @@ pub fn shrink_locked_netlist(locked: &Netlist, bitstream: &Bitstream) -> Netlist
         .filter(|&i| bitstream.is_used(i))
         .map(|i| bitstream.bit(i))
         .collect();
-    defender_cycle_cut(shrunk, &true_key)
+    defender_cycle_cut(shrunk, &true_key).netlist
+}
+
+/// The first half of [`shrink_locked_netlist`]: key bits not marked used in
+/// `bitstream` are bound to their bitstream values and the result is
+/// propagated, leaving the used bits as key inputs.
+///
+/// # Panics
+///
+/// Panics when the bitstream length differs from the key count.
+pub fn tie_off_unused(locked: &Netlist, bitstream: &Bitstream) -> Netlist {
+    assert_eq!(
+        bitstream.len(),
+        locked.key_inputs().len(),
+        "bitstream/key width mismatch"
+    );
+    rebind(locked, |i| {
+        if bitstream.is_used(i) {
+            None // stays a key input
+        } else {
+            Some(bitstream.bit(i))
+        }
+    })
+}
+
+/// What [`defender_cycle_cut`] returns.
+#[derive(Debug, Clone)]
+pub struct CycleCut {
+    /// The netlist after the cuts.
+    pub netlist: Netlist,
+    /// Every cut in the order it was made: the name of the cut mux and the
+    /// data pin tied to constant 0.
+    pub cuts: Vec<(String, usize)>,
 }
 
 /// Cuts cycle-forming mux alternatives that the true key never selects.
-fn defender_cycle_cut(mut netlist: Netlist, true_key: &[bool]) -> Netlist {
-    use shell_graph::{condensation, DiGraph};
-    use std::collections::{HashMap, HashSet};
+///
+/// While the netlist has combinational cycles, each step cuts, in every
+/// cyclic strongly connected component, the first key-selected `Mux2` or
+/// `Mux4` data pin that the true key leaves unselected and whose driver lies
+/// in the component: the pin is tied to a new constant-0 cell appended to
+/// the netlist, and [`propagate_constants_cyclic`] runs. It stops when the
+/// netlist is acyclic, when no component offers such a pin, or after one
+/// step per cell; an acyclic result is cleaned.
+///
+/// That loop would rebuild the whole netlist after every step. This
+/// function replays it exactly and builds a netlist once, at the end: the
+/// input netlist stays fixed except for the appended constant cells, net
+/// resolutions accumulate across steps, and each propagation re-evaluates
+/// only the cells a cut can change (see DESIGN.md, "Shrinking"). The
+/// rebuilding loop itself is kept in the test crate as the oracle.
+pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
     debug_assert_eq!(true_key.len(), netlist.key_inputs().len());
-    for _ in 0..netlist.cell_count().max(1) {
-        if netlist.topo_order().is_ok() {
-            break;
-        }
-        // Build the combinational cell graph.
-        let mut g: DiGraph<()> = DiGraph::with_capacity(netlist.cell_count());
-        let nodes: Vec<_> = netlist.cells().map(|_| g.add_node(())).collect();
-        for (id, c) in netlist.cells() {
-            if c.kind.is_sequential() {
-                continue;
-            }
-            for &inp in &c.inputs {
-                if let Some(drv) = netlist.net(inp).driver {
-                    if !netlist.cell(drv).kind.is_sequential() {
-                        g.add_edge(nodes[drv.index()], nodes[id.index()]);
-                    }
-                }
-            }
-        }
-        let key_value: HashMap<_, bool> = netlist
-            .key_inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, true_key[i]))
-            .collect();
-        let mut cut_any = false;
-        for comp in condensation(&g).cyclic_components {
-            let members: HashSet<usize> = comp.iter().map(|n| n.index()).collect();
-            // Find a key-selected Mux2 whose UNSELECTED data pin closes the
-            // cycle; tying that pin off is invisible under the true key.
-            let mut cut: Option<(CellId, usize)> = None;
-            'scan: for &node in &comp {
-                let cid = CellId(node.index() as u32);
-                let c = netlist.cell(cid);
-                // Dead data pins under the true key: Mux2 with a keyed
-                // select frees one pin; Mux4 with a keyed select frees two.
-                let dead_pins: Vec<usize> = match c.kind {
-                    CellKind::Mux2 => match key_value.get(&c.inputs[0]) {
-                        Some(&kv) => vec![if kv { 1 } else { 2 }],
-                        None => continue,
-                    },
-                    CellKind::Mux4 => {
-                        let s1 = key_value.get(&c.inputs[0]).copied();
-                        let s0 = key_value.get(&c.inputs[1]).copied();
-                        match (s1, s0) {
-                            (Some(h), Some(l)) => {
-                                let live = 2 + ((h as usize) << 1) + l as usize;
-                                (2..6).filter(|&p| p != live).collect()
-                            }
-                            (Some(h), None) => {
-                                if h { vec![2, 3] } else { vec![4, 5] }
-                            }
-                            (None, Some(l)) => {
-                                if l { vec![2, 4] } else { vec![3, 5] }
-                            }
-                            (None, None) => continue,
-                        }
-                    }
-                    _ => continue,
-                };
-                for dead_pin in dead_pins {
-                    if let Some(drv) = netlist.net(c.inputs[dead_pin]).driver {
-                        if members.contains(&drv.index()) {
-                            cut = Some((cid, dead_pin));
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-            if let Some((cid, pin)) = cut {
-                let zero = netlist.add_cell(
-                    format!("shrink_cut_{}", cid.index()),
-                    CellKind::Const(false),
-                    vec![],
-                );
-                netlist.rewire_input(cid, pin, zero);
-                cut_any = true;
-            }
-        }
-        if !cut_any {
+    let steps = netlist.cell_count().max(1);
+    let mut replay = Replay::new(netlist, true_key);
+    let mut cuts = Vec::new();
+    for _ in 0..steps {
+        let Some(picked) = replay.pick_cuts() else {
+            break; // acyclic
+        };
+        if picked.is_empty() {
             break; // nothing safely cuttable; report cycles as-is
         }
-        netlist = propagate_constants_cyclic(&netlist);
+        for (cell, pin) in picked {
+            cuts.push((replay.netlist.cell(cell).name.clone(), pin));
+            replay.cut(cell, pin);
+        }
+        replay.propagate();
     }
-    if netlist.topo_order().is_ok() {
+    shell_trace::counter_add("shrink.cycle_cuts", cuts.len() as u64);
+    let netlist = if cuts.is_empty() {
+        replay.netlist
+    } else {
+        rebuild_resolved(&replay.netlist, &replay.res)
+    };
+    let netlist = if netlist.topo_order().is_ok() {
         clean_netlist(&netlist)
     } else {
         netlist
+    };
+    CycleCut { netlist, cuts }
+}
+
+/// The state [`defender_cycle_cut`] carries instead of a rebuilt netlist.
+///
+/// The netlist the rebuilding loop holds after any number of steps is
+/// `rebuild_resolved(&netlist, &res)`: its cells are the cells here whose
+/// output is still `Unknown` (and the sequential ones), in the same order
+/// and with the same names, plus one `tie0`/`tie1` cell right before the
+/// first of them that reads that constant.
+struct Replay {
+    /// The input netlist plus one appended constant-0 cell per cut.
+    netlist: Netlist,
+    /// Resolution of every net, accumulated over all propagations.
+    res: Vec<Resolution>,
+    /// Per net: the cells reading it. A cut pin stays listed under the net
+    /// it read before; evaluating a cell needlessly changes nothing.
+    readers: Vec<Vec<CellId>>,
+    /// Per net: the nets resolved as an alias of it.
+    aliased_by: Vec<Vec<NetId>>,
+    /// Cells the next propagation evaluates in its first round.
+    dirty: BTreeSet<CellId>,
+    /// Per net: the true-key value of a key input.
+    key_value: Vec<Option<bool>>,
+}
+
+impl Replay {
+    fn new(netlist: Netlist, true_key: &[bool]) -> Replay {
+        let mut readers = vec![Vec::new(); netlist.net_count()];
+        for (id, c) in netlist.cells() {
+            for &n in &c.inputs {
+                readers[n.index()].push(id);
+            }
+        }
+        let mut key_value = vec![None; netlist.net_count()];
+        for (&k, &v) in netlist.key_inputs().iter().zip(true_key) {
+            key_value[k.index()] = Some(v);
+        }
+        Replay {
+            res: vec![Resolution::Unknown; netlist.net_count()],
+            aliased_by: vec![Vec::new(); netlist.net_count()],
+            // A fresh propagation evaluates every cell in its first round.
+            dirty: netlist.cells().map(|(id, _)| id).collect(),
+            readers,
+            key_value,
+            netlist,
+        }
+    }
+
+    /// The step's cuts: `None` when the rebuilt netlist is acyclic, else
+    /// the first cuttable pin of each cyclic component, in component order.
+    fn pick_cuts(&self) -> Option<Vec<(CellId, usize)>> {
+        let graph = CellGraph::new(self);
+        let mut cyclic = false;
+        let mut picked = Vec::new();
+        let mut member = vec![false; graph.cells.len()];
+        for_each_scc(
+            graph.cells.len(),
+            |u| graph.successors(u),
+            |comp| {
+                if comp.len() == 1 && !graph.successors(comp[0]).contains(&comp[0]) {
+                    return;
+                }
+                cyclic = true;
+                comp.iter().for_each(|n| member[n.index()] = true);
+                let cut = comp.iter().find_map(|&node| {
+                    let cell = graph.cells[node.index()]?;
+                    let inputs = &self.netlist.cell(cell).inputs;
+                    let pin = self.dead_pins(cell).into_iter().find(|&pin| {
+                        graph
+                            .driver(self, inputs[pin])
+                            .is_some_and(|d| member[d.index()])
+                    })?;
+                    Some((cell, pin))
+                });
+                picked.extend(cut);
+                comp.iter().for_each(|n| member[n.index()] = false);
+            },
+        );
+        cyclic.then_some(picked)
+    }
+
+    /// Data pins of a key-selected mux that the true key never selects: one
+    /// of a `Mux2`; two of a `Mux4` with one keyed select, three with two.
+    /// Empty for any other cell.
+    fn dead_pins(&self, cell: CellId) -> Vec<usize> {
+        let c = self.netlist.cell(cell);
+        let key = |pin: usize| match resolve(&self.res, c.inputs[pin]) {
+            Resolution::Alias(n) => self.key_value.get(n.index()).copied().flatten(),
+            _ => None,
+        };
+        match c.kind {
+            CellKind::Mux2 => match key(0) {
+                Some(kv) => vec![if kv { 1 } else { 2 }],
+                None => vec![],
+            },
+            CellKind::Mux4 => match (key(0), key(1)) {
+                (Some(h), Some(l)) => {
+                    let live = 2 + ((h as usize) << 1) + l as usize;
+                    (2..6).filter(|&p| p != live).collect()
+                }
+                (Some(h), None) => {
+                    if h {
+                        vec![2, 3]
+                    } else {
+                        vec![4, 5]
+                    }
+                }
+                (None, Some(l)) => {
+                    if l {
+                        vec![2, 4]
+                    } else {
+                        vec![3, 5]
+                    }
+                }
+                (None, None) => vec![],
+            },
+            _ => vec![],
+        }
+    }
+
+    /// Ties `pin` of `cell` to a new constant-0 cell appended at the end,
+    /// as the rebuilding loop does: the pin reads an undecided net in the
+    /// next propagation's first round and 0 from its second. The constant
+    /// cell's first-round evaluation schedules the mux for the second; in
+    /// the first, a keyed mux with an undecided data pin cannot resolve.
+    fn cut(&mut self, cell: CellId, pin: usize) {
+        let zero = self.netlist.add_cell(
+            format!("shrink_cut_{}", cell.index()),
+            CellKind::Const(false),
+            vec![],
+        );
+        self.netlist.rewire_input(cell, pin, zero);
+        self.res.push(Resolution::Unknown);
+        self.readers.push(vec![cell]);
+        self.aliased_by.push(Vec::new());
+        let zero_cell = self
+            .netlist
+            .net(zero)
+            .driver
+            .expect("cut cell drives its net");
+        self.dirty.insert(zero_cell);
+    }
+
+    /// Propagates the way a fresh [`propagate_constants_cyclic`] call on the
+    /// rebuilt netlist would: rounds over the cells in order, each cell
+    /// seeing the resolutions made before it in its round, until a round
+    /// changes nothing or [`CYCLIC_PROPAGATION_ROUNDS`] rounds have run. A
+    /// cell none of whose inputs changed since its last evaluation would
+    /// evaluate the same, so only the others are evaluated: later in the
+    /// same round when they come after the change, in the next otherwise.
+    /// What the round cap leaves pending opens the next propagation.
+    fn propagate(&mut self) {
+        let mut this_round = std::mem::take(&mut self.dirty);
+        let mut next_round = BTreeSet::new();
+        for _ in 0..CYCLIC_PROPAGATION_ROUNDS {
+            let mut changed = false;
+            while let Some(cell) = this_round.pop_first() {
+                let Some(out) = self.evaluate(cell) else {
+                    continue;
+                };
+                changed = true;
+                // Readers of `out` and of every net aliased to it see a
+                // new value.
+                let mut nets = vec![out];
+                while let Some(net) = nets.pop() {
+                    for &reader in &self.readers[net.index()] {
+                        if reader > cell {
+                            this_round.insert(reader);
+                        } else {
+                            next_round.insert(reader);
+                        }
+                    }
+                    nets.extend_from_slice(&self.aliased_by[net.index()]);
+                }
+            }
+            if !changed {
+                break;
+            }
+            std::mem::swap(&mut this_round, &mut next_round);
+        }
+        self.dirty = this_round;
+    }
+
+    /// Applies the per-cell rule to `cell`; returns its output net when
+    /// that net got resolved.
+    fn evaluate(&mut self, cell: CellId) -> Option<NetId> {
+        let c = self.netlist.cell(cell);
+        if !c.kind.is_sequential() && self.res[c.output.index()] == Resolution::Unknown {
+            let vals: Vec<Resolution> = c.inputs.iter().map(|&n| resolve(&self.res, n)).collect();
+            let new = resolve_cell(c.kind, c.output, &vals);
+            if new != Resolution::Unknown {
+                let out = c.output;
+                self.res[out.index()] = new;
+                if let Resolution::Alias(root) = new {
+                    self.aliased_by[root.index()].push(out);
+                }
+                return Some(out);
+            }
+        }
+        None
+    }
+}
+
+/// The combinational cell graph of the rebuilt netlist, in flat arrays: one
+/// node per kept cell or tie cell, in the rebuilt netlist's cell order, and
+/// an edge from the driver of every input pin of a combinational cell, in
+/// reader order then pin order — the graph the rebuilding loop ran Tarjan
+/// on, node for node and edge for edge.
+struct CellGraph {
+    /// Node → the cell it stands for; `None` for a tie cell.
+    cells: Vec<Option<CellId>>,
+    /// Cell → its node, for kept cells.
+    node_of: Vec<Option<NodeId>>,
+    /// The `tie0` and `tie1` nodes.
+    ties: [Option<NodeId>; 2],
+    /// `succ[start[u]..start[u + 1]]` are the successors of node `u`.
+    start: Vec<usize>,
+    succ: Vec<NodeId>,
+}
+
+impl CellGraph {
+    fn new(replay: &Replay) -> CellGraph {
+        let netlist = &replay.netlist;
+        let mut g = CellGraph {
+            cells: Vec::new(),
+            node_of: vec![None; netlist.cell_count()],
+            ties: [None, None],
+            start: Vec::new(),
+            succ: Vec::new(),
+        };
+        for (id, c) in netlist.cells() {
+            let kept =
+                c.kind.is_sequential() || replay.res[c.output.index()] == Resolution::Unknown;
+            if !kept {
+                continue;
+            }
+            for &n in &c.inputs {
+                if let Resolution::Const(v) = resolve(&replay.res, n) {
+                    if g.ties[v as usize].is_none() {
+                        g.ties[v as usize] = Some(NodeId(g.cells.len() as u32));
+                        g.cells.push(None);
+                    }
+                }
+            }
+            g.node_of[id.index()] = Some(NodeId(g.cells.len() as u32));
+            g.cells.push(Some(id));
+        }
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        for (node, cell) in g.cells.iter().enumerate() {
+            let Some(cell) = cell else { continue };
+            let c = netlist.cell(*cell);
+            if c.kind.is_sequential() {
+                continue;
+            }
+            for &n in &c.inputs {
+                if let Some(driver) = g.driver(replay, n) {
+                    edges.push((driver, NodeId(node as u32)));
+                }
+            }
+        }
+        // Counting sort by driver keeps each list in reader order.
+        g.start = vec![0; g.cells.len() + 1];
+        for &(d, _) in &edges {
+            g.start[d.index() + 1] += 1;
+        }
+        for i in 0..g.cells.len() {
+            g.start[i + 1] += g.start[i];
+        }
+        let mut fill = g.start.clone();
+        g.succ = vec![NodeId(0); edges.len()];
+        for (d, r) in edges {
+            g.succ[fill[d.index()]] = r;
+            fill[d.index()] += 1;
+        }
+        g
+    }
+
+    fn successors(&self, u: NodeId) -> &[NodeId] {
+        &self.succ[self.start[u.index()]..self.start[u.index() + 1]]
+    }
+
+    /// The combinational node driving a pin that reads `net`, if any.
+    fn driver(&self, replay: &Replay, net: NetId) -> Option<NodeId> {
+        match resolve(&replay.res, net) {
+            Resolution::Const(v) => self.ties[v as usize],
+            Resolution::Alias(root) => {
+                let d = replay.netlist.net(root).driver?;
+                if replay.netlist.cell(d).kind.is_sequential() {
+                    None
+                } else {
+                    self.node_of[d.index()]
+                }
+            }
+            Resolution::Unknown => unreachable!("resolve never returns Unknown"),
+        }
     }
 }
 

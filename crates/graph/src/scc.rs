@@ -23,17 +23,36 @@ pub struct CycleInfo {
 /// Components are returned in reverse topological order of the condensation
 /// (standard for Tarjan). Every node appears in exactly one component.
 pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
-    let n = g.node_count();
+    let mut components = Vec::new();
+    for_each_scc(
+        g.node_count(),
+        |u| g.successors(u),
+        |comp| components.push(comp.to_vec()),
+    );
+    components
+}
+
+/// Tarjan's algorithm over the nodes `0..n` of a graph given by its
+/// successor lists, for callers that keep their own flat adjacency instead
+/// of a [`DiGraph`]. Roots are tried in index order and successors in list
+/// order. `visit` receives each component as it completes: in reverse
+/// topological order of the condensation, each one's nodes in the order
+/// they leave the Tarjan stack (its DFS root last).
+pub fn for_each_scc<'a>(
+    n: usize,
+    successors: impl Fn(NodeId) -> &'a [NodeId],
+    mut visit: impl FnMut(&[NodeId]),
+) {
     const UNSET: u32 = u32::MAX;
     let mut index = vec![UNSET; n];
     let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<NodeId> = Vec::new();
+    let mut comp: Vec<NodeId> = Vec::new();
     let mut next_index = 0u32;
-    let mut components = Vec::new();
 
     // Iterative Tarjan: frame = (node, next successor position).
-    for root in g.nodes() {
+    for root in (0..n as u32).map(NodeId) {
         if index[root.index()] != UNSET {
             continue;
         }
@@ -46,7 +65,7 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
                 stack.push(u);
                 on_stack[u.index()] = true;
             }
-            let succs = g.successors(u);
+            let succs = successors(u);
             if *pos < succs.len() {
                 let v = succs[*pos];
                 *pos += 1;
@@ -57,7 +76,7 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
                 }
             } else {
                 if lowlink[u.index()] == index[u.index()] {
-                    let mut comp = Vec::new();
+                    comp.clear();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w.index()] = false;
@@ -66,7 +85,7 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
                             break;
                         }
                     }
-                    components.push(comp);
+                    visit(&comp);
                 }
                 call.pop();
                 if let Some(&mut (parent, _)) = call.last_mut() {
@@ -76,7 +95,6 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
             }
         }
     }
-    components
 }
 
 /// Returns `true` when the graph contains at least one directed cycle

@@ -329,9 +329,6 @@ fn run_fit_loop_hybrid(
         let _attempt_span = shell_trace::span!("pnr.fit_attempt", attempt = attempt);
         shell_trace::counter_add("pnr.fit_attempts", 1);
         let fabric = Fabric::generate(config.clone(), w, h);
-        if std::env::var("PNR_DEBUG").is_ok() {
-            eprintln!("attempt {attempt}: {}x{}", fabric.width(), fabric.height());
-        }
         match try_once(mapped, slots, assignment, &fabric, options, attempt) {
             Ok(mut result) => {
                 if options.verify {
@@ -672,12 +669,17 @@ fn try_once(
             RouteError::Exhausted(why) => PnrError::Exhausted(format!("route: {why}")),
         })?;
 
-    // Track lookup: (net, tile) → track index carrying it.
+    // Track lookup: (net, tile) → track index carrying it. A net can hold
+    // several tracks at one tile; the lowest index is chosen, so the choice
+    // does not depend on hash-map iteration order.
     let mut track_at: HashMap<(NetId, (usize, usize)), usize> = HashMap::new();
     for (rid, routed) in &routing.nets {
         let net = net_ids[*rid];
         for &(x, y, t) in routed.nodes.keys() {
-            track_at.entry((net, (x, y))).or_insert(t);
+            track_at
+                .entry((net, (x, y)))
+                .and_modify(|lowest| *lowest = (*lowest).min(t))
+                .or_insert(t);
         }
     }
 

@@ -297,9 +297,6 @@ impl<'f> Router<'f> {
                     self.history[i] += (*o - 1) as f64;
                 }
             }
-            if std::env::var("PNR_DEBUG").is_ok() {
-                eprintln!("iter {iter}: {over} overused, {} offenders", offenders.len());
-            }
             for id in offenders {
                 budget.checkpoint().map_err(RouteError::Exhausted)?;
                 let old = routes.remove(&id).expect("offender routed");
@@ -322,24 +319,6 @@ impl<'f> Router<'f> {
                 iterations,
                 wirelength,
             });
-        }
-        if std::env::var("PNR_DEBUG").is_ok() {
-            for (i, &o) in occupancy.iter().enumerate() {
-                if o > 1 {
-                    let t = i % self.tracks;
-                    let tile = i / self.tracks;
-                    eprintln!(
-                        "overused node ({},{},{t}) x{o}",
-                        tile % self.width,
-                        tile / self.width
-                    );
-                }
-            }
-            for (id, routed) in &routes {
-                let mut nodes: Vec<_> = routed.nodes.iter().collect();
-                nodes.sort();
-                eprintln!("net {id}: {nodes:?}");
-            }
         }
         // Identify a culprit: a net occupying an over-used node.
         for (id, routed) in &routes {

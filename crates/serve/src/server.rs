@@ -204,7 +204,7 @@ fn env_u64(name: &str) -> Option<u64> {
 
 fn counters_now() -> HashMap<String, u64> {
     shell_trace::current()
-        .map(|t| t.snapshot().counters.into_iter().collect())
+        .map(|t| t.counters().into_iter().collect())
         .unwrap_or_default()
 }
 

@@ -34,5 +34,6 @@ pub use lutmap::{lut_map, lut_map_hybrid, LutMapping};
 pub use muxchain::{mux_chain_map, MuxChainMapping};
 pub use opt::{
     clean_netlist, constant_propagation, dead_code_elimination, propagate_constants_cyclic,
-    structural_hash, sweep_buffers,
+    rebuild_resolved, resolve, resolve_cell, structural_hash, sweep_buffers, Resolution,
+    CYCLIC_PROPAGATION_ROUNDS,
 };

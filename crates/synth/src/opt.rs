@@ -525,6 +525,126 @@ fn cofactor(mask: LutMask, input: usize, value: bool) -> LutMask {
 // Cycle-tolerant constant propagation
 // ----------------------------------------------------------------------
 
+/// What cycle-tolerant constant propagation knows about a net: nothing yet,
+/// a constant, or that it carries the same signal as another net.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resolution {
+    /// Not (yet) decided.
+    Unknown,
+    /// Always carries this value.
+    Const(bool),
+    /// Carries the same signal as this net.
+    Alias(NetId),
+}
+
+/// Round cap of [`propagate_constants_cyclic`]'s fixpoint: a propagation
+/// that is still changing after this many rounds stops there.
+pub const CYCLIC_PROPAGATION_ROUNDS: usize = 64;
+
+/// Follows `net`'s alias chain in `res`: the constant it carries, or
+/// `Alias(root)` for the undecided net the chain ends at. Alias chains are
+/// acyclic, because [`resolve_cell`] never aliases a net to itself.
+pub fn resolve(res: &[Resolution], mut net: NetId) -> Resolution {
+    loop {
+        match res[net.index()] {
+            Resolution::Alias(m) => net = m,
+            Resolution::Const(v) => return Resolution::Const(v),
+            Resolution::Unknown => return Resolution::Alias(net),
+        }
+    }
+}
+
+/// The per-cell rule of [`propagate_constants_cyclic`]: what the output net
+/// `output` of a combinational cell of `kind` resolves to, given what its
+/// inputs resolve to (each as returned by [`resolve`]). `Unknown` when the
+/// inputs do not decide it.
+pub fn resolve_cell(kind: CellKind, output: NetId, vals: &[Resolution]) -> Resolution {
+    use Resolution::{Alias, Const, Unknown};
+    let get_const = |r: &Resolution| match r {
+        Const(v) => Some(*v),
+        _ => None,
+    };
+    // The one input that is not constant, if exactly one is.
+    let lone_signal = || {
+        let mut signals = vals.iter().filter(|v| get_const(v).is_none());
+        match (signals.next(), signals.next()) {
+            (Some(&v), None) => v,
+            _ => Unknown,
+        }
+    };
+    let new = match kind {
+        CellKind::Const(v) => Const(v),
+        CellKind::Buf => vals[0],
+        CellKind::Not => get_const(&vals[0]).map_or(Unknown, |v| Const(!v)),
+        CellKind::And | CellKind::Nand | CellKind::Or | CellKind::Nor => {
+            let is_and = matches!(kind, CellKind::And | CellKind::Nand);
+            let inv = matches!(kind, CellKind::Nand | CellKind::Nor);
+            let absorbing = !is_and;
+            if vals.iter().filter_map(get_const).any(|v| v == absorbing) {
+                Const(absorbing ^ inv)
+            } else if vals.iter().all(|v| get_const(v).is_some()) {
+                let identity = is_and;
+                Const(identity ^ inv)
+            } else if !inv {
+                // All but one input at identity → alias survivor.
+                lone_signal()
+            } else {
+                Unknown
+            }
+        }
+        CellKind::Xor | CellKind::Xnor => {
+            if vals.iter().all(|v| get_const(v).is_some()) {
+                let parity = vals
+                    .iter()
+                    .filter_map(get_const)
+                    .fold(kind == CellKind::Xnor, |a, b| a ^ b);
+                Const(parity)
+            } else {
+                let consts_zero = vals.iter().filter_map(get_const).fold(false, |a, b| a ^ b);
+                if !consts_zero && kind == CellKind::Xor {
+                    lone_signal()
+                } else {
+                    Unknown
+                }
+            }
+        }
+        CellKind::Mux2 => match get_const(&vals[0]) {
+            Some(false) => vals[1],
+            Some(true) => vals[2],
+            None => {
+                if vals[1] == vals[2] && vals[1] != Unknown {
+                    vals[1]
+                } else {
+                    Unknown
+                }
+            }
+        },
+        CellKind::Mux4 => match (get_const(&vals[0]), get_const(&vals[1])) {
+            (Some(s1), Some(s0)) => vals[2 + ((s1 as usize) << 1) + s0 as usize],
+            _ => Unknown,
+        },
+        CellKind::Lut(mask) => {
+            if vals.iter().all(|v| get_const(v).is_some()) {
+                let idx = vals
+                    .iter()
+                    .filter_map(get_const)
+                    .enumerate()
+                    .fold(0usize, |acc, (i, b)| acc | ((b as usize) << i));
+                Const((mask.mask() >> idx) & 1 == 1)
+            } else {
+                Unknown
+            }
+        }
+        CellKind::Dff | CellKind::Latch => Unknown,
+    };
+    // Never alias a net to itself (true loop).
+    if new == Alias(output) {
+        Unknown
+    } else {
+        new
+    }
+}
+
 /// Constant propagation and alias collapsing that tolerates structural
 /// combinational cycles.
 ///
@@ -532,141 +652,47 @@ fn cofactor(mask: LutMask, input: usize, value: bool) -> LutMask {
 /// (key) bits are bound to constants, every mux on a configured path has a
 /// constant select and the cycles dissolve. The ordinary `rebuild` engine
 /// cannot run on cyclic input (it needs a topological order), so this pass
-/// uses a worklist instead: nets resolve to constants or aliases until a
-/// fixpoint, then the netlist is rebuilt with the substitutions applied.
+/// iterates instead: round after round, every combinational cell whose
+/// output is still undecided is re-evaluated with [`resolve_cell`] in cell
+/// order, until a round changes nothing or [`CYCLIC_PROPAGATION_ROUNDS`]
+/// rounds have run. [`rebuild_resolved`] then applies the substitutions.
 /// Cells inside genuinely sensitized loops remain untouched.
 ///
 /// The result is additionally [`clean_netlist`]-ed when it came out acyclic.
 pub fn propagate_constants_cyclic(netlist: &Netlist) -> Netlist {
-    #[derive(Clone, Copy, PartialEq, Debug)]
-    enum Res {
-        Unknown,
-        Const(bool),
-        Alias(NetId),
-    }
-    let n_nets = netlist.net_count();
-    let mut res = vec![Res::Unknown; n_nets];
-
-    // Follow alias chains (path-halving); cycles in alias chains cannot form
-    // because we only alias to fully-resolved roots.
-    fn root(res: &[Res], mut n: NetId) -> Res {
-        loop {
-            match res[n.index()] {
-                Res::Alias(m) => n = m,
-                Res::Const(v) => return Res::Const(v),
-                Res::Unknown => return Res::Alias(n),
-            }
-        }
-    }
-
+    let mut res = vec![Resolution::Unknown; netlist.net_count()];
+    let mut vals = Vec::new();
     let mut changed = true;
     let mut rounds = 0;
-    while changed && rounds < 64 {
+    while changed && rounds < CYCLIC_PROPAGATION_ROUNDS {
         changed = false;
         rounds += 1;
         for (_, c) in netlist.cells() {
-            if c.kind.is_sequential() {
+            if c.kind.is_sequential() || res[c.output.index()] != Resolution::Unknown {
                 continue;
             }
-            if !matches!(res[c.output.index()], Res::Unknown) {
-                continue;
-            }
-            let vals: Vec<Res> = c.inputs.iter().map(|&i| root(&res, i)).collect();
-            let get_const = |r: &Res| match r {
-                Res::Const(v) => Some(*v),
-                _ => None,
-            };
-            let new = match c.kind {
-                CellKind::Const(v) => Some(Res::Const(v)),
-                CellKind::Buf => Some(vals[0]),
-                CellKind::Not => get_const(&vals[0]).map(|v| Res::Const(!v)),
-                CellKind::And | CellKind::Nand | CellKind::Or | CellKind::Nor => {
-                    let is_and = matches!(c.kind, CellKind::And | CellKind::Nand);
-                    let inv = matches!(c.kind, CellKind::Nand | CellKind::Nor);
-                    let absorbing = !is_and;
-                    if vals.iter().filter_map(get_const).any(|v| v == absorbing) {
-                        Some(Res::Const(absorbing ^ inv))
-                    } else if vals.iter().all(|v| get_const(v).is_some()) {
-                        let identity = is_and;
-                        Some(Res::Const(identity ^ inv))
-                    } else if !inv {
-                        // All but one input at identity → alias survivor.
-                        let non_const: Vec<&Res> =
-                            vals.iter().filter(|v| get_const(v).is_none()).collect();
-                        if non_const.len() == 1 {
-                            Some(*non_const[0])
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    }
-                }
-                CellKind::Xor | CellKind::Xnor => {
-                    if vals.iter().all(|v| get_const(v).is_some()) {
-                        let parity = vals
-                            .iter()
-                            .filter_map(get_const)
-                            .fold(c.kind == CellKind::Xnor, |a, b| a ^ b);
-                        Some(Res::Const(parity))
-                    } else {
-                        let consts_zero = vals
-                            .iter()
-                            .filter_map(get_const)
-                            .fold(false, |a, b| a ^ b);
-                        let non_const: Vec<&Res> =
-                            vals.iter().filter(|v| get_const(v).is_none()).collect();
-                        if non_const.len() == 1 && !consts_zero && c.kind == CellKind::Xor {
-                            Some(*non_const[0])
-                        } else {
-                            None
-                        }
-                    }
-                }
-                CellKind::Mux2 => match get_const(&vals[0]) {
-                    Some(false) => Some(vals[1]),
-                    Some(true) => Some(vals[2]),
-                    None => {
-                        if vals[1] == vals[2] && !matches!(vals[1], Res::Unknown) {
-                            Some(vals[1])
-                        } else {
-                            None
-                        }
-                    }
-                },
-                CellKind::Mux4 => match (get_const(&vals[0]), get_const(&vals[1])) {
-                    (Some(s1), Some(s0)) => Some(vals[2 + ((s1 as usize) << 1) + s0 as usize]),
-                    _ => None,
-                },
-                CellKind::Lut(mask) => {
-                    if vals.iter().all(|v| get_const(v).is_some()) {
-                        let idx = vals
-                            .iter()
-                            .filter_map(get_const)
-                            .enumerate()
-                            .fold(0usize, |acc, (i, b)| acc | ((b as usize) << i));
-                        Some(Res::Const((mask.mask() >> idx) & 1 == 1))
-                    } else {
-                        None
-                    }
-                }
-                CellKind::Dff | CellKind::Latch => None,
-            };
-            if let Some(new) = new {
-                // Never alias a net to itself (true loop).
-                let new = match new {
-                    Res::Alias(m) if m == c.output => Res::Unknown,
-                    other => other,
-                };
-                if new != Res::Unknown {
-                    res[c.output.index()] = new;
-                    changed = true;
-                }
+            vals.clear();
+            vals.extend(c.inputs.iter().map(|&i| resolve(&res, i)));
+            let new = resolve_cell(c.kind, c.output, &vals);
+            if new != Resolution::Unknown {
+                res[c.output.index()] = new;
+                changed = true;
             }
         }
     }
+    rebuild_resolved(netlist, &res)
+}
 
-    // Rebuild with substitutions: keep cells whose output stayed Unknown.
+/// Rebuilds `netlist` with the resolutions `res` (one per net) applied:
+/// sequential cells and the combinational cells whose output stayed
+/// `Unknown` survive, in their original order and with their names; every
+/// other net is replaced by what it resolves to. A constant is driven by one
+/// `tie0`/`tie1` cell, created right before the first surviving cell that
+/// reads it.
+///
+/// The result is additionally [`clean_netlist`]-ed when it came out acyclic.
+pub fn rebuild_resolved(netlist: &Netlist, res: &[Resolution]) -> Netlist {
+    let n_nets = netlist.net_count();
     let mut out = Netlist::new(netlist.name());
     let mut map: Vec<Option<NetId>> = vec![None; n_nets];
     for &n in netlist.inputs() {
@@ -678,8 +704,7 @@ pub fn propagate_constants_cyclic(netlist: &Netlist) -> Netlist {
     let mut const_nets: [Option<NetId>; 2] = [None, None];
     // Pre-create output nets of surviving cells (may be cyclic).
     for (_, c) in netlist.cells() {
-        let keep =
-            c.kind.is_sequential() || matches!(res[c.output.index()], Res::Unknown);
+        let keep = c.kind.is_sequential() || matches!(res[c.output.index()], Resolution::Unknown);
         if keep && map[c.output.index()].is_none() {
             map[c.output.index()] = Some(out.add_net(netlist.net(c.output).name.clone()));
         }
@@ -687,8 +712,8 @@ pub fn propagate_constants_cyclic(netlist: &Netlist) -> Netlist {
     // Resolve any net to a new-netlist net.
     fn materialize(
         netlist: &Netlist,
-        res: &[Res],
-        map: &mut Vec<Option<NetId>>,
+        res: &[Resolution],
+        map: &mut [Option<NetId>],
         const_nets: &mut [Option<NetId>; 2],
         out: &mut Netlist,
         n: NetId,
@@ -697,12 +722,12 @@ pub fn propagate_constants_cyclic(netlist: &Netlist) -> Netlist {
         let mut target = n;
         let final_res = loop {
             match res[target.index()] {
-                Res::Alias(m) if m != target => target = m,
+                Resolution::Alias(m) if m != target => target = m,
                 other => break other,
             }
         };
         match final_res {
-            Res::Const(v) => {
+            Resolution::Const(v) => {
                 if let Some(c) = const_nets[v as usize] {
                     c
                 } else {
@@ -723,22 +748,21 @@ pub fn propagate_constants_cyclic(netlist: &Netlist) -> Netlist {
         }
     }
     for (_, c) in netlist.cells() {
-        let keep =
-            c.kind.is_sequential() || matches!(res[c.output.index()], Res::Unknown);
+        let keep = c.kind.is_sequential() || matches!(res[c.output.index()], Resolution::Unknown);
         if !keep {
             continue;
         }
         let ins: Vec<NetId> = c
             .inputs
             .iter()
-            .map(|&i| materialize(netlist, &res, &mut map, &mut const_nets, &mut out, i))
+            .map(|&i| materialize(netlist, res, &mut map, &mut const_nets, &mut out, i))
             .collect();
         let target = map[c.output.index()].expect("pre-created");
         out.add_cell_driving(c.name.clone(), c.kind, ins, target)
             .expect("cyclic-constprop rebuild");
     }
     for (name, n) in netlist.outputs() {
-        let m = materialize(netlist, &res, &mut map, &mut const_nets, &mut out, *n);
+        let m = materialize(netlist, res, &mut map, &mut const_nets, &mut out, *n);
         out.add_output(name.clone(), m);
     }
     if out.topo_order().is_ok() {

@@ -158,6 +158,26 @@ mod tests {
     }
 
     #[test]
+    fn counter_totals_match_the_snapshot() {
+        let _lock = GLOBAL_TRACER.lock().unwrap();
+        install(Tracer::new());
+        {
+            let _s = span!("demo.span");
+            counter_add("demo.b", 2);
+            counter_add("demo.a", 5);
+            counter_add("demo.b", 1);
+            gauge("demo.gauge", 1.0);
+        }
+        let tracer = uninstall().unwrap();
+        let totals = tracer.counters();
+        assert_eq!(totals, tracer.snapshot().counters);
+        assert_eq!(
+            totals,
+            vec![("demo.a".to_string(), 5), ("demo.b".to_string(), 3)]
+        );
+    }
+
+    #[test]
     fn chrome_trace_round_trips_through_json_parser() {
         let _lock = GLOBAL_TRACER.lock().unwrap();
         install(Tracer::new());

@@ -130,15 +130,23 @@ impl Tracer {
             })
             .collect();
         threads.sort_by_key(|t| t.thread);
-        let counters = self
-            .inner
+        TraceData {
+            threads,
+            counters: self.counters(),
+        }
+    }
+
+    /// Counter totals recorded so far, ordered by counter name: the
+    /// `counters` of a [`Tracer::snapshot`], without copying any span or
+    /// gauge.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.inner
             .counters
             .lock()
             .unwrap()
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
-            .collect();
-        TraceData { threads, counters }
+            .collect()
     }
 
     fn add_counter(&self, name: &'static str, delta: u64) {

@@ -189,6 +189,29 @@ for verdict in roundtrip_ok tamper_corrected double_detected \
 done
 echo "ok"
 
+# Shrink smoke: the cycle cut of step 8 replays a loop that rebuilt the
+# netlist after every cut; the differential test checks the replay against
+# that loop (kept in the test crate as the oracle) on random fabrics, a
+# hand-built round-cap case and, in release only, the whole lock corpus.
+# Then one traced `lock` pass of the benchmark puts every corpus design
+# through the flow under the benchmark's own checks (activation
+# equivalence, framed readback, key widths) and must lock each design to
+# the same framed bitstream every time.
+echo "== shrink smoke: replay = oracle, one traced lock pass =="
+cargo test -q --release --offline -p xtests --test shrink_replay -- --include-ignored
+lock_tmp=$(mktemp -d)
+trap 'rm -f "$fuzz_j1" "$fuzz_j4"; rm -rf "$lock_tmp"' EXIT
+cargo run --release -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml -- \
+    --workload lock --seconds 1 --trace 1 --out "$lock_tmp" >/dev/null
+for field in '"failed": 0' '"lock_digest_changes": 0'; do
+    grep -q "$field" "$lock_tmp/lock.traced.json" || {
+        echo "lock smoke: run record lacks $field" >&2
+        grep -E '"failed"|"lock_digest_changes"' "$lock_tmp/lock.traced.json" >&2
+        exit 1
+    }
+done
+echo "ok"
+
 # Explore smoke: the design-space sweep on the tiny 2×2-point grid at
 # worker pools of 1 and 4. The report is jobs-invariant by contract, so
 # both runs (and their Pareto plot data) must be byte-identical, and the
@@ -196,7 +219,7 @@ echo "ok"
 # from the committed default-grid artifact.
 echo "== explore smoke: tiny grid, SHELL_JOBS=1 vs 4, Pareto verdicts =="
 exp_j1=$(mktemp); exp_j4=$(mktemp); par_j1=$(mktemp); par_j4=$(mktemp)
-trap 'rm -f "$fuzz_j1" "$fuzz_j4" "$exp_j1" "$exp_j4" "$par_j1" "$par_j4"' EXIT
+trap 'rm -f "$fuzz_j1" "$fuzz_j4" "$exp_j1" "$exp_j4" "$par_j1" "$par_j4"; rm -rf "$lock_tmp"' EXIT
 SHELL_JOBS=1 cargo run -q --release --offline -p shell-bench --bin bench_explore -- \
     --grid tiny --out "$exp_j1" --pareto-out "$par_j1" >/dev/null
 SHELL_JOBS=4 cargo run -q --release --offline -p shell-bench --bin bench_explore -- \
@@ -226,7 +249,7 @@ echo "ok"
 echo "== serve smoke: cache hit, cancel, crash-resume over TCP =="
 serve_bin=target/release/shell_serve
 serve_tmp=$(mktemp -d)
-trap 'rm -f "$fuzz_j1" "$fuzz_j4" "$exp_j1" "$exp_j4" "$par_j1" "$par_j4"; rm -rf "$serve_tmp"' EXIT
+trap 'rm -f "$fuzz_j1" "$fuzz_j4" "$exp_j1" "$exp_j4" "$par_j1" "$par_j4"; rm -rf "$lock_tmp" "$serve_tmp"' EXIT
 
 serve_wait_port() {
     for _ in $(seq 1 100); do

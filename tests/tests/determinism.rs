@@ -8,6 +8,7 @@
 use shell_attacks::structural_mux_attack;
 use shell_circuits::{axi_xbar, generate, Benchmark, Scale};
 use shell_fabric::{Fabric, FabricConfig};
+use shell_lock::{shell_lock, ShellOptions};
 use shell_netlist::verilog::write_verilog;
 use shell_netlist::{CellKind, Netlist};
 use shell_pnr::place::{pack, place};
@@ -193,4 +194,24 @@ fn locked_mux_design(bits: usize) -> (Netlist, Vec<bool>) {
         key.push(key_bit);
     }
     (n, key)
+}
+
+/// Locking the same design twice in one process gives the same artifact.
+/// PicoSoC's routes hold several tracks of one net at some tiles; which
+/// one a pin reads must not depend on hash-map iteration order.
+#[test]
+fn lock_artifact_identical_within_a_process() {
+    let design = generate(Benchmark::PicoSoc, Scale::small());
+    let lock = || shell_lock(&design, &ShellOptions::default()).expect("locks");
+    let (a, b) = (lock(), lock());
+    assert_eq!(
+        a.framed.to_json().to_string_pretty(),
+        b.framed.to_json().to_string_pretty(),
+        "framed bitstream"
+    );
+    assert_eq!(
+        write_verilog(&a.locked),
+        write_verilog(&b.locked),
+        "locked netlist"
+    );
 }
