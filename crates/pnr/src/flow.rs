@@ -2,7 +2,7 @@
 //! (steps 6–7 of the SheLL pipeline), bitstream emission and functional
 //! verification.
 
-use crate::place::{self, Slot};
+use crate::place::{self, PlaceRequest, Slot};
 use crate::route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};
 use shell_fabric::{Bitstream, Fabric, FabricConfig, FabricUsage, IoMap};
 use shell_guard::Budget;
@@ -24,10 +24,10 @@ pub struct PnrOptions {
     pub max_route_iterations: usize,
     /// Fabric expansion attempts (step 7 retries).
     pub max_fit_attempts: usize,
-    /// Independent annealing starts per placement; the lowest-HPWL start
-    /// wins ([`place::place_multi_start`]). Starts run in parallel when
-    /// workers are available, so extra starts are close to free on
-    /// multi-core machines; `1` reproduces the single-start flow.
+    /// Independent annealing starts per placement; the lowest-cost start
+    /// wins ([`place::place`]). Starts run in parallel when workers are
+    /// available, so extra starts are close to free on multi-core machines;
+    /// `1` reproduces the single-start flow.
     pub place_starts: usize,
     /// Verify the configured fabric against the input netlist.
     pub verify: bool,
@@ -143,7 +143,7 @@ pub fn place_and_route(
         ));
     }
     let slots = place::pack(netlist, config.lut_k).map_err(PnrError::Pack)?;
-    run_fit_loop(netlist, &slots, &[], config, options)
+    run_fit_loop(netlist, &slots, config, options)
 }
 
 /// A mux cell assigned to a chain element.
@@ -291,7 +291,6 @@ fn initial_dims(
 fn run_fit_loop(
     netlist: &Netlist,
     slots: &[Slot],
-    _unused: &[()],
     config: FabricConfig,
     options: &PnrOptions,
 ) -> Result<PnrResult, PnrError> {
@@ -517,16 +516,16 @@ fn try_once(
     // burns a track the block's pins need.
     let chain_tiles: std::collections::HashSet<(usize, usize)> =
         used_blocks.iter().copied().collect();
-    let placement = place::place_multi_start(
-        mapped,
+    let placement = place::place(&PlaceRequest {
+        netlist: mapped,
         slots,
         fabric,
-        options.seed + attempt as u64,
-        options.place_starts,
-        &pin_hints,
-        &chain_tiles,
-        &options.budget,
-    )
+        seed: options.seed + attempt as u64,
+        starts: options.place_starts,
+        pin_hints: &pin_hints,
+        chain_tiles: &chain_tiles,
+        budget: &options.budget,
+    })
     .map_err(PnrError::DoesNotFit)?;
     let mut degraded = Vec::new();
     if let Some(why) = placement.degraded {
@@ -688,8 +687,7 @@ fn try_once(
     // ------------------------------------------------------------------
     let mut bs = Bitstream::zeros(fabric.config_bit_count());
     // Routed switches.
-    for (rid, routed) in &routing.nets {
-        let _ = rid;
+    for routed in routing.nets.values() {
         for (&(x, y, t), &sel) in &routed.nodes {
             let (base, width) = fabric.track_select_field(x, y, t);
             bs.set_field(base, width, sel as u64);

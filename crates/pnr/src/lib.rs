@@ -5,8 +5,10 @@
 //! This crate implements that pipeline from scratch:
 //!
 //! * [`place`] — packing of LUT/DFF cells into CLB slots, simulated-annealing
-//!   placement minimizing half-perimeter wirelength, and boundary IO pad
-//!   assignment,
+//!   placement minimizing an integer cost (half-perimeter wirelength, plus
+//!   penalties for tiles claiming more nets than their tracks carry and for
+//!   slots on chain tiles) priced incrementally per move, and boundary IO
+//!   pad assignment,
 //! * [`route`] — a PathFinder-style negotiated-congestion router over the
 //!   fabric's track graph (one signal per track node, history + present
 //!   congestion costs, rip-up and re-route iterations),
@@ -23,5 +25,5 @@ pub mod place;
 pub mod route;
 
 pub use flow::{place_and_route, place_and_route_with_chains, PnrError, PnrOptions, PnrResult};
-pub use place::{Placement, Slot, SlotContent};
+pub use place::{PlaceRequest, Placement, Slot, SlotContent};
 pub use route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};

@@ -2,14 +2,16 @@
 //!
 //! Packing turns a LUT-mapped netlist into **slots** (LUT + optional fused
 //! register, or a constant generator); placement assigns slots to CLB sites
-//! with simulated annealing on half-perimeter wirelength; IO assignment
-//! binds primary inputs/outputs to boundary pads near their logic.
+//! with simulated annealing on an integer cost (half-perimeter wirelength
+//! plus congestion and chain-tile penalties, priced incrementally per
+//! swap); IO assignment binds primary inputs/outputs to boundary pads near
+//! their logic.
 
 use shell_fabric::Fabric;
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::{CellId, CellKind, LutMask, NetId, Netlist};
 use shell_util::Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// What a CLB slot implements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,7 +185,9 @@ pub struct Placement {
     pub input_pads: Vec<usize>,
     /// `primary output index → output pad`.
     pub output_pads: Vec<usize>,
-    /// Final half-perimeter wirelength.
+    /// The annealing cost of `sites`: half-perimeter wirelength, plus 40
+    /// per net a tile's slots claim beyond its track budget, plus 25 per
+    /// slot on a chain tile. An integer, kept as `f64` for its readers.
     pub hpwl: f64,
     /// Why annealing stopped early, when it did. The placement is still
     /// legal (the best configuration seen so far), just lower quality than
@@ -191,78 +195,61 @@ pub struct Placement {
     pub degraded: Option<Exhausted>,
 }
 
-/// Places `slots` onto `fabric` with simulated annealing, then assigns IO
-/// pads greedily near the placed logic.
+/// Everything [`place`] needs: what to place, where, from which seeds, and
+/// under which budget.
+pub struct PlaceRequest<'a> {
+    /// The netlist the slots were packed from; its ports get the IO pads.
+    pub netlist: &'a Netlist,
+    /// The slots to place.
+    pub slots: &'a [Slot],
+    /// The fabric to place them on.
+    pub fabric: &'a Fabric,
+    /// Seed of start 0; start `i` anneals with `seed + i·φ64`.
+    pub seed: u64,
+    /// Independent annealing starts (at least one runs).
+    pub starts: usize,
+    /// Extra tile locations reading or driving a net (e.g. chain-block
+    /// pins, which are placed before the CLB pass): fixed terminals of the
+    /// net's bounding box, and pulls on its IO pad, so pads land near *all*
+    /// consumers of a port, not only slots.
+    pub pin_hints: &'a HashMap<NetId, Vec<(usize, usize)>>,
+    /// Chain tiles. A slot there competes with the chain's own pin tracks
+    /// and pays for it in the cost; a pad there is strongly discouraged for
+    /// nets that do not sink there.
+    pub chain_tiles: &'a HashSet<(usize, usize)>,
+    /// Polled while annealing.
+    pub budget: &'a Budget,
+}
+
+/// Places the request's slots onto its fabric with simulated annealing,
+/// then assigns IO pads greedily near the placed logic.
 ///
-/// Deterministic for a given `seed`.
+/// Runs `starts` independent anneals (in parallel when workers are
+/// available) and keeps the cheapest. Start `i` anneals with seed `seed +
+/// i·φ64`, so start 0 alone is the single-start placement. The winner is
+/// chosen by `(cost, start index)`: comparing in start order with a strict
+/// `<` makes the earliest start win ties, so the choice does not depend on
+/// how the parallel map was scheduled.
+///
+/// Every start polls `budget`. When it runs out mid-anneal the start keeps
+/// the best configuration it has seen, IO assignment proceeds normally, and
+/// the placement carries a [`Placement::degraded`] marker instead of an
+/// error — a worse placement beats no placement.
+///
+/// Deterministic for a given request.
 ///
 /// # Errors
 ///
-/// Returns a message when the fabric lacks LUT sites or IO pads.
-pub fn place(
-    netlist: &Netlist,
-    slots: &[Slot],
-    fabric: &Fabric,
-    seed: u64,
-) -> Result<Placement, String> {
-    place_with_hints(
+/// Returns a message when the fabric lacks LUT sites or IO pads (running
+/// out of budget is not an error); when every start fails, the first
+/// start's.
+pub fn place(request: &PlaceRequest) -> Result<Placement, String> {
+    let PlaceRequest {
         netlist,
         slots,
         fabric,
-        seed,
-        &HashMap::new(),
-        &std::collections::HashSet::new(),
-    )
-}
-
-/// Like [`place`], but `pin_hints` supplies extra tile locations reading or
-/// driving a net (e.g. chain-block pins, which are placed before the CLB
-/// pass) so IO pads land near *all* consumers of a port, not only slots.
-///
-/// # Errors
-///
-/// Same conditions as [`place`].
-pub fn place_with_hints(
-    netlist: &Netlist,
-    slots: &[Slot],
-    fabric: &Fabric,
-    seed: u64,
-    pin_hints: &HashMap<NetId, Vec<(usize, usize)>>,
-    pad_averse_tiles: &std::collections::HashSet<(usize, usize)>,
-) -> Result<Placement, String> {
-    place_with_hints_budgeted(
-        netlist,
-        slots,
-        fabric,
-        seed,
-        pin_hints,
-        pad_averse_tiles,
-        &Budget::unlimited(),
-    )
-}
-
-/// Like [`place_with_hints`], but polls `budget` while annealing. When the
-/// budget runs out mid-anneal the best configuration seen so far is kept,
-/// IO assignment proceeds normally, and the returned placement carries a
-/// [`Placement::degraded`] marker instead of an error — a worse placement
-/// beats no placement. With an unlimited budget this is byte-identical to
-/// [`place_with_hints`].
-///
-/// # Errors
-///
-/// Same conditions as [`place`] (capacity shortages, not budget).
-#[allow(clippy::too_many_arguments)]
-pub fn place_with_hints_budgeted(
-    netlist: &Netlist,
-    slots: &[Slot],
-    fabric: &Fabric,
-    seed: u64,
-    pin_hints: &HashMap<NetId, Vec<(usize, usize)>>,
-    pad_averse_tiles: &std::collections::HashSet<(usize, usize)>,
-    budget: &Budget,
-) -> Result<Placement, String> {
-    let _span = shell_trace::span!("place.anneal");
-    let per_clb = fabric.config().luts_per_clb;
+        ..
+    } = *request;
     let capacity = fabric.lut_sites();
     if slots.len() > capacity {
         return Err(format!(
@@ -277,264 +264,29 @@ pub fn place_with_hints_budgeted(
     if netlist.outputs().len() > fabric.io_output_count() {
         return Err("not enough output pads".into());
     }
-    let mut rng = Rng::seed_from_u64(seed);
-
-    // Site list: (x, y, s).
-    let site_of = |i: usize| -> (usize, usize, usize) {
-        let tile = i / per_clb;
-        (tile % fabric.width(), tile / fabric.width(), i % per_clb)
-    };
-    // slot_at[site] = Some(slot index). Initial placement spreads slots
-    // round-robin over tiles: clustering them into the first tiles would
-    // swamp those tiles' routing channels before annealing even starts.
-    // Chain tiles are skipped first (their tracks belong to the chain pins)
-    // and only used when the rest of the grid is full.
-    let tiles = fabric.tile_count();
-    let mut tile_order: Vec<usize> = (0..tiles).collect();
-    tile_order.sort_by_key(|&t| {
-        let xy = (t % fabric.width(), t / fabric.width());
-        pad_averse_tiles.contains(&xy)
-    });
-    let mut slot_at: Vec<Option<usize>> = vec![None; capacity];
-    for s in 0..slots.len() {
-        let tile = tile_order[s % tiles];
-        let site = tile * per_clb + (s / tiles);
-        slot_at[site] = Some(s);
-    }
-
-    // Connectivity: for HPWL we need, per net, the slots touching it.
-    // Build net → participating slot indices (+ IO flags handled as fixed
-    // boundary pull towards edges, approximated by ignoring them here).
-    let mut net_slots: HashMap<NetId, Vec<usize>> = HashMap::new();
-    for (si, slot) in slots.iter().enumerate() {
-        for &n in &slot.input_nets {
-            net_slots.entry(n).or_default().push(si);
-        }
-        net_slots.entry(slot.output_net).or_default().push(si);
-    }
-    // Net terminals: movable slot members plus fixed tiles (chain-block
-    // pins placed before the CLB pass, passed in as hints).
-    let nets: Vec<(Vec<usize>, Vec<(usize, usize)>)> = net_slots
-        .iter()
-        .map(|(net, members)| {
-            let fixed = pin_hints.get(net).cloned().unwrap_or_default();
-            (members.clone(), fixed)
+    let connectivity = Connectivity::new(slots, request.pin_hints);
+    let seeds: Vec<u64> = (0..request.starts.max(1) as u64)
+        .map(|i| {
+            request
+                .seed
+                .wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         })
-        .filter(|(m, f)| m.len() + f.len() > 1)
-        .collect();
-
-    // Per-tile distinct input nets of each slot (for the congestion term).
-    let channel = fabric.config().channel_width;
-    let track_budget = channel.saturating_sub(2).max(1) as f64;
-    let hpwl = |positions: &[(usize, usize, usize)]| -> f64 {
-        let mut total = 0.0;
-        for (members, fixed) in &nets {
-            let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0, usize::MAX, 0);
-            for &s in members {
-                let (x, y, _) = positions[s];
-                x0 = x0.min(x);
-                x1 = x1.max(x);
-                y0 = y0.min(y);
-                y1 = y1.max(y);
-            }
-            for &(x, y) in fixed {
-                x0 = x0.min(x);
-                x1 = x1.max(x);
-                y0 = y0.min(y);
-                y1 = y1.max(y);
-            }
-            total += (x1 - x0 + y1 - y0) as f64;
-        }
-        // Congestion term: every slot pin needs a track at its tile; tiles
-        // whose distinct-net demand exceeds the channel budget are strongly
-        // penalized — wirelength alone rewards exactly the clustering that
-        // makes tiles unroutable.
-        let mut tile_nets: HashMap<(usize, usize), std::collections::HashSet<NetId>> =
-            HashMap::new();
-        for (si, slot) in slots.iter().enumerate() {
-            let (x, y, _) = positions[si];
-            let entry = tile_nets.entry((x, y)).or_default();
-            for &n in &slot.input_nets {
-                entry.insert(n);
-            }
-            // The slot output also claims a track at this tile (its source
-            // attachment) whenever anything reads it.
-            entry.insert(slot.output_net);
-        }
-        for demand in tile_nets.values() {
-            let overflow = demand.len() as f64 - track_budget;
-            if overflow > 0.0 {
-                total += overflow * 40.0;
-            }
-        }
-        // Slots on chain tiles compete with the chain's own pin tracks.
-        for (si, _) in slots.iter().enumerate() {
-            let (x, y, _) = positions[si];
-            if pad_averse_tiles.contains(&(x, y)) {
-                total += 25.0;
-            }
-        }
-        total
-    };
-
-    let mut positions: Vec<(usize, usize, usize)> = vec![(0, 0, 0); slots.len()];
-    let rebuild_positions =
-        |slot_at: &[Option<usize>], positions: &mut Vec<(usize, usize, usize)>| {
-            for (site, s) in slot_at.iter().enumerate() {
-                if let Some(s) = s {
-                    positions[*s] = site_of(site);
-                }
-            }
-        };
-    rebuild_positions(&slot_at, &mut positions);
-    let mut cost = hpwl(&positions);
-
-    // Simulated annealing over site swaps.
-    let moves = 200 * capacity.max(slots.len()).max(8);
-    let mut temperature = (cost / nets.len().max(1) as f64).max(1.0);
-    let _ = &nets;
-    // Best-so-far snapshot: the walk may sit on an uphill excursion when
-    // the budget runs out, so an early exit restores the cheapest
-    // configuration seen rather than wherever the anneal happened to be.
-    let mut best_slot_at = slot_at.clone();
-    let mut best_cost = cost;
-    let mut degraded = None;
-    let mut moves_done = 0u64;
-    for m in 0..moves {
-        moves_done += 1;
-        if m % 256 == 0 {
-            if let Err(why) = budget.checkpoint() {
-                degraded = Some(why);
-                break;
-            }
-        }
-        let a = rng.gen_range(0..capacity);
-        let b = rng.gen_range(0..capacity);
-        if a == b || (slot_at[a].is_none() && slot_at[b].is_none()) {
-            continue;
-        }
-        slot_at.swap(a, b);
-        rebuild_positions(&slot_at, &mut positions);
-        let new_cost = hpwl(&positions);
-        let delta = new_cost - cost;
-        let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temperature).exp();
-        if accept {
-            cost = new_cost;
-            if cost < best_cost {
-                best_cost = cost;
-                best_slot_at.clone_from(&slot_at);
-            }
-        } else {
-            slot_at.swap(a, b);
-            rebuild_positions(&slot_at, &mut positions);
-        }
-        if m % 64 == 63 {
-            temperature *= 0.9;
-        }
-    }
-    if degraded.is_some() {
-        slot_at = best_slot_at;
-    }
-    rebuild_positions(&slot_at, &mut positions);
-    cost = hpwl(&positions);
-    shell_trace::counter_add("place.moves", moves_done);
-    shell_trace::gauge("place.hpwl", cost);
-
-    // IO assignment: each PI pad near the centroid of its reading slots;
-    // each PO pad near its driving slot. Greedy with uniqueness. Input and
-    // output pads share one `used` set: pad `i`'s input attaches at the very
-    // boundary track node pad `i`'s output reads, so a PI and a PO on the
-    // same index would contend for that node forever.
-    // Corner tiles expose the same track node through pads of two sides, so
-    // uniqueness is tracked per *attachment node*, not per pad index.
-    let mut used_nodes: std::collections::HashSet<(usize, usize, usize)> =
-        std::collections::HashSet::new();
-    let tiles_of = |members: &[usize], net: NetId| -> Vec<(usize, usize)> {
-        let mut tiles: Vec<(usize, usize)> = members
-            .iter()
-            .map(|&m| (positions[m].0, positions[m].1))
-            .collect();
-        if let Some(hints) = pin_hints.get(&net) {
-            tiles.extend(hints.iter().copied());
-        }
-        tiles
-    };
-    let mut input_pads = Vec::with_capacity(netlist.inputs().len());
-    for &pi in netlist.inputs() {
-        let readers: Vec<usize> = net_slots.get(&pi).cloned().unwrap_or_default();
-        let tiles = tiles_of(&readers, pi);
-        let (cx, cy) = tile_centroid(&tiles, fabric);
-        let pad = best_pad(fabric, cx, cy, &used_nodes, pad_averse_tiles, &tiles, &mut rng)
-            .ok_or_else(|| "ran out of input pads".to_string())?;
-        used_nodes.insert(pad_node(fabric, pad));
-        input_pads.push(pad);
-    }
-    let mut output_pads = Vec::with_capacity(netlist.outputs().len());
-    for (_, net) in netlist.outputs() {
-        let drivers: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.output_net == *net)
-            .map(|(i, _)| i)
-            .collect();
-        let tiles = tiles_of(&drivers, *net);
-        let (cx, cy) = tile_centroid(&tiles, fabric);
-        let pad = best_pad(fabric, cx, cy, &used_nodes, pad_averse_tiles, &tiles, &mut rng)
-            .ok_or_else(|| "ran out of output pads".to_string())?;
-        used_nodes.insert(pad_node(fabric, pad));
-        output_pads.push(pad);
-    }
-
-    Ok(Placement {
-        sites: positions,
-        input_pads,
-        output_pads,
-        hpwl: cost,
-        degraded,
-    })
-}
-
-/// Runs [`place_with_hints`] from `starts` independently derived seeds (in
-/// parallel when workers are available) and keeps the lowest-HPWL result.
-///
-/// Start `i` anneals with seed `base_seed + i·φ64`; start 0 is therefore
-/// exactly the single-start placement, so `starts = 1` reproduces
-/// [`place_with_hints`] unchanged. The winner is chosen by `(hpwl, start
-/// index)` — comparing in start order with a strict `<` makes the earliest
-/// start win ties, so the choice does not depend on how the parallel map
-/// was scheduled.
-///
-/// Every start polls the shared `budget`; a start interrupted mid-anneal
-/// still competes with its best-so-far configuration (see
-/// [`place_with_hints_budgeted`]).
-///
-/// # Errors
-///
-/// Returns the first start's error when every start fails.
-#[allow(clippy::too_many_arguments)]
-pub fn place_multi_start(
-    netlist: &Netlist,
-    slots: &[Slot],
-    fabric: &Fabric,
-    base_seed: u64,
-    starts: usize,
-    pin_hints: &HashMap<NetId, Vec<(usize, usize)>>,
-    pad_averse_tiles: &std::collections::HashSet<(usize, usize)>,
-    budget: &Budget,
-) -> Result<Placement, String> {
-    let seeds: Vec<u64> = (0..starts.max(1) as u64)
-        .map(|i| base_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
         .collect();
     let results = shell_exec::parallel_map(&seeds, |&seed| {
-        place_with_hints_budgeted(
-            netlist,
-            slots,
-            fabric,
-            seed,
-            pin_hints,
-            pad_averse_tiles,
-            budget,
-        )
+        let _span = shell_trace::span!("place.anneal");
+        let mut rng = Rng::seed_from_u64(seed);
+        let annealed = anneal(request, &connectivity, &mut rng);
+        shell_trace::counter_add("place.moves", annealed.moves);
+        shell_trace::gauge("place.hpwl", annealed.cost as f64);
+        let sites = sites_of(&annealed.slot_at, slots.len(), fabric);
+        let (input_pads, output_pads) = assign_io(request, &connectivity, &sites, &mut rng)?;
+        Ok(Placement {
+            sites,
+            input_pads,
+            output_pads,
+            hpwl: annealed.cost as f64,
+            degraded: annealed.degraded,
+        })
     });
     let mut best: Option<Placement> = None;
     let mut first_err: Option<String> = None;
@@ -551,6 +303,449 @@ pub fn place_multi_start(
         };
     }
     best.ok_or_else(|| first_err.unwrap_or_else(|| "no placement starts".into()))
+}
+
+/// Which slots and fixed tiles each net touches; built once per request.
+struct Connectivity {
+    /// Every net on a slot pin or output → the slots touching it, in slot
+    /// order, once per pin.
+    net_slots: HashMap<NetId, Vec<usize>>,
+    /// The nets the wirelength term prices, in `NetId` order: those with at
+    /// least two terminals, counting every pin and pin hint.
+    nets: Vec<PricedNet>,
+    /// Slot → indices into `nets` of the priced nets it touches, each once.
+    slot_nets: Vec<Vec<usize>>,
+}
+
+/// A net's terminals, as the wirelength term sees them.
+struct PricedNet {
+    /// The distinct slots on the net.
+    slots: Vec<usize>,
+    /// Bounding box `(x0, x1, y0, y1)` of its pin-hint tiles, which never
+    /// move; `(MAX, 0, MAX, 0)` when it has none.
+    fixed: (usize, usize, usize, usize),
+}
+
+impl Connectivity {
+    fn new(slots: &[Slot], pin_hints: &HashMap<NetId, Vec<(usize, usize)>>) -> Self {
+        let mut net_slots: HashMap<NetId, Vec<usize>> = HashMap::new();
+        for (si, slot) in slots.iter().enumerate() {
+            for &n in &slot.input_nets {
+                net_slots.entry(n).or_default().push(si);
+            }
+            net_slots.entry(slot.output_net).or_default().push(si);
+        }
+        let mut ids: Vec<NetId> = net_slots.keys().copied().collect();
+        ids.sort_unstable();
+        let mut nets = Vec::new();
+        let mut slot_nets = vec![Vec::new(); slots.len()];
+        for id in ids {
+            let members = &net_slots[&id];
+            let fixed = pin_hints.get(&id).map(Vec::as_slice).unwrap_or_default();
+            if members.len() + fixed.len() < 2 {
+                continue;
+            }
+            let mut distinct = members.clone();
+            distinct.dedup(); // members are in slot order
+            for &s in &distinct {
+                slot_nets[s].push(nets.len());
+            }
+            let fixed = fixed.iter().fold(
+                (usize::MAX, 0, usize::MAX, 0),
+                |(x0, x1, y0, y1), &(x, y)| (x0.min(x), x1.max(x), y0.min(y), y1.max(y)),
+            );
+            nets.push(PricedNet {
+                slots: distinct,
+                fixed,
+            });
+        }
+        Connectivity {
+            net_slots,
+            nets,
+            slot_nets,
+        }
+    }
+}
+
+/// The annealing cost of a configuration, kept exact move by move.
+///
+/// The cost is an integer: the sum of the priced nets' half-perimeters,
+/// plus 40 × Σ max(0, distinct nets claimed at a tile − track budget), plus
+/// 25 per slot on a chain tile. A swap moves at most two slots between two
+/// tiles, so [`CostState::swap`] updates those tiles' claim counts and
+/// re-prices only the nets the two slots touch.
+struct CostState<'a> {
+    slots: &'a [Slot],
+    connectivity: &'a Connectivity,
+    width: usize,
+    per_clb: usize,
+    /// Distinct nets a tile's routing channel carries without penalty.
+    track_budget: usize,
+    /// Site → slot placed there.
+    slot_at: Vec<Option<usize>>,
+    /// Slot → its tile's `(x, y)`.
+    xy: Vec<(usize, usize)>,
+    /// Priced net → its current half-perimeter.
+    net_len: Vec<usize>,
+    /// Tile → `(net, claims)` for every net its slots' pins and outputs
+    /// claim, single-terminal nets included.
+    claims: Vec<Vec<(NetId, u32)>>,
+    /// Tile → whether it is a chain tile.
+    chain: Vec<bool>,
+    /// The current cost.
+    cost: i64,
+    /// The last swap's cost delta and the nets it re-priced, with their
+    /// previous half-perimeters, for [`CostState::undo`].
+    last_delta: i64,
+    repriced: Vec<(usize, usize)>,
+}
+
+impl<'a> CostState<'a> {
+    fn new(
+        request: &PlaceRequest<'a>,
+        connectivity: &'a Connectivity,
+        slot_at: Vec<Option<usize>>,
+    ) -> Self {
+        let PlaceRequest { slots, fabric, .. } = *request;
+        let per_clb = fabric.config().luts_per_clb;
+        let chain = (0..fabric.tile_count())
+            .map(|t| {
+                let xy = (t % fabric.width(), t / fabric.width());
+                request.chain_tiles.contains(&xy)
+            })
+            .collect();
+        // Room for every claim a full tile can make, so no move allocates.
+        let pins = slots
+            .iter()
+            .map(|s| s.input_nets.len() + 1)
+            .max()
+            .unwrap_or(0);
+        let claims = (0..fabric.tile_count())
+            .map(|_| Vec::with_capacity(per_clb * pins))
+            .collect();
+        let mut state = CostState {
+            slots,
+            connectivity,
+            width: fabric.width(),
+            per_clb,
+            track_budget: fabric.config().channel_width.saturating_sub(2).max(1),
+            slot_at,
+            xy: vec![(0, 0); slots.len()],
+            net_len: vec![0; connectivity.nets.len()],
+            claims,
+            chain,
+            cost: 0,
+            last_delta: 0,
+            repriced: Vec::new(),
+        };
+        for site in 0..state.slot_at.len() {
+            if let Some(s) = state.slot_at[site] {
+                let tile = site / state.per_clb;
+                state.xy[s] = state.tile_xy(tile);
+                state.claim(s, tile);
+                state.cost += 25 * i64::from(state.chain[tile]);
+            }
+        }
+        for tile in 0..state.claims.len() {
+            state.cost += state.overflow_cost(tile);
+        }
+        for n in 0..state.net_len.len() {
+            state.net_len[n] = state.half_perimeter(n);
+            state.cost += state.net_len[n] as i64;
+        }
+        state
+    }
+
+    fn tile_xy(&self, tile: usize) -> (usize, usize) {
+        (tile % self.width, tile / self.width)
+    }
+
+    /// 40 per distinct net claimed at `tile` beyond the track budget.
+    fn overflow_cost(&self, tile: usize) -> i64 {
+        40 * self.claims[tile].len().saturating_sub(self.track_budget) as i64
+    }
+
+    fn half_perimeter(&self, net: usize) -> usize {
+        let net = &self.connectivity.nets[net];
+        let (mut x0, mut x1, mut y0, mut y1) = net.fixed;
+        for &s in &net.slots {
+            let (x, y) = self.xy[s];
+            x0 = x0.min(x);
+            x1 = x1.max(x);
+            y0 = y0.min(y);
+            y1 = y1.max(y);
+        }
+        x1 - x0 + y1 - y0
+    }
+
+    /// Adds slot `s`'s pin and output claims to `tile`.
+    fn claim(&mut self, s: usize, tile: usize) {
+        let slot = &self.slots[s];
+        let claims = &mut self.claims[tile];
+        for &net in slot.input_nets.iter().chain([&slot.output_net]) {
+            match claims.iter_mut().find(|(n, _)| *n == net) {
+                Some((_, count)) => *count += 1,
+                None => claims.push((net, 1)),
+            }
+        }
+    }
+
+    /// Removes slot `s`'s pin and output claims from `tile`.
+    fn release(&mut self, s: usize, tile: usize) {
+        let slot = &self.slots[s];
+        let claims = &mut self.claims[tile];
+        for &net in slot.input_nets.iter().chain([&slot.output_net]) {
+            let i = claims
+                .iter()
+                .position(|(n, _)| *n == net)
+                .expect("a placed slot's nets are claimed at its tile");
+            claims[i].1 -= 1;
+            if claims[i].1 == 0 {
+                claims.swap_remove(i);
+            }
+        }
+    }
+
+    /// Moves slot `s` from tile `from` to tile `to`; returns the change of
+    /// its claim and chain-tile terms.
+    fn relocate(&mut self, s: usize, from: usize, to: usize) -> i64 {
+        self.release(s, from);
+        self.claim(s, to);
+        self.xy[s] = self.tile_xy(to);
+        25 * (i64::from(self.chain[to]) - i64::from(self.chain[from]))
+    }
+
+    /// Swaps the contents of sites `a` and `b` (either may be empty) and
+    /// returns the cost delta.
+    fn swap(&mut self, a: usize, b: usize) -> i64 {
+        self.slot_at.swap(a, b);
+        self.repriced.clear();
+        let (ta, tb) = (a / self.per_clb, b / self.per_clb);
+        // The cost depends only on tiles, so a swap within one is free.
+        let delta = if ta == tb {
+            0
+        } else {
+            let overflow_before = self.overflow_cost(ta) + self.overflow_cost(tb);
+            let mut delta = -overflow_before;
+            if let Some(s) = self.slot_at[a] {
+                delta += self.relocate(s, tb, ta);
+            }
+            if let Some(s) = self.slot_at[b] {
+                delta += self.relocate(s, ta, tb);
+            }
+            delta += self.overflow_cost(ta) + self.overflow_cost(tb);
+            let connectivity = self.connectivity;
+            let nets_of = |site: usize| {
+                self.slot_at[site].map_or(&[][..], |s| connectivity.slot_nets[s].as_slice())
+            };
+            let (nets_a, nets_b) = (nets_of(a), nets_of(b));
+            // A net on both moved slots keeps its terminal tiles: the two
+            // slots only trade places.
+            let moved_nets = (nets_a.iter().filter(|n| !nets_b.contains(n)))
+                .chain(nets_b.iter().filter(|n| !nets_a.contains(n)));
+            for &n in moved_nets {
+                let len = self.half_perimeter(n);
+                delta += len as i64 - self.net_len[n] as i64;
+                self.repriced.push((n, self.net_len[n]));
+                self.net_len[n] = len;
+            }
+            delta
+        };
+        self.cost += delta;
+        self.last_delta = delta;
+        delta
+    }
+
+    /// Reverts the last [`CostState::swap`], of sites `a` and `b`.
+    fn undo(&mut self, a: usize, b: usize) {
+        let (ta, tb) = (a / self.per_clb, b / self.per_clb);
+        if ta != tb {
+            if let Some(s) = self.slot_at[a] {
+                self.relocate(s, ta, tb);
+            }
+            if let Some(s) = self.slot_at[b] {
+                self.relocate(s, tb, ta);
+            }
+            for &(n, len) in &self.repriced {
+                self.net_len[n] = len;
+            }
+        }
+        self.slot_at.swap(a, b);
+        self.cost -= self.last_delta;
+    }
+}
+
+/// What one anneal produced.
+struct Annealed {
+    /// Site → slot placed there.
+    slot_at: Vec<Option<usize>>,
+    /// The cost of `slot_at`.
+    cost: i64,
+    /// Why the anneal stopped early, when it did.
+    degraded: Option<Exhausted>,
+    /// Moves attempted.
+    moves: u64,
+}
+
+/// Simulated annealing over site swaps, from a round-robin spread of the
+/// slots. A swap is priced incrementally ([`CostState`]); a rejected one is
+/// undone in place. When `budget` runs out the cheapest configuration seen
+/// is returned, marked degraded.
+fn anneal(request: &PlaceRequest, connectivity: &Connectivity, rng: &mut Rng) -> Annealed {
+    let PlaceRequest {
+        slots,
+        fabric,
+        chain_tiles,
+        budget,
+        ..
+    } = *request;
+    let per_clb = fabric.config().luts_per_clb;
+    let capacity = fabric.lut_sites();
+    // slot_at[site] = Some(slot index). Initial placement spreads slots
+    // round-robin over tiles: clustering them into the first tiles would
+    // swamp those tiles' routing channels before annealing even starts.
+    // Chain tiles are skipped first (their tracks belong to the chain pins)
+    // and only used when the rest of the grid is full.
+    let tiles = fabric.tile_count();
+    let mut tile_order: Vec<usize> = (0..tiles).collect();
+    tile_order.sort_by_key(|&t| {
+        let xy = (t % fabric.width(), t / fabric.width());
+        chain_tiles.contains(&xy)
+    });
+    let mut slot_at: Vec<Option<usize>> = vec![None; capacity];
+    for s in 0..slots.len() {
+        let tile = tile_order[s % tiles];
+        let site = tile * per_clb + (s / tiles);
+        slot_at[site] = Some(s);
+    }
+    let mut state = CostState::new(request, connectivity, slot_at);
+
+    let moves = 200 * capacity.max(slots.len()).max(8);
+    let mut temperature = (state.cost as f64 / connectivity.nets.len().max(1) as f64).max(1.0);
+    // Best-so-far snapshot: the walk may sit on an uphill excursion when
+    // the budget runs out, so an early exit restores the cheapest
+    // configuration seen rather than wherever the anneal happened to be.
+    let mut best_slot_at = state.slot_at.clone();
+    let mut best_cost = state.cost;
+    let mut degraded = None;
+    let mut moves_done = 0u64;
+    for m in 0..moves {
+        moves_done += 1;
+        if m % 256 == 0 {
+            if let Err(why) = budget.checkpoint() {
+                degraded = Some(why);
+                break;
+            }
+        }
+        let a = rng.gen_range(0..capacity);
+        let b = rng.gen_range(0..capacity);
+        if a == b || (state.slot_at[a].is_none() && state.slot_at[b].is_none()) {
+            continue;
+        }
+        let delta = state.swap(a, b);
+        let accept = delta <= 0 || rng.gen_f64() < (-(delta as f64) / temperature).exp();
+        if accept {
+            if state.cost < best_cost {
+                best_cost = state.cost;
+                best_slot_at.clone_from(&state.slot_at);
+            }
+        } else {
+            state.undo(a, b);
+        }
+        if m % 64 == 63 {
+            temperature *= 0.9;
+        }
+    }
+    let (slot_at, cost) = if degraded.is_some() {
+        (best_slot_at, best_cost)
+    } else {
+        (state.slot_at, state.cost)
+    };
+    Annealed {
+        slot_at,
+        cost,
+        degraded,
+        moves: moves_done,
+    }
+}
+
+/// Slot → `(x, y, clb slot)` of a site assignment.
+fn sites_of(
+    slot_at: &[Option<usize>],
+    slot_count: usize,
+    fabric: &Fabric,
+) -> Vec<(usize, usize, usize)> {
+    let per_clb = fabric.config().luts_per_clb;
+    let mut sites = vec![(0, 0, 0); slot_count];
+    for (site, s) in slot_at.iter().enumerate() {
+        if let Some(s) = s {
+            let tile = site / per_clb;
+            sites[*s] = (tile % fabric.width(), tile / fabric.width(), site % per_clb);
+        }
+    }
+    sites
+}
+
+/// IO assignment: each PI pad near the centroid of its reading slots; each
+/// PO pad near its driving slot. Greedy with uniqueness. Input and output
+/// pads share one `used` set: pad `i`'s input attaches at the very boundary
+/// track node pad `i`'s output reads, so a PI and a PO on the same index
+/// would contend for that node forever.
+/// Corner tiles expose the same track node through pads of two sides, so
+/// uniqueness is tracked per *attachment node*, not per pad index.
+fn assign_io(
+    request: &PlaceRequest,
+    connectivity: &Connectivity,
+    sites: &[(usize, usize, usize)],
+    rng: &mut Rng,
+) -> Result<(Vec<usize>, Vec<usize>), String> {
+    let PlaceRequest {
+        netlist,
+        slots,
+        fabric,
+        pin_hints,
+        chain_tiles,
+        ..
+    } = *request;
+    let mut used_nodes: HashSet<(usize, usize, usize)> = HashSet::new();
+    let tiles_of = |members: &[usize], net: NetId| -> Vec<(usize, usize)> {
+        let mut tiles: Vec<(usize, usize)> =
+            members.iter().map(|&m| (sites[m].0, sites[m].1)).collect();
+        if let Some(hints) = pin_hints.get(&net) {
+            tiles.extend(hints.iter().copied());
+        }
+        tiles
+    };
+    let mut input_pads = Vec::with_capacity(netlist.inputs().len());
+    for &pi in netlist.inputs() {
+        let readers: &[usize] = connectivity
+            .net_slots
+            .get(&pi)
+            .map(Vec::as_slice)
+            .unwrap_or_default();
+        let tiles = tiles_of(readers, pi);
+        let (cx, cy) = tile_centroid(&tiles, fabric);
+        let pad = best_pad(fabric, cx, cy, &used_nodes, chain_tiles, &tiles, rng)
+            .ok_or_else(|| "ran out of input pads".to_string())?;
+        used_nodes.insert(pad_node(fabric, pad));
+        input_pads.push(pad);
+    }
+    let mut output_pads = Vec::with_capacity(netlist.outputs().len());
+    for (_, net) in netlist.outputs() {
+        let drivers: Vec<usize> = slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.output_net == *net)
+            .map(|(i, _)| i)
+            .collect();
+        let tiles = tiles_of(&drivers, *net);
+        let (cx, cy) = tile_centroid(&tiles, fabric);
+        let pad = best_pad(fabric, cx, cy, &used_nodes, chain_tiles, &tiles, rng)
+            .ok_or_else(|| "ran out of output pads".to_string())?;
+        used_nodes.insert(pad_node(fabric, pad));
+        output_pads.push(pad);
+    }
+    Ok((input_pads, output_pads))
 }
 
 fn tile_centroid(tiles: &[(usize, usize)], fabric: &Fabric) -> (f64, f64) {
@@ -576,8 +771,8 @@ fn best_pad(
     fabric: &Fabric,
     cx: f64,
     cy: f64,
-    used_nodes: &std::collections::HashSet<(usize, usize, usize)>,
-    pad_averse_tiles: &std::collections::HashSet<(usize, usize)>,
+    used_nodes: &HashSet<(usize, usize, usize)>,
+    pad_averse_tiles: &HashSet<(usize, usize)>,
     own_tiles: &[(usize, usize)],
     rng: &mut Rng,
 ) -> Option<usize> {
@@ -621,6 +816,7 @@ mod tests {
     use super::*;
     use shell_fabric::FabricConfig;
     use shell_synth::lut_map;
+    use shell_util::forall;
 
     fn adder_mapped() -> Netlist {
         use shell_netlist::NetlistBuilder;
@@ -707,6 +903,26 @@ mod tests {
         assert!(pack(&n, 4).is_err());
     }
 
+    /// Places with one start, no pin hints and no chain tiles.
+    fn place_plain(
+        netlist: &Netlist,
+        slots: &[Slot],
+        fabric: &Fabric,
+        seed: u64,
+        budget: &Budget,
+    ) -> Result<Placement, String> {
+        place(&PlaceRequest {
+            netlist,
+            slots,
+            fabric,
+            seed,
+            starts: 1,
+            pin_hints: &HashMap::new(),
+            chain_tiles: &HashSet::new(),
+            budget,
+        })
+    }
+
     #[test]
     fn place_assigns_unique_sites_and_pads() {
         let n = adder_mapped();
@@ -714,18 +930,18 @@ mod tests {
         let tiles = slots.len().div_ceil(4).max(2);
         let side = (tiles as f64).sqrt().ceil() as usize;
         let f = Fabric::generate(FabricConfig::fabulous_style(false), side + 1, side + 1);
-        let p = place(&n, &slots, &f, 42).expect("placeable");
+        let p = place_plain(&n, &slots, &f, 42, &Budget::unlimited()).expect("placeable");
         // Unique sites.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for &s in &p.sites {
             assert!(seen.insert(s), "duplicate site {s:?}");
         }
         // Unique pads.
-        let mut ip = std::collections::HashSet::new();
+        let mut ip = HashSet::new();
         for &pad in &p.input_pads {
             assert!(ip.insert(pad));
         }
-        let mut op = std::collections::HashSet::new();
+        let mut op = HashSet::new();
         for &pad in &p.output_pads {
             assert!(op.insert(pad));
         }
@@ -738,10 +954,41 @@ mod tests {
         let n = adder_mapped();
         let slots = pack(&n, 4).unwrap();
         let f = Fabric::generate(FabricConfig::fabulous_style(false), 4, 4);
-        let p1 = place(&n, &slots, &f, 7).unwrap();
-        let p2 = place(&n, &slots, &f, 7).unwrap();
+        let p1 = place_plain(&n, &slots, &f, 7, &Budget::unlimited()).unwrap();
+        let p2 = place_plain(&n, &slots, &f, 7, &Budget::unlimited()).unwrap();
         assert_eq!(p1.sites, p2.sites);
         assert_eq!(p1.input_pads, p2.input_pads);
+    }
+
+    #[test]
+    fn multi_start_keeps_the_cheapest_earliest_start() {
+        let n = adder_mapped();
+        let slots = pack(&n, 4).unwrap();
+        let f = Fabric::generate(FabricConfig::fabulous_style(false), 3, 3);
+        let budget = Budget::unlimited();
+        let singles: Vec<Placement> = (0..4u64)
+            .map(|i| {
+                let seed = 7u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                place_plain(&n, &slots, &f, seed, &budget).unwrap()
+            })
+            .collect();
+        let cheapest = singles.iter().map(|p| p.hpwl).fold(f64::INFINITY, f64::min);
+        let winner = singles.iter().find(|p| p.hpwl == cheapest).unwrap();
+        let multi = place(&PlaceRequest {
+            netlist: &n,
+            slots: &slots,
+            fabric: &f,
+            seed: 7,
+            starts: 4,
+            pin_hints: &HashMap::new(),
+            chain_tiles: &HashSet::new(),
+            budget: &budget,
+        })
+        .unwrap();
+        assert_eq!(multi.sites, winner.sites);
+        assert_eq!(multi.input_pads, winner.input_pads);
+        assert_eq!(multi.output_pads, winner.output_pads);
+        assert_eq!(multi.hpwl.to_bits(), winner.hpwl.to_bits());
     }
 
     #[test]
@@ -751,43 +998,14 @@ mod tests {
         let f = Fabric::generate(FabricConfig::fabulous_style(false), 4, 4);
         let budget = Budget::unlimited();
         budget.cancel();
-        let p = place_with_hints_budgeted(
-            &n,
-            &slots,
-            &f,
-            7,
-            &HashMap::new(),
-            &std::collections::HashSet::new(),
-            &budget,
-        )
-        .expect("a degraded placement is still a placement");
+        let p = place_plain(&n, &slots, &f, 7, &budget)
+            .expect("a degraded placement is still a placement");
         assert_eq!(p.degraded, Some(Exhausted::Cancelled));
         assert_eq!(p.sites.len(), slots.len());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for &s in &p.sites {
             assert!(seen.insert(s), "duplicate site {s:?}");
         }
-    }
-
-    #[test]
-    fn unlimited_budget_matches_unbudgeted_placement() {
-        let n = adder_mapped();
-        let slots = pack(&n, 4).unwrap();
-        let f = Fabric::generate(FabricConfig::fabulous_style(false), 4, 4);
-        let p1 = place(&n, &slots, &f, 7).unwrap();
-        let p2 = place_with_hints_budgeted(
-            &n,
-            &slots,
-            &f,
-            7,
-            &HashMap::new(),
-            &std::collections::HashSet::new(),
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(p1.sites, p2.sites);
-        assert_eq!(p1.degraded, None);
-        assert_eq!(p2.degraded, None);
     }
 
     #[test]
@@ -796,8 +1014,413 @@ mod tests {
         let slots = pack(&n, 4).unwrap();
         let f = Fabric::generate(FabricConfig::fabulous_style(false), 1, 1);
         if slots.len() > 4 {
-            assert!(place(&n, &slots, &f, 0).is_err());
+            assert!(place_plain(&n, &slots, &f, 0, &Budget::unlimited()).is_err());
         }
+    }
+
+    /// `slot → (x, y, clb slot)`, as [`Placement::sites`].
+    type Sites = [(usize, usize, usize)];
+
+    /// The full recompute that the incremental cost replaced, verbatim:
+    /// the number of priced nets and the cost of a `slot → site` vector.
+    /// Nets with fewer than two terminals (pins and pin hints, with
+    /// multiplicity) are left out of the wirelength.
+    fn oracle_cost<'a>(
+        slots: &'a [Slot],
+        fabric: &Fabric,
+        pin_hints: &HashMap<NetId, Vec<(usize, usize)>>,
+        pad_averse_tiles: &'a HashSet<(usize, usize)>,
+    ) -> (usize, impl Fn(&Sites) -> f64 + 'a) {
+        // Connectivity: for HPWL we need, per net, the slots touching it.
+        // Build net → participating slot indices (+ IO flags handled as fixed
+        // boundary pull towards edges, approximated by ignoring them here).
+        let mut net_slots: HashMap<NetId, Vec<usize>> = HashMap::new();
+        for (si, slot) in slots.iter().enumerate() {
+            for &n in &slot.input_nets {
+                net_slots.entry(n).or_default().push(si);
+            }
+            net_slots.entry(slot.output_net).or_default().push(si);
+        }
+        // Net terminals: movable slot members plus fixed tiles (chain-block
+        // pins placed before the CLB pass, passed in as hints).
+        let nets: Vec<(Vec<usize>, Vec<(usize, usize)>)> = net_slots
+            .iter()
+            .map(|(net, members)| {
+                let fixed = pin_hints.get(net).cloned().unwrap_or_default();
+                (members.clone(), fixed)
+            })
+            .filter(|(m, f)| m.len() + f.len() > 1)
+            .collect();
+        let net_count = nets.len();
+
+        // Per-tile distinct input nets of each slot (for the congestion term).
+        let channel = fabric.config().channel_width;
+        let track_budget = channel.saturating_sub(2).max(1) as f64;
+        let hpwl = move |positions: &[(usize, usize, usize)]| -> f64 {
+            let mut total = 0.0;
+            for (members, fixed) in &nets {
+                let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0, usize::MAX, 0);
+                for &s in members {
+                    let (x, y, _) = positions[s];
+                    x0 = x0.min(x);
+                    x1 = x1.max(x);
+                    y0 = y0.min(y);
+                    y1 = y1.max(y);
+                }
+                for &(x, y) in fixed {
+                    x0 = x0.min(x);
+                    x1 = x1.max(x);
+                    y0 = y0.min(y);
+                    y1 = y1.max(y);
+                }
+                total += (x1 - x0 + y1 - y0) as f64;
+            }
+            // Congestion term: every slot pin needs a track at its tile; tiles
+            // whose distinct-net demand exceeds the channel budget are strongly
+            // penalized — wirelength alone rewards exactly the clustering that
+            // makes tiles unroutable.
+            let mut tile_nets: HashMap<(usize, usize), HashSet<NetId>> = HashMap::new();
+            for (si, slot) in slots.iter().enumerate() {
+                let (x, y, _) = positions[si];
+                let entry = tile_nets.entry((x, y)).or_default();
+                for &n in &slot.input_nets {
+                    entry.insert(n);
+                }
+                // The slot output also claims a track at this tile (its source
+                // attachment) whenever anything reads it.
+                entry.insert(slot.output_net);
+            }
+            for demand in tile_nets.values() {
+                let overflow = demand.len() as f64 - track_budget;
+                if overflow > 0.0 {
+                    total += overflow * 40.0;
+                }
+            }
+            // Slots on chain tiles compete with the chain's own pin tracks.
+            for (si, _) in slots.iter().enumerate() {
+                let (x, y, _) = positions[si];
+                if pad_averse_tiles.contains(&(x, y)) {
+                    total += 25.0;
+                }
+            }
+            total
+        };
+        (net_count, hpwl)
+    }
+
+    /// The annealing loop that the incremental cost replaced, verbatim:
+    /// every move rebuilds all positions and re-prices everything. Returns
+    /// the final `site → slot` vector, its cost, why the anneal stopped
+    /// early and the moves attempted.
+    fn oracle_anneal(
+        slots: &[Slot],
+        fabric: &Fabric,
+        pin_hints: &HashMap<NetId, Vec<(usize, usize)>>,
+        pad_averse_tiles: &HashSet<(usize, usize)>,
+        budget: &Budget,
+        rng: &mut Rng,
+    ) -> (Vec<Option<usize>>, f64, Option<Exhausted>, u64) {
+        let per_clb = fabric.config().luts_per_clb;
+        let capacity = fabric.lut_sites();
+        // Site list: (x, y, s).
+        let site_of = |i: usize| -> (usize, usize, usize) {
+            let tile = i / per_clb;
+            (tile % fabric.width(), tile / fabric.width(), i % per_clb)
+        };
+        let tiles = fabric.tile_count();
+        let mut tile_order: Vec<usize> = (0..tiles).collect();
+        tile_order.sort_by_key(|&t| {
+            let xy = (t % fabric.width(), t / fabric.width());
+            pad_averse_tiles.contains(&xy)
+        });
+        let mut slot_at: Vec<Option<usize>> = vec![None; capacity];
+        for s in 0..slots.len() {
+            let tile = tile_order[s % tiles];
+            let site = tile * per_clb + (s / tiles);
+            slot_at[site] = Some(s);
+        }
+        let (net_count, hpwl) = oracle_cost(slots, fabric, pin_hints, pad_averse_tiles);
+
+        let mut positions: Vec<(usize, usize, usize)> = vec![(0, 0, 0); slots.len()];
+        let rebuild_positions =
+            |slot_at: &[Option<usize>], positions: &mut Vec<(usize, usize, usize)>| {
+                for (site, s) in slot_at.iter().enumerate() {
+                    if let Some(s) = s {
+                        positions[*s] = site_of(site);
+                    }
+                }
+            };
+        rebuild_positions(&slot_at, &mut positions);
+        let mut cost = hpwl(&positions);
+
+        // Simulated annealing over site swaps.
+        let moves = 200 * capacity.max(slots.len()).max(8);
+        let mut temperature = (cost / net_count.max(1) as f64).max(1.0);
+        let mut best_slot_at = slot_at.clone();
+        let mut best_cost = cost;
+        let mut degraded = None;
+        let mut moves_done = 0u64;
+        for m in 0..moves {
+            moves_done += 1;
+            if m % 256 == 0 {
+                if let Err(why) = budget.checkpoint() {
+                    degraded = Some(why);
+                    break;
+                }
+            }
+            let a = rng.gen_range(0..capacity);
+            let b = rng.gen_range(0..capacity);
+            if a == b || (slot_at[a].is_none() && slot_at[b].is_none()) {
+                continue;
+            }
+            slot_at.swap(a, b);
+            rebuild_positions(&slot_at, &mut positions);
+            let new_cost = hpwl(&positions);
+            let delta = new_cost - cost;
+            let accept = delta <= 0.0 || rng.gen_f64() < (-delta / temperature).exp();
+            if accept {
+                cost = new_cost;
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_slot_at.clone_from(&slot_at);
+                }
+            } else {
+                slot_at.swap(a, b);
+                rebuild_positions(&slot_at, &mut positions);
+            }
+            if m % 64 == 63 {
+                temperature *= 0.9;
+            }
+        }
+        if degraded.is_some() {
+            slot_at = best_slot_at;
+        }
+        rebuild_positions(&slot_at, &mut positions);
+        cost = hpwl(&positions);
+        (slot_at, cost, degraded, moves_done)
+    }
+
+    /// A random placement input: slots over a small net pool (so pins
+    /// repeat and slots read their own outputs), pin hints with repeated
+    /// tiles, chain tiles, and a `w × h` fabric with a random CLB size and
+    /// channel width.
+    struct Instance {
+        slots: Vec<Slot>,
+        fabric: Fabric,
+        pin_hints: HashMap<NetId, Vec<(usize, usize)>>,
+        chain_tiles: HashSet<(usize, usize)>,
+    }
+
+    impl Instance {
+        fn random(w: usize, h: usize, seed: u64) -> Instance {
+            let (w, h) = (w.max(1), h.max(1));
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut config = FabricConfig::fabulous_style(false);
+            config.luts_per_clb = [1, 2, 4][rng.gen_range(0..3)];
+            config.channel_width = [2, 3, 4, 6, 12][rng.gen_range(0..5)];
+            let fabric = Fabric::generate(config, w, h);
+            let count = rng.gen_range(0..fabric.lut_sites() + 1);
+            let pool = rng.gen_range(1..2 * count + 4) as u32;
+            let mut slots = Vec::with_capacity(count);
+            for i in 0..count {
+                let mut input_nets = Vec::new();
+                for _ in 0..rng.gen_range(0..5) {
+                    input_nets.push(NetId(rng.gen_range(0..pool as usize) as u32));
+                }
+                let output_net = match input_nets.first() {
+                    Some(&own) if rng.gen_bool(0.2) => own,
+                    _ => NetId(rng.gen_range(0..pool as usize) as u32),
+                };
+                slots.push(Slot {
+                    content: SlotContent::Const {
+                        cell: CellId(i as u32),
+                        value: false,
+                    },
+                    input_nets,
+                    mask: 0,
+                    registered: false,
+                    output_net,
+                });
+            }
+            let mut pin_hints: HashMap<NetId, Vec<(usize, usize)>> = HashMap::new();
+            for net in 0..pool {
+                if rng.gen_bool(0.3) {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let tile = (rng.gen_range(0..w), rng.gen_range(0..h));
+                        pin_hints.entry(NetId(net)).or_default().push(tile);
+                    }
+                }
+            }
+            let mut chain_tiles = HashSet::new();
+            for y in 0..h {
+                for x in 0..w {
+                    if rng.gen_bool(0.25) {
+                        chain_tiles.insert((x, y));
+                    }
+                }
+            }
+            Instance {
+                slots,
+                fabric,
+                pin_hints,
+                chain_tiles,
+            }
+        }
+
+        fn request<'a>(
+            &'a self,
+            netlist: &'a Netlist,
+            seed: u64,
+            budget: &'a Budget,
+        ) -> PlaceRequest<'a> {
+            PlaceRequest {
+                netlist,
+                slots: &self.slots,
+                fabric: &self.fabric,
+                seed,
+                starts: 1,
+                pin_hints: &self.pin_hints,
+                chain_tiles: &self.chain_tiles,
+                budget,
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_cost_matches_full_recompute_after_every_step() {
+        forall(
+            "incremental cost == full recompute",
+            0x001A_C057,
+            48,
+            |rng| (rng.gen_range(1..6), rng.gen_range(1..6), rng.next_u64()),
+            |&(w, h, seed)| {
+                let instance = Instance::random(w, h, seed);
+                let (slots, fabric) = (&instance.slots, &instance.fabric);
+                let netlist = Netlist::new("ports_free");
+                let budget = Budget::unlimited();
+                let request = instance.request(&netlist, seed, &budget);
+                let connectivity = Connectivity::new(slots, &instance.pin_hints);
+                let (_, full) =
+                    oracle_cost(slots, fabric, &instance.pin_hints, &instance.chain_tiles);
+                let full_cost =
+                    |slot_at: &[Option<usize>]| full(&sites_of(slot_at, slots.len(), fabric));
+                let per_clb = fabric.config().luts_per_clb;
+                let capacity = fabric.lut_sites();
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut slot_at: Vec<Option<usize>> = (0..capacity)
+                    .map(|i| (i < slots.len()).then_some(i))
+                    .collect();
+                rng.shuffle(&mut slot_at);
+                let mut state = CostState::new(&request, &connectivity, slot_at);
+                if state.cost as f64 != full_cost(&state.slot_at) {
+                    return Err(format!(
+                        "initial cost {} != {}",
+                        state.cost,
+                        full_cost(&state.slot_at)
+                    ));
+                }
+                for step in 0..200 {
+                    let a = rng.gen_range(0..capacity);
+                    let empty: Vec<usize> = (0..capacity)
+                        .filter(|&i| state.slot_at[i].is_none())
+                        .collect();
+                    let (a, b) = match rng.gen_range(0..4) {
+                        0 => (a, a),
+                        1 => (a, a / per_clb * per_clb + rng.gen_range(0..per_clb)),
+                        2 if !empty.is_empty() => (
+                            empty[rng.gen_range(0..empty.len())],
+                            empty[rng.gen_range(0..empty.len())],
+                        ),
+                        _ => (a, rng.gen_range(0..capacity)),
+                    };
+                    let (before, slot_at_before) = (state.cost, state.slot_at.clone());
+                    let delta = state.swap(a, b);
+                    let expect = full_cost(&state.slot_at);
+                    if state.cost != before + delta || state.cost as f64 != expect {
+                        return Err(format!(
+                            "step {step}: swap({a}, {b}) priced {} (delta {delta}), full recompute {expect}",
+                            state.cost
+                        ));
+                    }
+                    if rng.gen_bool(0.5) {
+                        state.undo(a, b);
+                        if state.slot_at != slot_at_before
+                            || state.cost != before
+                            || state.cost as f64 != full_cost(&state.slot_at)
+                        {
+                            return Err(format!(
+                                "step {step}: undo of swap({a}, {b}) left cost {}, was {before}",
+                                state.cost
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn anneal_matches_full_recompute_loop() {
+        forall(
+            "anneal == full-recompute loop",
+            0x00A7_7EA1,
+            24,
+            |rng| (rng.gen_range(1..4), rng.gen_range(1..4), rng.next_u64()),
+            |&(w, h, seed)| {
+                let instance = Instance::random(w, h, seed);
+                let (slots, fabric) = (&instance.slots, &instance.fabric);
+                let netlist = Netlist::new("ports_free");
+                let connectivity = Connectivity::new(slots, &instance.pin_hints);
+                let (_, full) =
+                    oracle_cost(slots, fabric, &instance.pin_hints, &instance.chain_tiles);
+                for cancelled in [false, true] {
+                    let budget = Budget::unlimited();
+                    if cancelled {
+                        budget.cancel();
+                    }
+                    let request = instance.request(&netlist, seed, &budget);
+                    let mut rng = Rng::seed_from_u64(seed);
+                    let annealed = anneal(&request, &connectivity, &mut rng);
+                    let mut oracle_rng = Rng::seed_from_u64(seed);
+                    let (slot_at, cost, degraded, moves) = oracle_anneal(
+                        slots,
+                        fabric,
+                        &instance.pin_hints,
+                        &instance.chain_tiles,
+                        &budget,
+                        &mut oracle_rng,
+                    );
+                    let context = format!("cancelled={cancelled}");
+                    if annealed.slot_at != slot_at {
+                        return Err(format!("{context}: placements differ"));
+                    }
+                    if (annealed.cost as f64).to_bits() != cost.to_bits() {
+                        return Err(format!("{context}: cost {} != {cost}", annealed.cost));
+                    }
+                    if (annealed.moves, &annealed.degraded) != (moves, &degraded) {
+                        return Err(format!(
+                            "{context}: {} moves ({:?}) != {moves} ({degraded:?})",
+                            annealed.moves, annealed.degraded
+                        ));
+                    }
+                    if rng.next_u64() != oracle_rng.next_u64() {
+                        return Err(format!("{context}: the RNG streams diverged"));
+                    }
+                    let placed = place(&request)?;
+                    if placed.hpwl.to_bits() != full(&placed.sites).to_bits()
+                        || placed.hpwl.to_bits() != cost.to_bits()
+                    {
+                        return Err(format!(
+                            "{context}: Placement::hpwl {} is not the cost {} of its sites",
+                            placed.hpwl,
+                            full(&placed.sites)
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

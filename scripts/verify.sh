@@ -210,6 +210,30 @@ for field in '"failed": 0' '"lock_digest_changes": 0'; do
         exit 1
     }
 done
+# Work-counter gate: the traced pass must do exactly this much work. Wall
+# time on a shared CPU is too noisy to gate; these counts are deterministic.
+# A change that alters this work on purpose updates the numbers here and
+# says so in CHANGES.md.
+for counter in 'place.moves 486400' 'pnr.fit_attempts 26' \
+               'route.spfa_relaxations 4613471' 'synth.cuts 78' \
+               'shrink.cycle_cuts 4055' 'lock.ladder_attempts 6'; do
+    name=${counter% *}
+    want=${counter#* }
+    key="\"${name//./\\.}\": "
+    all=$(grep -cE "${key}[0-9]" "$lock_tmp/lock.traced.json" || true)
+    same=$(grep -cE "${key}${want},?\$" "$lock_tmp/lock.traced.json" || true)
+    if [ "$all" -eq 0 ] || [ "$all" -ne "$same" ]; then
+        echo "lock smoke: per-pass counter $name is not $want:" >&2
+        grep -E "${key}[0-9]" "$lock_tmp/lock.traced.json" >&2
+        exit 1
+    fi
+done
+echo "ok"
+
+# PnR golden: what place and route produce on the lock corpus (key widths
+# and bitstream and locked-netlist digests) must not drift. Release only.
+echo "== PnR golden: lock corpus digests =="
+cargo test -q --release --offline -p xtests --test golden -- --include-ignored
 echo "ok"
 
 # Explore smoke: the design-space sweep on the tiny 2×2-point grid at

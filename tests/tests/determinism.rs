@@ -8,12 +8,14 @@
 use shell_attacks::structural_mux_attack;
 use shell_circuits::{axi_xbar, generate, Benchmark, Scale};
 use shell_fabric::{Fabric, FabricConfig};
+use shell_guard::Budget;
 use shell_lock::{shell_lock, ShellOptions};
 use shell_netlist::verilog::write_verilog;
 use shell_netlist::{CellKind, Netlist};
-use shell_pnr::place::{pack, place};
+use shell_pnr::place::{pack, place, PlaceRequest};
 use shell_pnr::{place_and_route_with_chains, PnrOptions};
 use shell_synth::lut_map;
+use std::collections::{HashMap, HashSet};
 
 /// Same seed ⇒ identical placement (sites, pads and cost) from
 /// `shell_pnr::place`; different seed ⇒ a different annealing trajectory.
@@ -25,14 +27,28 @@ fn placement_identical_for_same_seed() {
     let side = (tiles as f64).sqrt().ceil() as usize + 1;
     let fabric = Fabric::generate(FabricConfig::fabulous_style(false), side, side);
 
-    let a = place(&mapped, &slots, &fabric, 0xA11CE).expect("places");
-    let b = place(&mapped, &slots, &fabric, 0xA11CE).expect("places");
+    let (hints, chain_tiles, budget) = (HashMap::new(), HashSet::new(), Budget::unlimited());
+    let place_seeded = |seed| {
+        place(&PlaceRequest {
+            netlist: &mapped,
+            slots: &slots,
+            fabric: &fabric,
+            seed,
+            starts: 1,
+            pin_hints: &hints,
+            chain_tiles: &chain_tiles,
+            budget: &budget,
+        })
+        .expect("places")
+    };
+    let a = place_seeded(0xA11CE);
+    let b = place_seeded(0xA11CE);
     assert_eq!(a.sites, b.sites);
     assert_eq!(a.input_pads, b.input_pads);
     assert_eq!(a.output_pads, b.output_pads);
     assert_eq!(a.hpwl.to_bits(), b.hpwl.to_bits(), "cost must match bitwise");
 
-    let c = place(&mapped, &slots, &fabric, 0xB0B).expect("places");
+    let c = place_seeded(0xB0B);
     assert_ne!(
         (a.sites, a.input_pads),
         (c.sites, c.input_pads),

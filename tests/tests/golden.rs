@@ -1,21 +1,26 @@
-//! Golden-file regression tests for the interchange formats.
+//! Golden-file regression tests for the interchange formats and for what
+//! the lock flow produces.
 //!
 //! The Verilog writer and the JSON interchange forms (fabric architecture,
 //! bitstream) are consumed outside this workspace — by reference EDA tools
 //! in the paper's flow and by the replayable fuzz artifacts — so their
 //! *exact bytes* are part of the contract, not just their parse result.
-//! Each test renders a small deterministic artifact and compares it to a
-//! fixture under `tests/golden/`, then proves the round trip is lossless.
+//! Each format test renders a small deterministic artifact and compares it
+//! to a fixture under `tests/golden/`, then proves the round trip is
+//! lossless. The lock-corpus test pins the flow's output digests instead.
 //!
-//! After an intentional format change, regenerate with
-//! `UPDATE_GOLDEN=1 cargo test -p xtests --test golden` and review the
-//! fixture diff like any other code change.
+//! After an intentional change, regenerate with `UPDATE_GOLDEN=1 cargo
+//! test --release -p xtests --test golden -- --include-ignored` and review
+//! the fixture diff like any other code change.
 
-use shell_circuits::c17;
+use shell_circuits::{axi_xbar, c17, generate, Benchmark, Scale};
 use shell_fabric::{Bitstream, Fabric, FabricConfig};
-use shell_netlist::equiv_exhaustive;
+use shell_lock::{shell_lock, ShellOptions};
 use shell_netlist::verilog::{parse_verilog, write_verilog};
+use shell_netlist::{equiv_exhaustive, Netlist};
+use shell_serve::ContentHash;
 use shell_util::Json;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -91,4 +96,37 @@ fn bitstream_json_matches_golden_and_round_trips() {
         text,
         "bitstream JSON round trip must be byte-identical"
     );
+}
+
+/// What place and route produce on the benchmark's lock corpus (the five
+/// paper circuits at `Scale::small()` plus `axi_xbar(4, 1)`): per design,
+/// the post-shrink key width and the SHA-256 of the framed bitstream's
+/// compact JSON and of the locked netlist's Verilog. Any change to packing,
+/// placement, routing or shrinking that moves one configuration bit shows
+/// here. Too slow for a debug build, so run it in release: `cargo test
+/// --release -p xtests --test golden -- --include-ignored`.
+#[test]
+#[ignore = "release only"]
+fn lock_corpus_matches_golden() {
+    let mut designs: Vec<Netlist> = Benchmark::all()
+        .into_iter()
+        .map(|b| generate(b, Scale::small()))
+        .collect();
+    designs.push(axi_xbar(4, 1));
+    let options = ShellOptions::default();
+    let mut text = String::new();
+    for design in &designs {
+        let outcome =
+            shell_lock(design, &options).unwrap_or_else(|e| panic!("{}: {e}", design.name()));
+        writeln!(
+            text,
+            "{} key_bits={} framed={} locked={}",
+            design.name(),
+            outcome.key_bits(),
+            ContentHash::of_json(&outcome.framed.to_json()).as_hex(),
+            ContentHash::of_bytes(write_verilog(&outcome.locked).as_bytes()).as_hex(),
+        )
+        .unwrap();
+    }
+    check_golden("lock_corpus.txt", &text);
 }
