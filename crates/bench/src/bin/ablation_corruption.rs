@@ -23,8 +23,7 @@ fn miter_c2v(locked: &shell_netlist::Netlist) -> Option<f64> {
     let mut solver = Solver::new();
     let a = encode_netlist(&mut solver, &frame, None, None);
     let _b = encode_netlist(&mut solver, &frame, Some(&a.inputs), None);
-    let stats = solver.stats();
-    Some(stats.learnt_clauses as f64 / solver.num_vars().max(1) as f64)
+    Some(solver.num_clauses() as f64 / solver.num_vars().max(1) as f64)
 }
 
 fn main() {

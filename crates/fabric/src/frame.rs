@@ -645,26 +645,6 @@ impl FramedBitstream {
         Ok(changed)
     }
 
-    /// Full reconfiguration: copies every frame (and the used mask) from
-    /// `target`, counting all of them as written. The baseline that
-    /// [`PartialReconfig::apply`] beats.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::GeometryMismatch`].
-    pub fn write_full(&mut self, target: &FramedBitstream) -> Result<usize, FrameError> {
-        if self.geometry != target.geometry {
-            return Err(FrameError::GeometryMismatch {
-                expected: self.geometry,
-                got: target.geometry,
-            });
-        }
-        self.frames.copy_from_slice(&target.frames);
-        self.used.copy_from_slice(&target.used);
-        shell_trace::counter_add("bitstream.frames_written", self.frames.len() as u64);
-        Ok(self.frames.len())
-    }
-
     /// Exports the addressed artifact. Frames carry their packed device
     /// address and the raw codeword, so tampered frames serialize
     /// verbatim (corruption survives a cache round trip and is caught at
@@ -1195,8 +1175,6 @@ mod tests {
             PartialReconfig::diff(&fa, &fb),
             Err(FrameError::GeometryMismatch { .. })
         ));
-        let mut fa2 = fa.clone();
-        assert!(matches!(fa2.write_full(&fb), Err(FrameError::GeometryMismatch { .. })));
         let delta = PartialReconfig::diff(&fb, &fb).unwrap();
         let mut fa3 = fa;
         assert!(matches!(delta.apply(&mut fa3), Err(FrameError::GeometryMismatch { .. })));
@@ -1204,13 +1182,22 @@ mod tests {
 
     #[test]
     fn write_full_vs_partial_frame_counts() {
+        // Two unrelated bitstreams: the delta rewrites exactly the frames
+        // whose codewords differ, never more than a full write's
+        // `frame_count`, and leaves the device holding the target.
         let fabric = Fabric::generate(FabricConfig::fabulous_style(false), 2, 2);
         let geometry = FrameGeometry::of(&fabric);
         let base = FramedBitstream::from_flat(&fabric, &demo_flat(geometry, 3)).unwrap();
         let target = FramedBitstream::from_flat(&fabric, &demo_flat(geometry, 4)).unwrap();
-        let mut full = base.clone();
-        assert_eq!(full.write_full(&target).unwrap(), geometry.frame_count());
-        assert_eq!(full.to_flat().unwrap(), target.to_flat().unwrap());
+        let differing = geometry
+            .addresses()
+            .filter(|&a| base.frame_code(a).unwrap() != target.frame_code(a).unwrap())
+            .count();
+        assert!(differing > 1 && differing <= geometry.frame_count());
+        let mut device = base.clone();
+        let delta = PartialReconfig::diff(&device, &target).unwrap();
+        assert_eq!(delta.apply(&mut device).unwrap(), differing);
+        assert_eq!(device.to_flat().unwrap().as_bools(), target.to_flat().unwrap().as_bools());
     }
 
     #[test]

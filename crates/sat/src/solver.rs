@@ -281,6 +281,13 @@ impl Solver {
         self.assigns.len()
     }
 
+    /// Number of stored problem clauses: the input clauses kept after
+    /// normalization (units, tautologies and clauses satisfied at level 0
+    /// are not stored). Learnt clauses are not counted.
+    pub fn num_clauses(&self) -> usize {
+        self.clauses.len() - self.num_learnt
+    }
+
     /// Limits the total number of conflicts future solve calls may spend
     /// (cumulative, compared against [`SolverStats::conflicts`]); `None`
     /// removes the limit.
@@ -1124,6 +1131,23 @@ mod tests {
         assert_eq!(s.stats().learnt_clauses, 0, "input clauses are not learnt");
         s.solve();
         assert!(s.stats().learnt_clauses > 0);
+    }
+
+    #[test]
+    fn num_clauses_counts_stored_problem_clauses() {
+        let mut s = Solver::new();
+        assert_eq!(s.num_clauses(), 0);
+        pigeonhole(&mut s, 6, 5);
+        // 6 at-least-one clauses plus 5 holes x C(6, 2) at-most-one pairs.
+        assert_eq!(s.num_clauses(), 6 + 5 * 15);
+        let v = lits(&mut s, 2);
+        s.add_clause(&[Lit::pos(v[0])]); // unit: enqueued, not stored
+        s.add_clause(&[Lit::pos(v[1]), Lit::neg(v[1])]); // tautology
+        s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]); // satisfied at level 0
+        assert_eq!(s.num_clauses(), 81);
+        assert_eq!(s.solve(), SatResult::Unsat);
+        assert!(s.stats().learnt_clauses > 0);
+        assert_eq!(s.num_clauses(), 81, "learnt clauses are not counted");
     }
 
     #[test]

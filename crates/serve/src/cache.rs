@@ -51,9 +51,6 @@ pub const FLOW_VERSION: u32 = 10;
 pub struct ArtifactCache {
     root: PathBuf,
     io: Arc<dyn Io>,
-    /// Journaled stores (write-ahead intent; see [`shell_chaos::Journal`]).
-    /// On by default; `bench_chaos` turns it off to measure the overhead.
-    journaled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -62,17 +59,16 @@ pub struct ArtifactCache {
 
 impl ArtifactCache {
     /// Opens (lazily — no I/O happens until a store) a cache rooted at
-    /// `root`, on the real filesystem with journaled stores.
+    /// `root`, on the real filesystem.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        Self::with_io(root, shell_chaos::real(), true)
+        Self::with_io(root, shell_chaos::real())
     }
 
-    /// Opens a cache with an explicit [`Io`] seam and journaling choice.
-    pub fn with_io(root: impl Into<PathBuf>, io: Arc<dyn Io>, journaled: bool) -> Self {
+    /// Opens a cache with an explicit [`Io`] seam.
+    pub fn with_io(root: impl Into<PathBuf>, io: Arc<dyn Io>) -> Self {
         ArtifactCache {
             root: root.into(),
             io,
-            journaled,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -143,7 +139,8 @@ impl ArtifactCache {
         Some(payload)
     }
 
-    /// Stores `payload` under `key`, atomically (temp file + rename).
+    /// Stores `payload` under `key` as one journaled commit (write-ahead
+    /// intent, then temp file + rename).
     ///
     /// # Errors
     ///
@@ -157,11 +154,7 @@ impl ArtifactCache {
             ("payload", payload.clone()),
         ]);
         let bytes = envelope.to_string_pretty();
-        if self.journaled {
-            self.journal()?.commit(&path, bytes.as_bytes())?;
-        } else {
-            shell_chaos::atomic_write(&*self.io, &path, bytes.as_bytes())?;
-        }
+        self.journal()?.commit(&path, bytes.as_bytes())?;
         shell_trace::counter_add("cache.stores", 1);
         Ok(path)
     }
@@ -374,7 +367,7 @@ mod tests {
         for crash_at in 0..10u64 {
             let chaos = std::sync::Arc::new(ChaosIo::new(ChaosConfig::crash_at(7, crash_at)));
             let cache =
-                ArtifactCache::with_io(&root, chaos.clone() as std::sync::Arc<dyn Io>, true);
+                ArtifactCache::with_io(&root, chaos.clone() as std::sync::Arc<dyn Io>);
             let _ = cache.store(&key, &payload(2));
             // Restart: fresh cache on real IO, startup scan recovers.
             let recovered = ArtifactCache::new(&root);

@@ -35,7 +35,6 @@ use shell_util::Json;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What to run and which crash points to test.
 #[derive(Debug, Clone)]
@@ -105,40 +104,12 @@ pub struct MatrixReport {
     pub torn_states: usize,
     /// Points whose recovered payloads differed from the reference run.
     pub report_mismatches: usize,
-    /// Wall-clock of each post-crash `Server::start` (recovery included).
-    pub recovery_ms: Vec<f64>,
 }
 
 impl MatrixReport {
     /// `true` iff every tested point recovered to a consistent state.
     pub fn consistent(&self) -> bool {
         self.torn_states == 0 && self.report_mismatches == 0
-    }
-
-    /// Median recovery time, `0.0` when nothing was measured.
-    pub fn median_recovery_ms(&self) -> f64 {
-        if self.recovery_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.recovery_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        sorted[sorted.len() / 2]
-    }
-
-    /// JSON view for benchmark artifacts and the verify smoke.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("points", Json::from(self.points)),
-            ("tested_points", Json::from(self.tested_points)),
-            ("crashed_points", Json::from(self.crashed_points)),
-            ("torn_states", Json::from(self.torn_states)),
-            ("report_mismatches", Json::from(self.report_mismatches)),
-            ("median_recovery_ms", Json::from(self.median_recovery_ms())),
-            (
-                "recovery_ms",
-                Json::arr(self.recovery_ms.iter().map(|&ms| Json::from(ms))),
-            ),
-        ])
     }
 }
 
@@ -264,7 +235,6 @@ pub fn run_matrix(root: &Path, options: &MatrixOptions) -> io::Result<MatrixRepo
         crashed_points: 0,
         torn_states: 0,
         report_mismatches: 0,
-        recovery_ms: Vec::new(),
     };
     for k in (0..points).step_by(stride) {
         report.tested_points += 1;
@@ -286,7 +256,6 @@ pub fn run_matrix(root: &Path, options: &MatrixOptions) -> io::Result<MatrixRepo
 
         // Restart on the real filesystem: recovery, idempotent resubmit,
         // byte-compare against the uninterrupted reference.
-        let restarted_at = Instant::now();
         let server = match start_server(&dir, shell_chaos::real(), options.workers) {
             Ok(server) => server,
             Err(_) => {
@@ -294,9 +263,6 @@ pub fn run_matrix(root: &Path, options: &MatrixOptions) -> io::Result<MatrixRepo
                 continue;
             }
         };
-        report
-            .recovery_ms
-            .push(restarted_at.elapsed().as_secs_f64() * 1e3);
         match run_workload(&server, options) {
             Ok(payloads) if payloads == reference => {}
             _ => report.report_mismatches += 1,

@@ -80,10 +80,6 @@ pub struct ServerConfig {
     /// `SHELL_SERVE_READ_DEADLINE_MS`, defaulting to
     /// [`DEFAULT_READ_DEADLINE_MS`].
     pub read_deadline_ms: u64,
-    /// Journaled durable commits (write-ahead intent; see
-    /// [`shell_chaos::Journal`]). On by default; `bench_chaos` turns it off
-    /// to measure the journaling overhead.
-    pub journaled: bool,
 }
 
 impl ServerConfig {
@@ -96,7 +92,6 @@ impl ServerConfig {
             io: shell_chaos::real(),
             max_queue: 0,
             read_deadline_ms: 0,
-            journaled: true,
         }
     }
 }
@@ -154,9 +149,8 @@ struct Inner {
     state_dir: PathBuf,
     cache: ArtifactCache,
     io: Arc<dyn Io>,
-    /// Write-ahead intent journal governing `jobs/` and `results/` commits
-    /// (`None` when the config turned journaling off).
-    journal: Option<Journal>,
+    /// Write-ahead intent journal governing `jobs/` and `results/` commits.
+    journal: Journal,
     max_deadline_ms: Option<u64>,
     max_conflicts: Option<u64>,
     max_queue: usize,
@@ -231,14 +225,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let journal = if config.journaled {
-            Some(Journal::open(
-                config.io.clone(),
-                config.state_dir.join("journal"),
-            )?)
-        } else {
-            None
-        };
+        let journal = Journal::open(config.io.clone(), config.state_dir.join("journal"))?;
         let max_queue = if config.max_queue != 0 {
             config.max_queue
         } else {
@@ -255,11 +242,7 @@ impl Server {
                 .unwrap_or(DEFAULT_READ_DEADLINE_MS)
         };
         let inner = Arc::new(Inner {
-            cache: ArtifactCache::with_io(
-                config.state_dir.join("cache"),
-                config.io.clone(),
-                config.journaled,
-            ),
+            cache: ArtifactCache::with_io(config.state_dir.join("cache"), config.io.clone()),
             io: config.io,
             journal,
             state_dir: config.state_dir,
@@ -282,9 +265,7 @@ impl Server {
         // Recovery order matters: resolve interrupted commits first (roll
         // forward/back), then verify the cache, then rebuild the job table
         // from what survived.
-        if let Some(journal) = &inner.journal {
-            journal.recover();
-        }
+        inner.journal.recover();
         inner.cache.scan_startup();
         inner.recover_persisted_jobs();
 
@@ -412,14 +393,12 @@ impl Inner {
         }
     }
 
-    /// One durable commit: journaled when the config says so, plain atomic
-    /// write otherwise, either way under the bounded transient-retry
+    /// One journaled durable commit under the bounded transient-retry
     /// ladder.
     fn commit(&self, path: &PathBuf, bytes: &[u8]) -> std::io::Result<()> {
         let mut ladder = Vec::new();
-        with_retry(&RetryPolicy::default(), &mut ladder, || match &self.journal {
-            Some(journal) => journal.commit(path, bytes),
-            None => shell_chaos::atomic_write(&*self.io, path, bytes),
+        with_retry(&RetryPolicy::default(), &mut ladder, || {
+            self.journal.commit(path, bytes)
         })
     }
 

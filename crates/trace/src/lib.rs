@@ -11,9 +11,10 @@
 //!
 //! Instrumentation is compiled into the hot paths permanently and gated at
 //! runtime: when no tracer is installed, `span!`, [`counter_add`], and
-//! [`gauge`] cost a single relaxed atomic load (&lt;10 ns) — see
-//! `results/BENCH_trace.json`. Binaries enable it with the `SHELL_TRACE`
-//! environment variable via [`init_from_env`].
+//! [`gauge`] cost a single relaxed atomic load (&lt;10 ns, asserted by the
+//! release-only test in `tests/tests/trace_observability.rs`). Binaries
+//! enable it with the `SHELL_TRACE` environment variable via
+//! [`init_from_env`].
 //!
 //! Events from shell-exec worker threads merge deterministically: each
 //! thread records into a private shard and every event carries a

@@ -2,7 +2,7 @@
 //!
 //! The build environment is hermetic (no crates.io access), and the paper's
 //! evaluation only reproduces if every run is deterministic and
-//! self-contained. This crate supplies the four pieces the workspace used
+//! self-contained. This crate supplies the three pieces the workspace used
 //! external crates for, with exactly the API surface the repo needs:
 //!
 //! | module    | replaces    | provides                                          |
@@ -10,10 +10,9 @@
 //! | [`rng`]   | `rand`      | SplitMix64-seeded xoshiro256** ([`Rng`])          |
 //! | [`prop`]  | `proptest`  | [`forall`] seeded property harness with shrinking |
 //! | [`json`]  | `serde`     | [`Json`] value, writer and parser                 |
-//! | [`bench`](mod@bench) | `criterion` | [`Bench`] warmup+iters timer, median/p95 report   |
 //!
 //! Everything is pure `std`; there is no global state, no OS entropy, and
-//! no wall-clock input anywhere except the bench timer's `Instant` reads.
+//! no wall-clock input anywhere.
 //!
 //! # Example
 //!
@@ -36,12 +35,10 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{Bench, BenchReport};
 pub use json::{Json, MAX_PARSE_DEPTH};
 pub use prop::{forall, shrink_to_minimal, Shrink};
 pub use rng::{split_mix64, Rng};

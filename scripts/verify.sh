@@ -53,8 +53,8 @@ SHELL_JOBS=4 cargo test -q --offline
 echo "== bench_e2e package tests =="
 cargo test -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml
 
-echo "== cargo build --offline --benches --examples --bins =="
-cargo build -q --offline --benches --examples --bins
+echo "== cargo build --offline --examples --bins =="
+cargo build -q --offline --examples --bins
 
 # Documentation is part of the contract: the public-API docs must build
 # with zero warnings (broken intra-doc links are the usual regression).
@@ -171,22 +171,17 @@ rm -f results/FAULT_smoke_j1.json results/FAULT_smoke_j4.json
 echo "ok"
 
 # Bitstream smoke: the frame-addressed format must not drift from its
-# golden fixtures, and the bench must prove the SECDED contract (single
-# upsets corrected on readback, doubles detected) plus the partial-reconfig
-# win: a 1-frame-dirty delta writes strictly fewer frames than a full
-# write, confirmed by the bitstream.frames_skipped counter and a byte
-# compare of the reconfigured device against the full-write target.
-echo "== bitstream smoke: golden drift, tamper readback, partial reconfig =="
+# golden fixtures. The SECDED contract and the partial-reconfig counters
+# are unit and integration tests of the suites above.
+echo "== bitstream smoke: golden drift =="
 cargo test -q --release --offline -p xtests --test bitstream_golden
-cargo run -q --release --offline --bin bench_bitstream >/dev/null
-for verdict in roundtrip_ok tamper_corrected double_detected \
-               partial_strictly_fewer frames_skipped_confirmed; do
-    grep -q "\"$verdict\": true" results/BENCH_bitstream.json || {
-        echo "bench_bitstream verdict failed: $verdict" >&2
-        grep "\"$verdict\"" results/BENCH_bitstream.json >&2
-        exit 1
-    }
-done
+echo "ok"
+
+# Trace-overhead check: with tracing off, a probe costs under 10 ns and
+# under 2 % of a guarded solve. Timing bounds hold only in release, so
+# the test is ignored in the suites above.
+echo "== trace overhead: disabled probes, release only =="
+cargo test -q --release --offline -p xtests --test trace_observability -- --include-ignored
 echo "ok"
 
 # Shrink smoke: the cycle cut of step 8 replays a loop that rebuilt the
@@ -366,29 +361,14 @@ cmp "$serve_tmp/attack_ref.json" "$serve_tmp/attack_resumed.json" || {
 wait "$resume_pid" || true
 echo "ok"
 
-# Chaos smoke: a subset of the deterministic crash-point matrix (every
-# 7th durable commit step) at worker pools of 1 and 4 — the server is
-# killed at each selected step under injected IO faults, restarted, and
-# its recovered artifacts byte-compared against an uninterrupted run.
-# Zero torn states and zero report mismatches are the contract, and the
-# write-ahead journal must not tax warm cache hits by more than 10%.
-echo "== chaos smoke: crash-point matrix subset, journal overhead =="
-SHELL_CHAOS_STRIDE=7 cargo run -q --release --offline --bin bench_chaos >/dev/null
-grep -q '"torn_states": 0' results/BENCH_chaos.json || {
-    echo "chaos matrix left torn state on disk:" >&2
-    grep '"torn_states"' results/BENCH_chaos.json >&2
-    exit 1
-}
-grep -q '"report_mismatches": 0' results/BENCH_chaos.json || {
-    echo "chaos matrix recovery diverged from the reference:" >&2
-    grep '"report_mismatches"' results/BENCH_chaos.json >&2
-    exit 1
-}
-grep -q '"journal_overhead_ok": true' results/BENCH_chaos.json || {
-    echo "journaling taxed warm cache hits beyond the 10% bound:" >&2
-    grep '"journal_overhead"' results/BENCH_chaos.json >&2
-    exit 1
-}
+# Chaos smoke: the release-only serve_chaos test runs the deterministic
+# crash-point matrix at every 7th durable commit step at worker pools of
+# 1 and 4 — the server is killed at each selected step under injected IO
+# faults, restarted, and its recovered artifacts byte-compared against an
+# uninterrupted run. Zero torn states and zero report mismatches are the
+# contract, and a warm cache lookup must take a median under 1 ms.
+echo "== chaos smoke: crash-point matrix subset, warm cache lookup =="
+cargo test -q --release --offline -p xtests --test serve_chaos -- --include-ignored
 # Drain-mode shutdown: an idle draining server must exit on its own.
 "$serve_bin" serve --state-dir "$serve_tmp/c" --port-file "$serve_tmp/port_c" 2>/dev/null &
 drain_pid=$!

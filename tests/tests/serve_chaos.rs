@@ -2,7 +2,8 @@
 //! connection-level fault isolation (truncated frames, oversized length
 //! prefixes, mid-frame disconnects, stalled clients), admission-queue
 //! overload, drain-mode shutdown with checkpoint resume, orphaned-job
-//! recovery, and the startup cache integrity scan.
+//! recovery, and the startup cache integrity scan. A release-only test
+//! adds a denser matrix and the warm cache-hit latency bound.
 
 use shell_chaos::{ChaosConfig, ChaosIo};
 use shell_serve::{
@@ -14,7 +15,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT_MS: u64 = 120_000;
 
@@ -64,15 +65,14 @@ fn fuzz_request(seed: u64) -> JobRequest {
 
 // ---- the crash-point matrix -------------------------------------------
 
-/// The tentpole: kill-and-restart the service at a spread of durable
-/// commit steps and prove every recovery converges to the reference
-/// artifacts with zero torn states.
-#[test]
-fn crash_point_matrix_converges_to_reference_artifacts() {
-    let root = state_dir("matrix");
+/// Kills and restarts a `workers`-thread service at every `stride`-th
+/// durable commit step and proves every recovery converges to the
+/// reference artifacts with zero torn states.
+fn assert_matrix_converges(workers: usize, stride: usize) {
+    let root = state_dir(&format!("matrix_w{workers}_s{stride}"));
     let options = MatrixOptions {
-        workers: 2,
-        stride: 13,
+        workers,
+        stride,
         ..MatrixOptions::default()
     };
     let report = run_matrix(&root, &options).expect("matrix runs");
@@ -84,6 +84,46 @@ fn crash_point_matrix_converges_to_reference_artifacts() {
         "recovered artifacts diverged from the reference: {report:?}"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn crash_point_matrix_converges_to_reference_artifacts() {
+    assert_matrix_converges(2, 13);
+}
+
+/// Release only: the denser matrix at one and four workers, and the
+/// warm-hit bound. On a default (journaled) server, a cached artifact's
+/// in-process lookup (disk read, envelope parse, integrity hash) takes a
+/// median under 1 ms.
+#[test]
+#[ignore = "release only"]
+fn denser_matrix_and_warm_cache_lookup_under_1ms() {
+    assert_matrix_converges(1, 7);
+    assert_matrix_converges(4, 7);
+
+    let dir = state_dir("warm_lookup");
+    let (server, mut client) = start_with(&dir, |config| config.workers = 1);
+    let lock = JobRequest { seed: 0xBE7C4, ..JobRequest::default() };
+    let cold = client.submit(&lock).expect("submit");
+    assert!(!cold.cached, "first request must miss the cache");
+    finished_payload(&mut client, cold.id);
+    assert!(client.submit(&lock).expect("submit").cached, "repeat request must hit the cache");
+    let key = lock.resolve().expect("resolves").key;
+    let mut samples: Vec<Duration> = (0..32)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert!(server.cache().lookup(&key).is_some(), "artifact must be cached");
+            t0.elapsed()
+        })
+        .collect();
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    samples.sort_unstable();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "warm cache hit took {median:?}; the bound is 1 ms"
+    );
 }
 
 // ---- connection-level chaos -------------------------------------------
