@@ -10,8 +10,9 @@
 //!
 //! The DIP loop keeps **one persistent solver** for the whole attack: the
 //! miter is encoded once with its difference clause gated behind an
-//! activation literal, each DIP appends two IO-pinned circuit copies to the
-//! same solver, and learned clauses plus VSIDS/phase state carry across
+//! activation literal, each DIP appends two pinned circuit copies to the
+//! same solver (only the key-dependent cone left after folding the DIP's
+//! constants), and learned clauses plus VSIDS/phase state carry across
 //! iterations. Key extraction flips the activation literal on that same
 //! solver instead of building another one.
 //!
@@ -29,8 +30,9 @@
 
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::equiv::{equiv_exhaustive, equiv_random, EquivResult};
-use shell_netlist::{CellKind, NetId, Netlist};
-use shell_sat::{encode_miter_gated, encode_netlist, Lit, SatResult, Solver, Var};
+use shell_netlist::{CellId, CellKind, NetId, Netlist};
+use shell_sat::{encode_cell, encode_miter_gated, Lit, SatResult, Solver, Var};
+use shell_synth::{resolve, resolve_cell, Resolution};
 use shell_chaos::Io;
 use shell_util::Json;
 use std::path::{Path, PathBuf};
@@ -548,7 +550,7 @@ pub fn sat_attack(
 /// per-iteration checkpointing, and resume.
 ///
 /// One gated miter is encoded once; every iteration solves under the
-/// `+activation` assumption, appends the found DIP's two IO-pinned copies,
+/// `+activation` assumption, appends the found DIP's two pinned copies,
 /// and keeps all learned clauses. On resume the loop starts from iteration
 /// 0 and *replays* the checkpoint prefix: the solves re-run (deterministic,
 /// so they re-find the recorded DIPs — asserted), the recorded oracle
@@ -597,6 +599,8 @@ pub fn sat_attack_report(
     solver.set_budget(Some(options.budget.clone()));
     let miter = encode_miter_gated(&mut solver, locked, locked);
     let act = miter.activation.expect("gated miter has an activation var");
+    let mut pinner = DipPinner::new(&mut solver, locked);
+    let oracle_order = oracle.topo_order().expect("combinational cycle");
     solver.take_delta(); // encoding cost is not a DIP-solve cost
 
     let mut iterations = 0usize;
@@ -699,11 +703,17 @@ pub fn sat_attack_report(
                     );
                     recorded_response.clone()
                 } else {
-                    oracle.eval_comb(&dip)
+                    oracle.eval_comb_in_order(&oracle_order, &dip, &[])
                 };
+                let stored = solver.num_clauses();
+                pinner.fold(&dip);
                 for keys in [&miter.lhs.keys, &miter.rhs.keys] {
-                    pin_dip_copy(&mut solver, locked, keys, &dip, &response);
+                    pinner.pin(&mut solver, keys, &response);
                 }
+                shell_trace::counter_add(
+                    "attack.pin_clauses",
+                    (solver.num_clauses() - stored) as u64,
+                );
                 solver.take_delta(); // pinning propagations are not solve cost
                 dips.push((dip, response));
                 if replaying {
@@ -760,22 +770,140 @@ fn write_checkpoint(
         .map(|()| path.clone())
 }
 
-/// Appends one IO-pinned copy of `locked` (keys shared with `keys`) for the
-/// recorded `(dip, response)` pair — the step that "teaches" a key
-/// candidate set the oracle's answer.
-fn pin_dip_copy(
-    solver: &mut Solver,
-    locked: &Netlist,
-    keys: &[Var],
-    dip: &[bool],
-    response: &[bool],
-) {
-    let fresh = encode_netlist(solver, locked, None, Some(keys));
-    for (i, &v) in fresh.inputs.iter().enumerate() {
-        solver.add_clause(&[Lit::new(v, dip[i])]);
+/// The DIP-pinned circuit copies of one attack. A copy fixes every primary
+/// input to the DIP, so most of the locked netlist evaluates to constants:
+/// [`DipPinner::fold`] propagates the DIP through the netlist with the
+/// shrink step's per-cell rule ([`resolve_cell`]), in a topological order
+/// computed once per attack, and keeps the undecided cells an output depends
+/// on: the key-dependent cone. [`DipPinner::pin`] Tseitin-encodes only that
+/// cone, on one copy's key variables, and pins the outputs to the oracle's
+/// response.
+///
+/// For every key, a pinned copy is satisfiable exactly when the full copy
+/// (`encode_netlist` with every input and output pinned by a unit clause)
+/// is: a folded net carries its constant or aliased signal under every key,
+/// and an undecided cell that no output depends on only defines a fresh
+/// variable, which any assignment of its inputs can satisfy.
+struct DipPinner<'a> {
+    locked: &'a Netlist,
+    /// `locked`'s topological order.
+    order: Vec<CellId>,
+    /// Per net: what the current DIP folds it to.
+    res: Vec<Resolution>,
+    /// Per net: whether an output of the current DIP depends on it.
+    live: Vec<bool>,
+    /// The current DIP's key-dependent cone, in topological order.
+    cone: Vec<CellId>,
+    /// Per net: its variable in the copy being encoded, once it has one.
+    net_var: Vec<Option<Var>>,
+    /// Variables fixed to `false` and `true`, read by cone cells whose
+    /// inputs folded to constants.
+    consts: [Var; 2],
+    vals: Vec<Resolution>,
+    ins: Vec<Var>,
+}
+
+impl<'a> DipPinner<'a> {
+    fn new(solver: &mut Solver, locked: &'a Netlist) -> Self {
+        let consts = [false, true].map(|b| {
+            let v = solver.new_var();
+            solver.add_clause(&[Lit::new(v, b)]);
+            v
+        });
+        let nets = locked.net_count();
+        Self {
+            locked,
+            order: locked.topo_order().expect("combinational cycle"),
+            res: vec![Resolution::Unknown; nets],
+            live: vec![false; nets],
+            cone: Vec::new(),
+            net_var: vec![None; nets],
+            consts,
+            vals: Vec::new(),
+            ins: Vec::new(),
+        }
     }
-    for (o, &v) in fresh.outputs.iter().enumerate() {
-        solver.add_clause(&[Lit::new(v, response[o])]);
+
+    /// Folds `dip` through the locked netlist and collects its cone.
+    fn fold(&mut self, dip: &[bool]) {
+        let Self {
+            locked,
+            order,
+            res,
+            live,
+            cone,
+            vals,
+            ..
+        } = self;
+        res.fill(Resolution::Unknown);
+        for (&n, &b) in locked.inputs().iter().zip(dip) {
+            res[n.index()] = Resolution::Const(b);
+        }
+        cone.clear();
+        for &cid in order.iter() {
+            let c = locked.cell(cid);
+            vals.clear();
+            vals.extend(c.inputs.iter().map(|&n| resolve(res, n)));
+            match resolve_cell(c.kind, c.output, vals) {
+                Resolution::Unknown => cone.push(cid),
+                r => res[c.output.index()] = r,
+            }
+        }
+        live.fill(false);
+        let mark = |live: &mut [bool], net: NetId| {
+            if let Resolution::Alias(root) = resolve(res, net) {
+                live[root.index()] = true;
+            }
+        };
+        for (_, n) in locked.outputs() {
+            mark(live, *n);
+        }
+        for &cid in cone.iter().rev() {
+            let c = locked.cell(cid);
+            if live[c.output.index()] {
+                c.inputs.iter().for_each(|&n| mark(live, n));
+            }
+        }
+        cone.retain(|&cid| live[locked.cell(cid).output.index()]);
+    }
+
+    /// Appends one copy of the folded cone on the key variables `keys` and
+    /// pins its outputs to `response`. An output the DIP decided reads a
+    /// constant variable, so its unit clause is either already satisfied or
+    /// the empty clause: no key reproduces the oracle's answer.
+    fn pin(&mut self, solver: &mut Solver, keys: &[Var], response: &[bool]) {
+        let Self {
+            locked,
+            res,
+            cone,
+            net_var,
+            consts,
+            ins,
+            ..
+        } = self;
+        net_var.fill(None);
+        for (&n, &v) in locked.key_inputs().iter().zip(keys) {
+            net_var[n.index()] = Some(v);
+        }
+        let mut var_of = |solver: &mut Solver, net: NetId| match resolve(res, net) {
+            Resolution::Const(b) => consts[usize::from(b)],
+            Resolution::Alias(root) => {
+                *net_var[root.index()].get_or_insert_with(|| solver.new_var())
+            }
+            Resolution::Unknown => unreachable!("resolve ends at a constant or a root"),
+        };
+        for &cid in cone.iter() {
+            let c = locked.cell(cid);
+            ins.clear();
+            ins.extend(c.inputs.iter().map(|&n| var_of(solver, n)));
+            // An undecided output is its own root: this allocates its variable.
+            let out = var_of(solver, c.output);
+            encode_cell(solver, c.kind, ins, out);
+        }
+        for ((_, n), &want) in locked.outputs().iter().zip(response) {
+            let v = var_of(solver, *n);
+            solver.add_clause(&[Lit::new(v, want)]);
+        }
     }
 }
 
@@ -794,6 +922,7 @@ fn verify_key(locked: &Netlist, oracle: &Netlist, key: &[bool], vectors: usize) 
 mod tests {
     use super::*;
     use shell_netlist::LutMask;
+    use shell_util::{forall, Rng};
 
     /// The multi-DIP internal-node XOR lock, now public as
     /// [`xor_lock_cells`]; the tests keep their historical name.
@@ -1202,6 +1331,169 @@ mod tests {
         let lf = scan_frame(&locked);
         let outcome = sat_attack(&lf, &of, &SatAttackOptions::default());
         assert!(outcome.is_broken(), "{outcome:?}");
+    }
+
+    /// The oracle of the pinned copy: the pinning the DIP loop did before
+    /// [`DipPinner`], the whole locked netlist encoded on `keys` with every
+    /// input and output pinned by a unit clause.
+    fn pin_full_copy(
+        solver: &mut Solver,
+        locked: &Netlist,
+        keys: &[Var],
+        dip: &[bool],
+        response: &[bool],
+    ) {
+        let fresh = shell_sat::encode_netlist(solver, locked, None, Some(keys));
+        for (&v, &b) in fresh
+            .inputs
+            .iter()
+            .zip(dip)
+            .chain(fresh.outputs.iter().zip(response))
+        {
+            solver.add_clause(&[Lit::new(v, b)]);
+        }
+    }
+
+    fn random_bits(rng: &mut Rng, n: usize) -> Vec<bool> {
+        (0..n).map(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    /// A random small locked netlist: 1–4 primary inputs, 1–6 key inputs
+    /// and 1–12 cells (keyed XOR, MUX, AND, LUT, NOT, OR) over earlier nets.
+    /// Its 1–3 outputs read cell outputs, except that with probability 1/2
+    /// the last one reads a cell over primary inputs only, which no key
+    /// affects.
+    fn random_locked(rng: &mut Rng) -> Netlist {
+        let mut n = Netlist::new("random_locked");
+        let inputs: Vec<NetId> = (0..rng.gen_range(1..5))
+            .map(|i| n.add_input(format!("i{i}")))
+            .collect();
+        let keys: Vec<NetId> = (0..rng.gen_range(1..7))
+            .map(|i| n.add_key_input(format!("k{i}")))
+            .collect();
+        let mut nets: Vec<NetId> = inputs.iter().chain(&keys).copied().collect();
+        let mut cells = Vec::new();
+        for c in 0..rng.gen_range(1..13) {
+            let pick = |rng: &mut Rng, n: usize| -> Vec<NetId> {
+                (0..n).map(|_| nets[rng.gen_range(0..nets.len())]).collect()
+            };
+            let (kind, ins) = match rng.gen_range(0..6) {
+                0 => {
+                    let mut ins = pick(rng, 1);
+                    ins.push(keys[rng.gen_range(0..keys.len())]);
+                    (CellKind::Xor, ins)
+                }
+                1 => (CellKind::Mux2, pick(rng, 3)),
+                2 => (CellKind::And, pick(rng, 2)),
+                3 => {
+                    let k = rng.gen_range(1..4);
+                    let mask = rng.next_u64() & ((1u64 << (1 << k)) - 1);
+                    (CellKind::Lut(LutMask::new(mask, k)), pick(rng, k))
+                }
+                4 => (CellKind::Not, pick(rng, 1)),
+                _ => (CellKind::Or, pick(rng, 2)),
+            };
+            let out = n.add_cell(format!("c{c}"), kind, ins);
+            nets.push(out);
+            cells.push(out);
+        }
+        for o in 0..rng.gen_range(1..4) {
+            n.add_output(format!("o{o}"), cells[rng.gen_range(0..cells.len())]);
+        }
+        if rng.gen_bool(0.5) {
+            let a = inputs[rng.gen_range(0..inputs.len())];
+            let b = inputs[rng.gen_range(0..inputs.len())];
+            let free = n.add_cell("free", CellKind::Xor, vec![a, b]);
+            n.add_output("free", free);
+        }
+        n
+    }
+
+    /// For every key: the pinned copies are satisfiable under it, the full
+    /// copies are, and the netlist reproduces every response under it —
+    /// all three or none.
+    fn pinned_agrees_with_full_copy(
+        locked: &Netlist,
+        pairs: &[(Vec<bool>, Vec<bool>)],
+    ) -> Result<(), String> {
+        let n_keys = locked.key_inputs().len();
+        let mut pinned = Solver::new();
+        let pinned_keys: Vec<Var> = (0..n_keys).map(|_| pinned.new_var()).collect();
+        let mut pinner = DipPinner::new(&mut pinned, locked);
+        let mut full = Solver::new();
+        let full_keys: Vec<Var> = (0..n_keys).map(|_| full.new_var()).collect();
+        for (dip, response) in pairs {
+            pinner.fold(dip);
+            pinner.pin(&mut pinned, &pinned_keys, response);
+            pin_full_copy(&mut full, locked, &full_keys, dip, response);
+        }
+        for code in 0..1u32 << n_keys {
+            let key: Vec<bool> = (0..n_keys).map(|i| (code >> i) & 1 == 1).collect();
+            let under = |vars: &[Var]| -> Vec<Lit> {
+                vars.iter()
+                    .zip(&key)
+                    .map(|(&v, &b)| Lit::new(v, b))
+                    .collect()
+            };
+            let p = pinned.solve_with_assumptions(&under(&pinned_keys)) == SatResult::Sat;
+            let f = full.solve_with_assumptions(&under(&full_keys)) == SatResult::Sat;
+            let e = pairs
+                .iter()
+                .all(|(dip, response)| locked.eval_comb_with_key(dip, &key) == *response);
+            if p != f || f != e {
+                return Err(format!(
+                    "key {key:?}: pinned {p}, full {f}, evaluation {e} on {pairs:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn pinned_copy_is_equisatisfiable_with_the_full_copy_per_key() {
+        forall(
+            "pinned copy == full copy == evaluation, per key",
+            0xD1_9C0E_u64,
+            256,
+            |rng| rng.next_u64(),
+            |&seed| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let locked = random_locked(&mut rng);
+                let (n_in, n_out) = (locked.inputs().len(), locked.outputs().len());
+                let pairs: Vec<(Vec<bool>, Vec<bool>)> = (0..rng.gen_range(1..4))
+                    .map(|_| {
+                        let dip = random_bits(&mut rng, n_in);
+                        // Half the responses come from some key, so that some
+                        // keys stay consistent; the rest are arbitrary.
+                        let response = if rng.gen_bool(0.5) {
+                            let key = random_bits(&mut rng, locked.key_inputs().len());
+                            locked.eval_comb_with_key(&dip, &key)
+                        } else {
+                            random_bits(&mut rng, n_out)
+                        };
+                        (dip, response)
+                    })
+                    .collect();
+                pinned_agrees_with_full_copy(&locked, &pairs)
+            },
+        );
+    }
+
+    #[test]
+    fn key_independent_output_that_disagrees_rules_out_every_key() {
+        // o0 = i0 ^ k0 is key-dependent; o1 = i0 & i1 is decided by the DIP
+        // alone. A response that disagrees on o1 leaves no consistent key.
+        let mut locked = Netlist::new("decided");
+        let i0 = locked.add_input("i0");
+        let i1 = locked.add_input("i1");
+        let k0 = locked.add_key_input("k0");
+        let o0 = locked.add_cell("o0", CellKind::Xor, vec![i0, k0]);
+        let o1 = locked.add_cell("o1", CellKind::And, vec![i0, i1]);
+        locked.add_output("o0", o0);
+        locked.add_output("o1", o1);
+        let dip = vec![true, true];
+        pinned_agrees_with_full_copy(&locked, &[(dip.clone(), vec![false, true])]).unwrap();
+        pinned_agrees_with_full_copy(&locked, &[(dip, vec![false, false])]).unwrap();
     }
 
     #[test]

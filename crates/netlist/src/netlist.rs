@@ -545,10 +545,22 @@ impl Netlist {
     ///
     /// Panics on sequential cells, cycles, or arity mismatches.
     pub fn eval_comb_with_key(&self, pi: &[bool], key: &[bool]) -> Vec<bool> {
-        assert_eq!(pi.len(), self.inputs.len(), "primary input width mismatch");
-        assert_eq!(key.len(), self.key_inputs.len(), "key width mismatch");
         assert!(self.is_combinational(), "netlist has sequential cells");
         let order = self.topo_order().expect("combinational cycle");
+        self.eval_comb_in_order(&order, pi, key)
+    }
+
+    /// [`Netlist::eval_comb_with_key`] with the cell order given: `order`
+    /// must be this netlist's [`Netlist::topo_order`]. A caller that
+    /// evaluates one combinational netlist many times computes the order
+    /// once and passes it here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on arity mismatches.
+    pub fn eval_comb_in_order(&self, order: &[CellId], pi: &[bool], key: &[bool]) -> Vec<bool> {
+        assert_eq!(pi.len(), self.inputs.len(), "primary input width mismatch");
+        assert_eq!(key.len(), self.key_inputs.len(), "key width mismatch");
         let mut values = vec![false; self.nets.len()];
         for (i, &net) in self.inputs.iter().enumerate() {
             values[net.index()] = pi[i];

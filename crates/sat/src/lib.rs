@@ -41,4 +41,4 @@ pub mod tseitin;
 pub use cnf::{Cnf, Lit, Var};
 pub use miter::{constrain_some_output_differs, encode_miter, encode_miter_gated, Miter};
 pub use solver::{SatResult, Solver, SolverStats};
-pub use tseitin::{encode_netlist, CircuitCnf};
+pub use tseitin::{encode_cell, encode_netlist, CircuitCnf};

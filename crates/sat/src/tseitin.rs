@@ -138,8 +138,14 @@ pub fn encode_netlist(
     }
 }
 
-/// Emits the CNF constraint `out = kind(ins)` into `solver`.
-fn encode_cell(solver: &mut Solver, kind: CellKind, ins: &[Var], out: Var) {
+/// Emits the CNF constraint `out = kind(ins)` into `solver`: the per-cell
+/// rule of [`encode_netlist`], public for encoders that choose their own
+/// cells and variables (the SAT attack's DIP-pinned copies).
+///
+/// # Panics
+///
+/// Panics on sequential kinds.
+pub fn encode_cell(solver: &mut Solver, kind: CellKind, ins: &[Var], out: Var) {
     let o = Lit::pos(out);
     match kind {
         CellKind::And | CellKind::Nand => {

@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// that can alter an artifact for an unchanged request (solver heuristics,
 /// PnR cost functions, report schemas, …) — stale entries then miss by
 /// construction because the version is part of the key path.
-pub const FLOW_VERSION: u32 = 10;
+pub const FLOW_VERSION: u32 = 11;
 
 /// A content-addressed, self-verifying, atomically-published artifact
 /// store. Thread-safe: all mutation is file-level (atomic rename) and the

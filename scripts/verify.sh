@@ -225,6 +225,28 @@ for counter in 'place.moves 486400' 'pnr.fit_attempts 26' \
 done
 echo "ok"
 
+# Attack smoke: one traced `attack_dip` run of the benchmark. Every attack
+# must recover its planted unique key (point lock plus output-XOR lock on
+# the PicoSoC, FIR, SPMV and DLA frames; a wrong or missing key counts in
+# `failed`), and every pass must take exactly 512 DIPs over its four
+# attacks.
+echo "== attack smoke: one traced attack_dip run, planted keys, DIP count =="
+cargo run --release -q --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml -- \
+    --workload attack_dip --seconds 1 --trace 1 --out "$lock_tmp" >/dev/null
+grep -q '"failed": 0' "$lock_tmp/attack_dip.traced.json" || {
+    echo "attack smoke: an attack missed its planted key:" >&2
+    grep '"failed"' "$lock_tmp/attack_dip.traced.json" >&2
+    exit 1
+}
+all=$(grep -cE '"attack\.dips": [0-9]' "$lock_tmp/attack_dip.traced.json" || true)
+same=$(grep -cE '"attack\.dips": 512,?$' "$lock_tmp/attack_dip.traced.json" || true)
+if [ "$all" -eq 0 ] || [ "$all" -ne "$same" ]; then
+    echo "attack smoke: per-pass attack.dips is not 512:" >&2
+    grep -E '"attack\.dips": ' "$lock_tmp/attack_dip.traced.json" >&2
+    exit 1
+fi
+echo "ok"
+
 # PnR golden: what place and route produce on the lock corpus (key widths
 # and bitstream and locked-netlist digests) must not drift. Release only.
 echo "== PnR golden: lock corpus digests =="
@@ -327,8 +349,9 @@ ref_id=$(serve_id "$("$serve_bin" submit "${port_flag[@]}" "$attack_req")")
 wait "$serve_pid" || true
 
 # ... then the same request on a fresh server that aborts itself after
-# 200 solver conflicts (a few of this attack's 9 DIP iterations),
-# leaving the pending job and its DIP checkpoint on disk.
+# 200 solver conflicts (this attack takes 11 DIP iterations and 771
+# conflicts; the abort lands after the 7th), leaving the pending job and
+# its DIP checkpoint on disk.
 SHELL_SERVE_CRASH_AFTER_CONFLICTS=200 "$serve_bin" serve \
     --state-dir "$serve_tmp/b" --port-file "$serve_tmp/port_b" 2>/dev/null &
 crash_pid=$!
