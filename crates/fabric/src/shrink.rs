@@ -105,27 +105,33 @@ pub struct CycleCut {
 /// That loop would rebuild the whole netlist after every step. This
 /// function replays it exactly and builds a netlist once, at the end: the
 /// input netlist stays fixed except for the appended constant cells, net
-/// resolutions accumulate across steps, and each propagation re-evaluates
-/// only the cells a cut can change (see DESIGN.md, "Shrinking"). The
-/// rebuilding loop itself is kept in the test crate as the oracle.
+/// resolutions accumulate across steps, each propagation re-evaluates only
+/// the cells a cut can change, and the cell graph Tarjan runs on is kept
+/// across steps, moving each cut pin's edge unless the propagation resolved
+/// more than the cut constants (see DESIGN.md, "Shrinking"). The rebuilding
+/// loop itself is kept in the test crate as the oracle.
 pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
     debug_assert_eq!(true_key.len(), netlist.key_inputs().len());
-    let steps = netlist.cell_count().max(1);
+    let max_steps = netlist.cell_count().max(1);
     let mut replay = Replay::new(netlist, true_key);
     let mut cuts = Vec::new();
-    for _ in 0..steps {
+    let mut steps = 0u64;
+    for _ in 0..max_steps {
+        steps += 1;
         let Some(picked) = replay.pick_cuts() else {
             break; // acyclic
         };
         if picked.is_empty() {
             break; // nothing safely cuttable; report cycles as-is
         }
-        for (cell, pin) in picked {
-            cuts.push((replay.netlist.cell(cell).name.clone(), pin));
-            replay.cut(cell, pin);
+        for cut in &picked {
+            cuts.push((replay.netlist.cell(cut.cell).name.clone(), cut.pin));
+            replay.cut(cut.cell, cut.pin);
         }
-        replay.propagate();
+        let resolved = replay.propagate();
+        replay.update_graph(&picked, resolved);
     }
+    shell_trace::counter_add("shrink.steps", steps);
     shell_trace::counter_add("shrink.cycle_cuts", cuts.len() as u64);
     let netlist = if cuts.is_empty() {
         replay.netlist
@@ -138,6 +144,39 @@ pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
         netlist
     };
     CycleCut { netlist, cuts }
+}
+
+/// One cut a step picks: `pin` of `cell`, read from cell-graph node `driver`.
+struct Cut {
+    cell: CellId,
+    pin: usize,
+    driver: NodeId,
+}
+
+/// The cell-graph nodes of the `tie0` and `tie1` cells; cell `i` is node
+/// `i + 2`.
+const TIES: [NodeId; 2] = [NodeId(0), NodeId(1)];
+
+fn node(cell: CellId) -> NodeId {
+    NodeId(cell.0 + 2)
+}
+
+fn cell_of(node: NodeId) -> Option<CellId> {
+    node.0.checked_sub(2).map(CellId)
+}
+
+/// The cell-graph node driving a pin whose net resolves to `r`: a tie for a
+/// constant, else the net's driver unless that is sequential.
+fn driver(netlist: &Netlist, r: Resolution) -> Option<NodeId> {
+    match r {
+        Resolution::Const(v) => Some(TIES[v as usize]),
+        Resolution::Alias(root) => netlist
+            .net(root)
+            .driver
+            .filter(|&d| !netlist.cell(d).kind.is_sequential())
+            .map(node),
+        Resolution::Unknown => unreachable!("resolve never returns Unknown"),
+    }
 }
 
 /// The state [`defender_cycle_cut`] carries instead of a rebuilt netlist.
@@ -161,6 +200,17 @@ struct Replay {
     dirty: BTreeSet<CellId>,
     /// Per net: the true-key value of a key input.
     key_value: Vec<Option<bool>>,
+    /// The rebuilt netlist's combinational cell graph, the one the
+    /// rebuilding loop runs Tarjan on: per node, one entry per input pin of
+    /// a combinational kept cell that the node drives, sorted by reader. So
+    /// each list is in reader order, then pin order, and the entries of one
+    /// reader are equal and adjacent.
+    succ: Vec<Vec<NodeId>>,
+    /// The rebuilt netlist's cells, in order, without the ties.
+    kept: Vec<CellId>,
+    /// Per constant: the first (cell, pin) of `kept` reading it, before
+    /// which the rebuilt netlist has its tie cell.
+    tie_reader: [Option<(CellId, usize)>; 2],
 }
 
 impl Replay {
@@ -175,7 +225,7 @@ impl Replay {
         for (&k, &v) in netlist.key_inputs().iter().zip(true_key) {
             key_value[k.index()] = Some(v);
         }
-        Replay {
+        let mut replay = Replay {
             res: vec![Resolution::Unknown; netlist.net_count()],
             aliased_by: vec![Vec::new(); netlist.net_count()],
             // A fresh propagation evaluates every cell in its first round.
@@ -183,34 +233,109 @@ impl Replay {
             readers,
             key_value,
             netlist,
+            succ: Vec::new(),
+            kept: Vec::new(),
+            tie_reader: [None, None],
+        };
+        replay.build_graph();
+        replay
+    }
+
+    /// Builds the cell graph from the netlist and the resolutions.
+    fn build_graph(&mut self) {
+        let Replay {
+            netlist,
+            res,
+            succ,
+            kept,
+            tie_reader,
+            ..
+        } = self;
+        succ.resize_with(netlist.cell_count() + TIES.len(), Vec::new);
+        succ.iter_mut().for_each(Vec::clear);
+        kept.clear();
+        *tie_reader = [None, None];
+        for (id, c) in netlist.cells() {
+            let sequential = c.kind.is_sequential();
+            if !sequential && res[c.output.index()] != Resolution::Unknown {
+                continue;
+            }
+            kept.push(id);
+            for (pin, &n) in c.inputs.iter().enumerate() {
+                let r = resolve(res, n);
+                if let Resolution::Const(v) = r {
+                    tie_reader[v as usize].get_or_insert((id, pin));
+                }
+                if let Some(d) = driver(netlist, r).filter(|_| !sequential) {
+                    succ[d.index()].push(node(id));
+                }
+            }
         }
+    }
+
+    /// Brings the cell graph up to date after a step's `cuts` and a
+    /// propagation that resolved `resolved` cells. The cut constants always
+    /// resolve; when nothing else did, each cut pin reads constant 0 now and
+    /// its entry moves from its old driver's list to `tie0`'s. Any other
+    /// resolution drops a node and redirects its readers, so the graph is
+    /// built again.
+    fn update_graph(&mut self, cuts: &[Cut], resolved: usize) {
+        if resolved > cuts.len() {
+            self.build_graph();
+            return;
+        }
+        for cut in cuts {
+            let reader = node(cut.cell);
+            let from = &mut self.succ[cut.driver.index()];
+            let at = from.partition_point(|&r| r < reader);
+            debug_assert_eq!(from.get(at), Some(&reader));
+            from.remove(at);
+            let to = &mut self.succ[TIES[0].index()];
+            to.insert(to.partition_point(|&r| r < reader), reader);
+            let first = &mut self.tie_reader[0];
+            if first.is_none_or(|f| (cut.cell, cut.pin) < f) {
+                *first = Some((cut.cell, cut.pin));
+            }
+        }
+    }
+
+    /// The rebuilt netlist's cells as DFS roots, in its cell order: the kept
+    /// cells, each tie right before its first reader, and two ties before
+    /// one cell in that cell's pin order.
+    fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let mut ties = [0, 1].map(|v| (self.tie_reader[v], TIES[v]));
+        ties.sort_unstable();
+        self.kept.iter().flat_map(move |&cell| {
+            ties.into_iter()
+                .filter(move |(r, _)| r.is_some_and(|(c, _)| c == cell))
+                .map(|(_, tie)| tie)
+                .chain(std::iter::once(node(cell)))
+        })
     }
 
     /// The step's cuts: `None` when the rebuilt netlist is acyclic, else
     /// the first cuttable pin of each cyclic component, in component order.
-    fn pick_cuts(&self) -> Option<Vec<(CellId, usize)>> {
-        let graph = CellGraph::new(self);
+    fn pick_cuts(&self) -> Option<Vec<Cut>> {
         let mut cyclic = false;
         let mut picked = Vec::new();
-        let mut member = vec![false; graph.cells.len()];
+        let mut member = vec![false; self.succ.len()];
         for_each_scc(
-            graph.cells.len(),
-            |u| graph.successors(u),
+            self.succ.len(),
+            self.roots(),
+            |u| self.succ[u.index()].as_slice(),
             |comp| {
-                if comp.len() == 1 && !graph.successors(comp[0]).contains(&comp[0]) {
+                if comp.len() == 1 && !self.succ[comp[0].index()].contains(&comp[0]) {
                     return;
                 }
                 cyclic = true;
                 comp.iter().for_each(|n| member[n.index()] = true);
                 let cut = comp.iter().find_map(|&node| {
-                    let cell = graph.cells[node.index()]?;
+                    let cell = cell_of(node)?;
                     let inputs = &self.netlist.cell(cell).inputs;
-                    let pin = self.dead_pins(cell).into_iter().find(|&pin| {
-                        graph
-                            .driver(self, inputs[pin])
-                            .is_some_and(|d| member[d.index()])
-                    })?;
-                    Some((cell, pin))
+                    self.dead_pins(cell).find_map(|pin| {
+                        let driver = driver(&self.netlist, resolve(&self.res, inputs[pin]))?;
+                        member[driver.index()].then_some(Cut { cell, pin, driver })
+                    })
                 });
                 picked.extend(cut);
                 comp.iter().for_each(|n| member[n.index()] = false);
@@ -219,43 +344,42 @@ impl Replay {
         cyclic.then_some(picked)
     }
 
-    /// Data pins of a key-selected mux that the true key never selects: one
-    /// of a `Mux2`; two of a `Mux4` with one keyed select, three with two.
-    /// Empty for any other cell.
-    fn dead_pins(&self, cell: CellId) -> Vec<usize> {
+    /// Data pins of a key-selected mux that the true key never selects, in
+    /// pin order: one of a `Mux2`; two of a `Mux4` with one keyed select,
+    /// three with two. None for any other cell.
+    fn dead_pins(&self, cell: CellId) -> impl Iterator<Item = usize> {
         let c = self.netlist.cell(cell);
         let key = |pin: usize| match resolve(&self.res, c.inputs[pin]) {
             Resolution::Alias(n) => self.key_value.get(n.index()).copied().flatten(),
             _ => None,
         };
-        match c.kind {
+        // Bit `p` set: pin `p` is dead.
+        let dead: u8 = match c.kind {
             CellKind::Mux2 => match key(0) {
-                Some(kv) => vec![if kv { 1 } else { 2 }],
-                None => vec![],
+                Some(kv) => 1 << if kv { 1 } else { 2 },
+                None => 0,
             },
             CellKind::Mux4 => match (key(0), key(1)) {
-                (Some(h), Some(l)) => {
-                    let live = 2 + ((h as usize) << 1) + l as usize;
-                    (2..6).filter(|&p| p != live).collect()
-                }
+                (Some(h), Some(l)) => 0b11_1100 & !(1 << (2 + ((h as u8) << 1) + l as u8)),
                 (Some(h), None) => {
                     if h {
-                        vec![2, 3]
+                        0b00_1100
                     } else {
-                        vec![4, 5]
+                        0b11_0000
                     }
                 }
                 (None, Some(l)) => {
                     if l {
-                        vec![2, 4]
+                        0b01_0100
                     } else {
-                        vec![3, 5]
+                        0b10_1000
                     }
                 }
-                (None, None) => vec![],
+                (None, None) => 0,
             },
-            _ => vec![],
-        }
+            _ => 0,
+        };
+        (1..6).filter(move |&pin| dead >> pin & 1 == 1)
     }
 
     /// Ties `pin` of `cell` to a new constant-0 cell appended at the end,
@@ -289,16 +413,18 @@ impl Replay {
     /// evaluate the same, so only the others are evaluated: later in the
     /// same round when they come after the change, in the next otherwise.
     /// What the round cap leaves pending opens the next propagation.
-    fn propagate(&mut self) {
+    /// Returns how many cells it resolved.
+    fn propagate(&mut self) -> usize {
         let mut this_round = std::mem::take(&mut self.dirty);
         let mut next_round = BTreeSet::new();
+        let mut resolved = 0;
         for _ in 0..CYCLIC_PROPAGATION_ROUNDS {
-            let mut changed = false;
+            let resolved_before = resolved;
             while let Some(cell) = this_round.pop_first() {
                 let Some(out) = self.evaluate(cell) else {
                     continue;
                 };
-                changed = true;
+                resolved += 1;
                 // Readers of `out` and of every net aliased to it see a
                 // new value.
                 let mut nets = vec![out];
@@ -313,12 +439,13 @@ impl Replay {
                     nets.extend_from_slice(&self.aliased_by[net.index()]);
                 }
             }
-            if !changed {
+            if resolved == resolved_before {
                 break;
             }
             std::mem::swap(&mut this_round, &mut next_round);
         }
         self.dirty = this_round;
+        resolved
     }
 
     /// Applies the per-cell rule to `cell`; returns its output net when
@@ -338,101 +465,6 @@ impl Replay {
             }
         }
         None
-    }
-}
-
-/// The combinational cell graph of the rebuilt netlist, in flat arrays: one
-/// node per kept cell or tie cell, in the rebuilt netlist's cell order, and
-/// an edge from the driver of every input pin of a combinational cell, in
-/// reader order then pin order — the graph the rebuilding loop ran Tarjan
-/// on, node for node and edge for edge.
-struct CellGraph {
-    /// Node → the cell it stands for; `None` for a tie cell.
-    cells: Vec<Option<CellId>>,
-    /// Cell → its node, for kept cells.
-    node_of: Vec<Option<NodeId>>,
-    /// The `tie0` and `tie1` nodes.
-    ties: [Option<NodeId>; 2],
-    /// `succ[start[u]..start[u + 1]]` are the successors of node `u`.
-    start: Vec<usize>,
-    succ: Vec<NodeId>,
-}
-
-impl CellGraph {
-    fn new(replay: &Replay) -> CellGraph {
-        let netlist = &replay.netlist;
-        let mut g = CellGraph {
-            cells: Vec::new(),
-            node_of: vec![None; netlist.cell_count()],
-            ties: [None, None],
-            start: Vec::new(),
-            succ: Vec::new(),
-        };
-        for (id, c) in netlist.cells() {
-            let kept =
-                c.kind.is_sequential() || replay.res[c.output.index()] == Resolution::Unknown;
-            if !kept {
-                continue;
-            }
-            for &n in &c.inputs {
-                if let Resolution::Const(v) = resolve(&replay.res, n) {
-                    if g.ties[v as usize].is_none() {
-                        g.ties[v as usize] = Some(NodeId(g.cells.len() as u32));
-                        g.cells.push(None);
-                    }
-                }
-            }
-            g.node_of[id.index()] = Some(NodeId(g.cells.len() as u32));
-            g.cells.push(Some(id));
-        }
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (node, cell) in g.cells.iter().enumerate() {
-            let Some(cell) = cell else { continue };
-            let c = netlist.cell(*cell);
-            if c.kind.is_sequential() {
-                continue;
-            }
-            for &n in &c.inputs {
-                if let Some(driver) = g.driver(replay, n) {
-                    edges.push((driver, NodeId(node as u32)));
-                }
-            }
-        }
-        // Counting sort by driver keeps each list in reader order.
-        g.start = vec![0; g.cells.len() + 1];
-        for &(d, _) in &edges {
-            g.start[d.index() + 1] += 1;
-        }
-        for i in 0..g.cells.len() {
-            g.start[i + 1] += g.start[i];
-        }
-        let mut fill = g.start.clone();
-        g.succ = vec![NodeId(0); edges.len()];
-        for (d, r) in edges {
-            g.succ[fill[d.index()]] = r;
-            fill[d.index()] += 1;
-        }
-        g
-    }
-
-    fn successors(&self, u: NodeId) -> &[NodeId] {
-        &self.succ[self.start[u.index()]..self.start[u.index() + 1]]
-    }
-
-    /// The combinational node driving a pin that reads `net`, if any.
-    fn driver(&self, replay: &Replay, net: NetId) -> Option<NodeId> {
-        match resolve(&replay.res, net) {
-            Resolution::Const(v) => self.ties[v as usize],
-            Resolution::Alias(root) => {
-                let d = replay.netlist.net(root).driver?;
-                if replay.netlist.cell(d).kind.is_sequential() {
-                    None
-                } else {
-                    self.node_of[d.index()]
-                }
-            }
-            Resolution::Unknown => unreachable!("resolve never returns Unknown"),
-        }
     }
 }
 

@@ -26,6 +26,7 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
     let mut components = Vec::new();
     for_each_scc(
         g.node_count(),
+        (0..g.node_count() as u32).map(NodeId),
         |u| g.successors(u),
         |comp| components.push(comp.to_vec()),
     );
@@ -34,12 +35,14 @@ pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
 
 /// Tarjan's algorithm over the nodes `0..n` of a graph given by its
 /// successor lists, for callers that keep their own flat adjacency instead
-/// of a [`DiGraph`]. Roots are tried in index order and successors in list
-/// order. `visit` receives each component as it completes: in reverse
-/// topological order of the condensation, each one's nodes in the order
-/// they leave the Tarjan stack (its DFS root last).
+/// of a [`DiGraph`]. A DFS starts from each of `roots` in turn that no
+/// earlier one reached, so nodes no root reaches are left out; successors
+/// are tried in list order. `visit` receives each component as it
+/// completes: in reverse topological order of the condensation, each one's
+/// nodes in the order they leave the Tarjan stack (its DFS root last).
 pub fn for_each_scc<'a>(
     n: usize,
+    roots: impl IntoIterator<Item = NodeId>,
     successors: impl Fn(NodeId) -> &'a [NodeId],
     mut visit: impl FnMut(&[NodeId]),
 ) {
@@ -49,14 +52,15 @@ pub fn for_each_scc<'a>(
     let mut on_stack = vec![false; n];
     let mut stack: Vec<NodeId> = Vec::new();
     let mut comp: Vec<NodeId> = Vec::new();
+    // Iterative Tarjan: frame = (node, next successor position).
+    let mut call: Vec<(NodeId, usize)> = Vec::new();
     let mut next_index = 0u32;
 
-    // Iterative Tarjan: frame = (node, next successor position).
-    for root in (0..n as u32).map(NodeId) {
+    for root in roots {
         if index[root.index()] != UNSET {
             continue;
         }
-        let mut call: Vec<(NodeId, usize)> = vec![(root, 0)];
+        call.push((root, 0));
         while let Some(&mut (u, ref mut pos)) = call.last_mut() {
             if *pos == 0 {
                 index[u.index()] = next_index;
@@ -188,6 +192,39 @@ mod tests {
         assert_eq!(info.cyclic_components.len(), 2);
         assert_eq!(info.nodes_in_cycles, 4);
         assert_eq!(strongly_connected_components(&g).len(), 3);
+    }
+
+    #[test]
+    fn components_and_members_come_in_documented_order() {
+        // A = {0, 1, 2} with a duplicate edge 1 -> 2, a bridge 2 -> 3 into
+        // singleton 3, then B = {4, 5}; 6 only feeds A.
+        let succ: Vec<Vec<NodeId>> = [&[1][..], &[2, 2], &[0, 3], &[4], &[5], &[4], &[0]]
+            .iter()
+            .map(|s| s.iter().map(|&v| NodeId(v)).collect())
+            .collect();
+        let run = |roots: &[u32]| {
+            let mut comps: Vec<Vec<u32>> = Vec::new();
+            for_each_scc(
+                succ.len(),
+                roots.iter().map(|&r| NodeId(r)),
+                |u| &succ[u.index()],
+                |comp| comps.push(comp.iter().map(|n| n.0).collect()),
+            );
+            comps
+        };
+        // Reverse topological order of the condensation; within a
+        // component, stack-pop order with the DFS root last, so the root
+        // order decides A's member order.
+        assert_eq!(
+            run(&[3, 1, 6, 0, 2, 4, 5]),
+            vec![vec![5, 4], vec![3], vec![0, 2, 1], vec![6]]
+        );
+        assert_eq!(
+            run(&[0, 1, 2, 3, 4, 5, 6]),
+            vec![vec![5, 4], vec![3], vec![2, 1, 0], vec![6]]
+        );
+        // A node no root reaches is left out.
+        assert_eq!(run(&[3, 1]), vec![vec![5, 4], vec![3], vec![0, 2, 1]]);
     }
 
     #[test]

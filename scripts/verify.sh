@@ -184,10 +184,11 @@ echo "== trace overhead: disabled probes, release only =="
 cargo test -q --release --offline -p xtests --test trace_observability -- --include-ignored
 echo "ok"
 
-# Shrink smoke: the cycle cut of step 8 replays a loop that rebuilt the
-# netlist after every cut; the differential test checks the replay against
-# that loop (kept in the test crate as the oracle) on random fabrics, a
-# hand-built round-cap case and, in release only, the whole lock corpus.
+# Shrink smoke: the cycle cut of step 8 keeps one netlist, its net
+# resolutions and its cell graph across cut steps; the differential test
+# checks its cuts and netlist against the rebuild-per-cut loop (kept in the
+# test crate as the oracle) on random fabrics, hand-built cases and, in
+# release only, the whole lock corpus.
 # Then one traced `lock` pass of the benchmark puts every corpus design
 # through the flow under the benchmark's own checks (activation
 # equivalence, framed readback, key widths) and must lock each design to
@@ -211,7 +212,8 @@ done
 # says so in CHANGES.md.
 for counter in 'place.moves 486400' 'pnr.fit_attempts 26' \
                'route.spfa_relaxations 4613471' 'synth.cuts 78' \
-               'shrink.cycle_cuts 4055' 'lock.ladder_attempts 6'; do
+               'shrink.cycle_cuts 4055' 'shrink.steps 4044' \
+               'lock.ladder_attempts 6'; do
     name=${counter% *}
     want=${counter#* }
     key="\"${name//./\\.}\": "

@@ -326,3 +326,73 @@ fn replay_matches_oracle_past_the_round_cap() {
     assert!(kept("u1") && !kept("and"), "cyclic result, alias followed");
     assert_eq!(matches_oracle(&netlist, &key), Ok(2));
 }
+
+/// Keyed mux `m` reads `d` through both data pins, and the true key leaves
+/// the lower one dead. Step 1 cuts that pin, and its propagation resolves
+/// nothing but the cut constant, so `d → m` must stay in the graph once,
+/// for the live pin: ring `m2 → d → m → m2` stays cyclic and step 2 cuts
+/// `m2`. Without that edge the replay would stop after one cut.
+fn one_driver_two_pins() -> (Netlist, Vec<bool>) {
+    let mut n = Netlist::new("one_driver_two_pins");
+    let a = n.add_input("a");
+    let km = n.add_key_input("km");
+    let k2 = n.add_key_input("k2");
+    let m = n.add_net("m");
+    let m2 = n.add_cell("m2", CellKind::Mux2, vec![k2, a, m]);
+    let d = n.add_cell("d", CellKind::And, vec![m2, a]);
+    n.add_cell_driving("m", CellKind::Mux2, vec![km, d, d], m)
+        .unwrap();
+    n.add_output("f", m);
+    (n, vec![true, false])
+}
+
+#[test]
+fn replay_matches_oracle_when_one_driver_feeds_two_pins() {
+    let (netlist, key) = one_driver_two_pins();
+    let (_, cuts) = oracle_cycle_cut(netlist.clone(), &key);
+    assert_eq!(cuts, vec![("m".to_string(), 1), ("m2".to_string(), 2)]);
+    assert_eq!(matches_oracle(&netlist, &key), Ok(2));
+}
+
+/// Cell `c` reads constant 1 on its lower data pin and constant 0 on its
+/// higher one, so from step 2 on the rebuilt netlist has `tie1`, then
+/// `tie0`, right before `c`, and Tarjan starts from `tie1`. `c` leads
+/// nowhere; `tie1` then enters ring `x0 ↔ x1` at `x1`, which makes `x0` the
+/// ring's first member and its pin the cut. Entered from `tie0`, at `x0`,
+/// the ring would lose `x1`'s pin instead. The ring's selects reach their
+/// keys through buffers, so step 1 cannot cut it; self-loop `s` gives step 1
+/// its cut, and that step's propagation resolves the buffers and constants.
+fn both_ties_before_one_cell() -> (Netlist, Vec<bool>) {
+    let mut n = Netlist::new("both_ties_before_one_cell");
+    let a = n.add_input("a");
+    let kc = n.add_key_input("kc");
+    let k0 = n.add_key_input("k0");
+    let k1 = n.add_key_input("k1");
+    let ks = n.add_key_input("ks");
+    let one = n.add_cell("one", CellKind::Const(true), vec![]);
+    let zero = n.add_cell("zero", CellKind::Const(false), vec![]);
+    let c = n.add_cell("c", CellKind::Mux2, vec![kc, one, zero]);
+    let b0 = n.add_cell("b0", CellKind::Buf, vec![k0]);
+    let b1 = n.add_cell("b1", CellKind::Buf, vec![k1]);
+    let x0 = n.add_net("x0");
+    let x1 = n.add_net("x1");
+    n.add_cell_driving("x0", CellKind::Mux2, vec![b0, zero, x1], x0)
+        .unwrap();
+    n.add_cell_driving("x1", CellKind::Mux2, vec![b1, one, x0], x1)
+        .unwrap();
+    let s = n.add_net("s");
+    n.add_cell_driving("s", CellKind::Mux2, vec![ks, a, s], s)
+        .unwrap();
+    n.add_output("c", c);
+    n.add_output("x", x1);
+    n.add_output("s", s);
+    (n, vec![false; 4])
+}
+
+#[test]
+fn replay_matches_oracle_with_both_ties_before_one_cell() {
+    let (netlist, key) = both_ties_before_one_cell();
+    let (_, cuts) = oracle_cycle_cut(netlist.clone(), &key);
+    assert_eq!(cuts, vec![("s".to_string(), 2), ("x0".to_string(), 2)]);
+    assert_eq!(matches_oracle(&netlist, &key), Ok(2));
+}
