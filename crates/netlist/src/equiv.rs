@@ -154,22 +154,38 @@ fn report(inputs: Vec<bool>, lhs: Vec<bool>, rhs: Vec<bool>) -> EquivResult {
     EquivResult::Counterexample { inputs, lhs, rhs }
 }
 
-/// Compares the designs on one combinational pattern, reporting through the
-/// shared path on mismatch.
-fn compare_pattern(
+/// Compares the designs on each combinational pattern in turn, reporting
+/// the first mismatch through the shared path. Each netlist's topological
+/// order is computed once, before the first pattern; with no patterns
+/// nothing is evaluated. Returns the outcome and the patterns compared.
+///
+/// # Panics
+///
+/// Panics on a combinational cycle.
+fn compare_patterns(
     a: &Netlist,
     b: &Netlist,
     lhs_key: &[bool],
     rhs_key: &[bool],
-    pattern: &[bool],
-) -> Option<EquivResult> {
-    let lhs = a.eval_comb_with_key(pattern, lhs_key);
-    let rhs = b.eval_comb_with_key(pattern, rhs_key);
-    if lhs != rhs {
-        Some(report(pattern.to_vec(), lhs, rhs))
-    } else {
-        None
+    patterns: impl Iterator<Item = Vec<bool>>,
+) -> (EquivResult, usize) {
+    let mut orders = None;
+    let mut compared = 0;
+    for pattern in patterns {
+        let (order_a, order_b) = orders.get_or_insert_with(|| {
+            (
+                a.topo_order().expect("combinational cycle"),
+                b.topo_order().expect("combinational cycle"),
+            )
+        });
+        compared += 1;
+        let lhs = a.eval_comb_in_order(order_a, &pattern, lhs_key);
+        let rhs = b.eval_comb_in_order(order_b, &pattern, rhs_key);
+        if lhs != rhs {
+            return (report(pattern, lhs, rhs), compared);
+        }
     }
+    (EquivResult::Equivalent, compared)
 }
 
 /// Runs the selected equivalence [`Method`] on a pair of designs.
@@ -191,60 +207,68 @@ pub fn equiv(
     rhs_key: &[bool],
     method: Method,
 ) -> EquivResult {
+    equiv_counted(a, b, lhs_key, rhs_key, method).0
+}
+
+/// [`equiv`], also returning how much it compared: input patterns for the
+/// combinational methods, clock cycles for [`Method::SequentialRandom`],
+/// and 0 for [`Method::Sat`] and for an incomparable pair. A mismatch ends
+/// the check, so a counterexample counts up to the pattern or cycle that
+/// produced it.
+///
+/// # Panics
+///
+/// As [`equiv`].
+pub fn equiv_counted(
+    a: &Netlist,
+    b: &Netlist,
+    lhs_key: &[bool],
+    rhs_key: &[bool],
+    method: Method,
+) -> (EquivResult, usize) {
     if let Some(bad) = shape_check(a, b, lhs_key, rhs_key) {
-        return bad;
+        return (bad, 0);
     }
+    let n = a.inputs().len();
     match method {
         Method::Exhaustive => {
-            let n = a.inputs().len();
             assert!(n <= 22, "exhaustive equivalence limited to 22 inputs");
             assert!(a.is_combinational() && b.is_combinational());
             // n == 0 still walks the single empty pattern: two constant
             // circuits are compared on their (only) evaluation.
-            let mut pattern = vec![false; n];
-            for bits in 0..(1u64 << n) {
-                for (i, p) in pattern.iter_mut().enumerate() {
-                    *p = (bits >> i) & 1 == 1;
-                }
-                if let Some(cex) = compare_pattern(a, b, lhs_key, rhs_key, &pattern) {
-                    return cex;
-                }
-            }
-            EquivResult::Equivalent
+            let patterns =
+                (0..(1u64 << n)).map(|bits| (0..n).map(|i| (bits >> i) & 1 == 1).collect());
+            compare_patterns(a, b, lhs_key, rhs_key, patterns)
         }
         Method::Random { vectors, seed } => {
             assert!(a.is_combinational() && b.is_combinational());
-            let n = a.inputs().len();
             let mut rng = XorShift::new(seed);
-            for _ in 0..vectors {
-                let pattern: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
-                if let Some(cex) = compare_pattern(a, b, lhs_key, rhs_key, &pattern) {
-                    return cex;
-                }
-            }
-            EquivResult::Equivalent
+            let patterns = (0..vectors).map(|_| (0..n).map(|_| rng.next_bool()).collect());
+            compare_patterns(a, b, lhs_key, rhs_key, patterns)
         }
         Method::SequentialRandom { cycles, seed } => {
-            let n = a.inputs().len();
             let mut rng = XorShift::new(seed);
             let mut sim_a = Simulator::new(a);
             let mut sim_b = Simulator::new(b);
             let mut stimulus: Vec<bool> = Vec::new();
-            for _ in 0..cycles {
+            for cycle in 0..cycles {
                 let pattern: Vec<bool> = (0..n).map(|_| rng.next_bool()).collect();
                 stimulus.extend_from_slice(&pattern);
                 let lhs = sim_a.step(&pattern, lhs_key);
                 let rhs = sim_b.step(&pattern, rhs_key);
                 if lhs != rhs {
-                    return report(stimulus, lhs, rhs);
+                    return (report(stimulus, lhs, rhs), cycle + 1);
                 }
             }
-            EquivResult::Equivalent
+            (EquivResult::Equivalent, cycles)
         }
         Method::Sat => match SAT_BACKEND.get() {
-            Some(backend) => backend(a, b, lhs_key, rhs_key),
-            None => EquivResult::Incomparable(
-                "no SAT backend installed (call shell_verify::install first)".into(),
+            Some(backend) => (backend(a, b, lhs_key, rhs_key), 0),
+            None => (
+                EquivResult::Incomparable(
+                    "no SAT backend installed (call shell_verify::install first)".into(),
+                ),
+                0,
             ),
         },
     }
@@ -325,6 +349,7 @@ impl XorShift {
 mod tests {
     use super::*;
     use crate::cell::CellKind;
+    use shell_util::{forall, Rng};
 
     fn and2() -> Netlist {
         let mut n = Netlist::new("and2");
@@ -521,6 +546,133 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The per-pattern loop, kept as the oracle of [`compare_patterns`]:
+    /// every pattern evaluates both sides with
+    /// [`Netlist::eval_comb_with_key`], which orders each netlist again.
+    fn oracle(
+        a: &Netlist,
+        b: &Netlist,
+        lhs_key: &[bool],
+        rhs_key: &[bool],
+        method: Method,
+    ) -> (EquivResult, usize) {
+        let n = a.inputs().len();
+        let patterns: Vec<Vec<bool>> = match method {
+            Method::Exhaustive => (0..(1u64 << n))
+                .map(|bits| (0..n).map(|i| (bits >> i) & 1 == 1).collect())
+                .collect(),
+            Method::Random { vectors, seed } => {
+                let mut rng = XorShift::new(seed);
+                (0..vectors)
+                    .map(|_| (0..n).map(|_| rng.next_bool()).collect())
+                    .collect()
+            }
+            _ => unreachable!("combinational methods only"),
+        };
+        for (i, pattern) in patterns.into_iter().enumerate() {
+            let lhs = a.eval_comb_with_key(&pattern, lhs_key);
+            let rhs = b.eval_comb_with_key(&pattern, rhs_key);
+            if lhs != rhs {
+                return (report(pattern, lhs, rhs), i + 1);
+            }
+        }
+        let all = match method {
+            Method::Random { vectors, .. } => vectors,
+            _ => 1 << n,
+        };
+        (EquivResult::Equivalent, all)
+    }
+
+    /// A random combinational netlist: `inputs` primary and `keys` key
+    /// inputs, 1–9 gates over earlier nets, `outputs` outputs on any net.
+    fn random_comb(rng: &mut Rng, inputs: usize, keys: usize, outputs: usize) -> Netlist {
+        let mut n = Netlist::new("random_comb");
+        let mut nets: Vec<_> = (0..inputs).map(|i| n.add_input(format!("i{i}"))).collect();
+        nets.extend((0..keys).map(|i| n.add_key_input(format!("k{i}"))));
+        if nets.is_empty() {
+            nets.push(n.add_cell("c", CellKind::Const(rng.gen_bool(0.5)), vec![]));
+        }
+        for c in 0..rng.gen_range(1..10) {
+            let (kind, arity) = match rng.gen_range(0..5) {
+                0 => (CellKind::And, 2),
+                1 => (CellKind::Xor, 2),
+                2 => (CellKind::Or, 3),
+                3 => (CellKind::Mux2, 3),
+                _ => (CellKind::Not, 1),
+            };
+            let ins = (0..arity).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
+            nets.push(n.add_cell(format!("g{c}"), kind, ins));
+        }
+        for o in 0..outputs {
+            n.add_output(format!("o{o}"), nets[rng.gen_range(0..nets.len())]);
+        }
+        n
+    }
+
+    #[test]
+    fn ordered_once_matches_per_pattern_oracle() {
+        forall(
+            "equiv == per-pattern oracle",
+            0x0E0_1CE5,
+            200,
+            |rng| (rng.gen_range(0..6), rng.next_u64()),
+            |&(inputs, seed)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let outputs = rng.gen_range(1..4);
+                let lhs_keys = rng.gen_range(0..3);
+                let lhs = random_comb(&mut rng, inputs, lhs_keys, outputs);
+                let lhs_key: Vec<bool> = (0..lhs_keys).map(|_| rng.gen_bool(0.5)).collect();
+                // The same netlist under the same key, the same netlist
+                // under another key, or an unrelated netlist of that shape.
+                let (rhs, rhs_key) = match rng.gen_range(0..3) {
+                    0 => (lhs.clone(), lhs_key.clone()),
+                    1 => (lhs.clone(), (0..lhs_keys).map(|_| rng.gen_bool(0.5)).collect()),
+                    _ => {
+                        let keys = rng.gen_range(0..3);
+                        let rhs = random_comb(&mut rng, inputs, keys, outputs);
+                        (rhs, (0..keys).map(|_| rng.gen_bool(0.5)).collect())
+                    }
+                };
+                let methods = [
+                    Method::Exhaustive,
+                    Method::Random {
+                        vectors: rng.gen_range(0..40),
+                        seed: rng.next_u64(),
+                    },
+                ];
+                for method in methods {
+                    let got = equiv_counted(&lhs, &rhs, &lhs_key, &rhs_key, method);
+                    let want = oracle(&lhs, &rhs, &lhs_key, &rhs_key, method);
+                    if got != want {
+                        return Err(format!("{method:?}: got {got:?}, oracle {want:?}"));
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn zero_vectors_evaluate_nothing() {
+        // Ordering a cyclic netlist panics, so a check that orders it
+        // without a pattern to compare would fail here.
+        let mut cyclic = Netlist::new("cyclic");
+        let x = cyclic.add_input("x");
+        let loop_net = cyclic.add_net("loop");
+        let g = cyclic.add_cell("g", CellKind::And, vec![x, loop_net]);
+        cyclic.add_cell_driving("h", CellKind::Buf, vec![g], loop_net).unwrap();
+        cyclic.add_output("f", g);
+        let mut buf = Netlist::new("buf");
+        let xb = buf.add_input("x");
+        let f = buf.add_cell("f", CellKind::Buf, vec![xb]);
+        buf.add_output("f", f);
+        let random = Method::Random { vectors: 0, seed: 1 };
+        assert_eq!(
+            equiv_counted(&cyclic, &buf, &[], &[], random),
+            (EquivResult::Equivalent, 0)
+        );
     }
 
     #[test]

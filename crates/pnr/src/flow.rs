@@ -2,14 +2,11 @@
 //! (steps 6–7 of the SheLL pipeline), bitstream emission and functional
 //! verification.
 
-use crate::place::{self, PlaceRequest, Slot};
+use crate::place::{self, PlaceRequest, Shortage, Slot};
 use crate::route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};
 use shell_fabric::{Bitstream, Fabric, FabricConfig, FabricUsage, IoMap};
 use shell_guard::Budget;
-use shell_netlist::equiv::{
-    equiv, equiv_exhaustive, equiv_random, equiv_sequential_random, sat_backend_installed,
-    EquivResult, Method,
-};
+use shell_netlist::equiv::{equiv_counted, sat_backend_installed, EquivResult, Method};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
 use shell_synth::lut_map_hybrid;
 use std::collections::HashMap;
@@ -328,6 +325,7 @@ fn run_fit_loop_hybrid(
         let _attempt_span = shell_trace::span!("pnr.fit_attempt", attempt = attempt);
         shell_trace::counter_add("pnr.fit_attempts", 1);
         let fabric = Fabric::generate(config.clone(), w, h);
+        let step = 1 + attempt / 6;
         match try_once(mapped, slots, assignment, &fabric, options, attempt) {
             Ok(mut result) => {
                 if options.verify {
@@ -336,33 +334,32 @@ fn run_fit_loop_hybrid(
                 result.fit_attempts = attempt;
                 return Ok(result);
             }
-            Err(err @ (PnrError::DoesNotFit(_) | PnrError::Unroutable(_))) => {
+            // The paper's footnote 5: the *type* of shortage reported by the
+            // mapping tool drives how the fabric is expanded. Capacity
+            // shortages (chain blocks, LUT sites, pads) need area — grow
+            // both dimensions.
+            Err(Misfit::Short(short)) => {
+                last_unroutable = false;
+                last_err = short.to_string();
+                w += step;
+                h += step;
+            }
+            // Routing congestion (a net that did not route, or a pin whose
+            // net never reached its tile) needs perimeter/relief — grow the
+            // smaller dimension, with acceleration for port-heavy designs.
+            Err(Misfit::Failed(err @ (PnrError::DoesNotFit(_) | PnrError::Unroutable(_)))) => {
                 last_unroutable = matches!(err, PnrError::Unroutable(_));
                 let (PnrError::DoesNotFit(m) | PnrError::Unroutable(m)) = err else {
                     unreachable!()
                 };
-                // The paper's footnote 5: the *type* of shortage reported by
-                // the mapping tool drives how the fabric is expanded.
-                // Capacity shortages (chain blocks, LUT sites, pads) need
-                // area — grow both dimensions; routing congestion
-                // (including a flat-out unroutable net) needs
-                // perimeter/relief — grow the smaller dimension, with
-                // acceleration for port-heavy designs.
-                let capacity_shortage = m.contains("chain blocks")
-                    || m.contains("LUT sites")
-                    || m.contains("pads");
                 last_err = m;
-                let step = 1 + attempt / 6;
-                if capacity_shortage {
-                    w += step;
-                    h += step;
-                } else if w <= h {
+                if w <= h {
                     w += step;
                 } else {
                     h += step;
                 }
             }
-            Err(other) => return Err(other),
+            Err(Misfit::Failed(other)) => return Err(other),
         }
     }
     let msg = format!(
@@ -376,6 +373,27 @@ fn run_fit_loop_hybrid(
     })
 }
 
+/// Why one fit attempt failed.
+#[derive(Debug)]
+enum Misfit {
+    /// The fabric lacks area.
+    Short(Shortage),
+    /// Anything else.
+    Failed(PnrError),
+}
+
+impl From<Shortage> for Misfit {
+    fn from(short: Shortage) -> Self {
+        Misfit::Short(short)
+    }
+}
+
+impl From<PnrError> for Misfit {
+    fn from(err: PnrError) -> Self {
+        Misfit::Failed(err)
+    }
+}
+
 fn try_once(
     mapped: &Netlist,
     slots: &[Slot],
@@ -383,7 +401,7 @@ fn try_once(
     fabric: &Fabric,
     options: &PnrOptions,
     attempt: usize,
-) -> Result<PnrResult, PnrError> {
+) -> Result<PnrResult, Misfit> {
     let config = fabric.config().clone();
     // Chain block capacity check.
     let blocks_needed: usize = assignment
@@ -392,10 +410,11 @@ fn try_once(
         .map(|c| c.len().div_ceil(config.chain_len.max(1)))
         .sum();
     if blocks_needed > fabric.tile_count() && config.mux_chains {
-        return Err(PnrError::DoesNotFit(format!(
+        return Err(Shortage::ChainBlocks(format!(
             "{blocks_needed} chain blocks > {} tiles",
             fabric.tile_count()
-        )));
+        ))
+        .into());
     }
     // Chain segment assignment first (placement-independent): fill tiles
     // row-major so pad assignment can aim at the chain pins.
@@ -486,7 +505,7 @@ fn try_once(
             }
             for seg in segments {
                 if next_tile >= fabric.tile_count() {
-                    return Err(PnrError::DoesNotFit("out of chain blocks".into()));
+                    return Err(Shortage::ChainBlocks("out of chain blocks".into()).into());
                 }
                 let (x, y) = (next_tile % fabric.width(), next_tile / fabric.width());
                 used_blocks.push((x, y));
@@ -525,8 +544,7 @@ fn try_once(
         pin_hints: &pin_hints,
         chain_tiles: &chain_tiles,
         budget: &options.budget,
-    })
-    .map_err(PnrError::DoesNotFit)?;
+    })?;
     let mut degraded = Vec::new();
     if let Some(why) = placement.degraded {
         degraded.push(format!("place: {why}"));
@@ -645,7 +663,8 @@ fn try_once(
             return Err(PnrError::Unsupported(format!(
                 "net `{}` has no mappable source",
                 mapped.net(*net).name
-            )));
+            ))
+            .into());
         };
         let id = requests.len();
         net_ids.push(*net);
@@ -942,28 +961,41 @@ fn resolve_pin_track(
     track_at.get(&(net, tile)).copied()
 }
 
+/// The post-route check: the configured fabric against `reference`,
+/// exhaustively up to 12 inputs, by a SAT miter above that when a backend
+/// is installed, else on 512 random patterns; sequential designs run 64
+/// cycles from reset.
 fn verify(reference: &Netlist, result: &PnrResult) -> Result<(), PnrError> {
+    let _span = shell_trace::span!("pnr.verify");
     let configured =
         shell_fabric::to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map)
             .map_err(|e| PnrError::VerificationFailed(e.to_string()))?;
-    let outcome = if !reference.is_combinational() {
-        equiv_sequential_random(reference, &configured, &[], &[], 64, 0xE0)
+    let sampled = Method::Random {
+        vectors: 512,
+        seed: 0xE0,
+    };
+    let method = if !reference.is_combinational() {
+        Method::SequentialRandom {
+            cycles: 64,
+            seed: 0xE0,
+        }
     } else if reference.inputs().len() <= 12 {
-        equiv_exhaustive(reference, &configured, &[], &[])
+        Method::Exhaustive
     } else if sat_backend_installed() {
         // Wide combinational cone and a SAT backend is registered (see
         // `shell_verify::install`): a miter proof replaces sampling.
-        match equiv(reference, &configured, &[], &[], Method::Sat) {
-            // Budget exhaustion or unsupported structure: fall back to
-            // Monte Carlo rather than failing the flow.
-            EquivResult::Incomparable(_) => {
-                equiv_random(reference, &configured, &[], &[], 512, 0xE0)
-            }
-            decided => decided,
-        }
+        Method::Sat
     } else {
-        equiv_random(reference, &configured, &[], &[], 512, 0xE0)
+        sampled
     };
+    let check = |method| equiv_counted(reference, &configured, &[], &[], method);
+    let (outcome, patterns) = match check(method) {
+        // Budget exhaustion or unsupported structure: fall back to Monte
+        // Carlo rather than failing the flow.
+        (EquivResult::Incomparable(_), _) if method == Method::Sat => check(sampled),
+        decided => decided,
+    };
+    shell_trace::counter_add("pnr.verify_patterns", patterns as u64);
     match outcome {
         EquivResult::Equivalent => Ok(()),
         other => Err(PnrError::VerificationFailed(format!("{other:?}"))),
@@ -973,6 +1005,7 @@ fn verify(reference: &Netlist, result: &PnrResult) -> Result<(), PnrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shell_netlist::equiv::{equiv_exhaustive, equiv_random, equiv_sequential_random};
     use shell_netlist::NetlistBuilder;
     use shell_synth::lut_map;
 
@@ -1196,5 +1229,49 @@ mod tests {
             .expect("fits");
         assert!(res.tiles_used >= 1);
         assert!(res.wirelength > 0);
+    }
+
+    /// `n` with every port, cell and net name prefixed by `prefix`.
+    fn prefixed(n: &Netlist, prefix: &str) -> Netlist {
+        let mut out = Netlist::new(n.name());
+        let mut map: HashMap<NetId, NetId> = HashMap::new();
+        for &i in n.inputs() {
+            map.insert(i, out.add_input(format!("{prefix}{}", n.net(i).name)));
+        }
+        for id in n.topo_order().expect("acyclic") {
+            let c = n.cell(id);
+            let ins = c.inputs.iter().map(|i| map[i]).collect();
+            map.insert(c.output, out.add_cell(format!("{prefix}{}", c.name), c.kind, ins));
+        }
+        for (name, net) in n.outputs() {
+            out.add_output(format!("{prefix}{name}"), map[net]);
+        }
+        out
+    }
+
+    #[test]
+    fn routing_failure_on_a_pads_net_grows_one_dimension() {
+        // Every net of this adder is named `pads_…`, and its first fabric
+        // is congested: the attempt fails on a net whose name reads like a
+        // pad shortage, yet it is congestion, so only the smaller dimension
+        // grows.
+        let mapped = prefixed(&lut_map(&adder(3), 4).expect("acyclic").netlist, "pads_");
+        let mut config = FabricConfig::fabulous_style(false);
+        config.channel_width = 8;
+        let once = PnrOptions {
+            max_fit_attempts: 1,
+            ..PnrOptions::default()
+        };
+        match place_and_route(&mapped, config.clone(), &once) {
+            Err(PnrError::Unroutable(m)) => assert!(m.contains("net `pads_"), "{m}"),
+            other => panic!("expected a routing failure, got {other:?}"),
+        }
+        let slots = place::pack(&mapped, config.lut_k).expect("packs");
+        let ports = mapped.inputs().len() + mapped.outputs().len();
+        let (w, h) = initial_dims(&config, slots.len(), 0, ports, (2, 2));
+        let res = place_and_route(&mapped, config, &PnrOptions::default()).expect("fits");
+        assert_eq!(res.fit_attempts, 2);
+        let grown = if w <= h { (w + 1, h) } else { (w, h + 1) };
+        assert_eq!((res.fabric.width(), res.fabric.height()), grown);
     }
 }

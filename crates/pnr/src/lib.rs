@@ -25,5 +25,5 @@ pub mod place;
 pub mod route;
 
 pub use flow::{place_and_route, place_and_route_with_chains, PnrError, PnrOptions, PnrResult};
-pub use place::{PlaceRequest, Placement, Slot, SlotContent};
+pub use place::{PlaceRequest, Placement, Shortage, Slot, SlotContent};
 pub use route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};

@@ -12,6 +12,29 @@ use shell_guard::{Budget, Exhausted};
 use shell_netlist::{CellId, CellKind, LutMask, NetId, Netlist};
 use shell_util::Rng;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+/// A fabric too small for a design: the resource it lacks, with a message
+/// saying by how much. The checks that find a shortage name the resource,
+/// so the fit loop can grow the fabric by it rather than by the message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Shortage {
+    /// Fewer chain blocks than the mux chains need.
+    ChainBlocks(String),
+    /// Fewer LUT sites than packed slots.
+    LutSites(String),
+    /// Fewer input or output pads than ports.
+    Pads(String),
+}
+
+impl fmt::Display for Shortage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (Shortage::ChainBlocks(m) | Shortage::LutSites(m) | Shortage::Pads(m)) = self;
+        f.write_str(m)
+    }
+}
+
+impl std::error::Error for Shortage {}
 
 /// What a CLB slot implements.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,10 +263,10 @@ pub struct PlaceRequest<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message when the fabric lacks LUT sites or IO pads (running
-/// out of budget is not an error); when every start fails, the first
-/// start's.
-pub fn place(request: &PlaceRequest) -> Result<Placement, String> {
+/// Returns the [`Shortage`] when the fabric lacks LUT sites or IO pads
+/// (running out of budget is not an error); when every start fails, the
+/// first start's.
+pub fn place(request: &PlaceRequest) -> Result<Placement, Shortage> {
     let PlaceRequest {
         netlist,
         slots,
@@ -252,17 +275,17 @@ pub fn place(request: &PlaceRequest) -> Result<Placement, String> {
     } = *request;
     let capacity = fabric.lut_sites();
     if slots.len() > capacity {
-        return Err(format!(
+        return Err(Shortage::LutSites(format!(
             "{} slots exceed {} LUT sites",
             slots.len(),
             capacity
-        ));
+        )));
     }
     if netlist.inputs().len() + netlist.key_inputs().len() > fabric.io_input_count() {
-        return Err("not enough input pads".into());
+        return Err(Shortage::Pads("not enough input pads".into()));
     }
     if netlist.outputs().len() > fabric.io_output_count() {
-        return Err("not enough output pads".into());
+        return Err(Shortage::Pads("not enough output pads".into()));
     }
     let connectivity = Connectivity::new(slots, request.pin_hints);
     let seeds: Vec<u64> = (0..request.starts.max(1) as u64)
@@ -289,7 +312,7 @@ pub fn place(request: &PlaceRequest) -> Result<Placement, String> {
         })
     });
     let mut best: Option<Placement> = None;
-    let mut first_err: Option<String> = None;
+    let mut first_err: Option<Shortage> = None;
     for result in results {
         match result {
             Ok(p) => {
@@ -302,7 +325,8 @@ pub fn place(request: &PlaceRequest) -> Result<Placement, String> {
             }
         };
     }
-    best.ok_or_else(|| first_err.unwrap_or_else(|| "no placement starts".into()))
+    // There is always at least one start, so no placement means an error.
+    best.ok_or_else(|| first_err.expect("a failed start"))
 }
 
 /// Which slots and fixed tiles each net touches; built once per request.
@@ -698,7 +722,7 @@ fn assign_io(
     connectivity: &Connectivity,
     sites: &[(usize, usize, usize)],
     rng: &mut Rng,
-) -> Result<(Vec<usize>, Vec<usize>), String> {
+) -> Result<(Vec<usize>, Vec<usize>), Shortage> {
     let PlaceRequest {
         netlist,
         slots,
@@ -726,7 +750,7 @@ fn assign_io(
         let tiles = tiles_of(readers, pi);
         let (cx, cy) = tile_centroid(&tiles, fabric);
         let pad = best_pad(fabric, cx, cy, &used_nodes, chain_tiles, &tiles, rng)
-            .ok_or_else(|| "ran out of input pads".to_string())?;
+            .ok_or_else(|| Shortage::Pads("ran out of input pads".into()))?;
         used_nodes.insert(pad_node(fabric, pad));
         input_pads.push(pad);
     }
@@ -741,7 +765,7 @@ fn assign_io(
         let tiles = tiles_of(&drivers, *net);
         let (cx, cy) = tile_centroid(&tiles, fabric);
         let pad = best_pad(fabric, cx, cy, &used_nodes, chain_tiles, &tiles, rng)
-            .ok_or_else(|| "ran out of output pads".to_string())?;
+            .ok_or_else(|| Shortage::Pads("ran out of output pads".into()))?;
         used_nodes.insert(pad_node(fabric, pad));
         output_pads.push(pad);
     }
@@ -910,7 +934,7 @@ mod tests {
         fabric: &Fabric,
         seed: u64,
         budget: &Budget,
-    ) -> Result<Placement, String> {
+    ) -> Result<Placement, Shortage> {
         place(&PlaceRequest {
             netlist,
             slots,
@@ -1014,7 +1038,8 @@ mod tests {
         let slots = pack(&n, 4).unwrap();
         let f = Fabric::generate(FabricConfig::fabulous_style(false), 1, 1);
         if slots.len() > 4 {
-            assert!(place_plain(&n, &slots, &f, 0, &Budget::unlimited()).is_err());
+            let placed = place_plain(&n, &slots, &f, 0, &Budget::unlimited());
+            assert!(matches!(placed, Err(Shortage::LutSites(_))), "{placed:?}");
         }
     }
 
@@ -1407,7 +1432,7 @@ mod tests {
                     if rng.next_u64() != oracle_rng.next_u64() {
                         return Err(format!("{context}: the RNG streams diverged"));
                     }
-                    let placed = place(&request)?;
+                    let placed = place(&request).map_err(|e| e.to_string())?;
                     if placed.hpwl.to_bits() != full(&placed.sites).to_bits()
                         || placed.hpwl.to_bits() != cost.to_bits()
                     {

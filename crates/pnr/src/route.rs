@@ -14,7 +14,7 @@
 
 use shell_fabric::{Fabric, SignalRef};
 use shell_guard::{Budget, Exhausted};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Why routing stopped without a legal solution.
@@ -97,7 +97,7 @@ pub struct RouteRequest {
 
 /// A routed net: the track nodes it occupies, the mux selection per node,
 /// and the track index satisfying each sink.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutedNet {
     /// `(x, y, t) → chosen switch-mux input index`.
     pub nodes: HashMap<(usize, usize, usize), usize>,
@@ -122,10 +122,62 @@ pub struct RoutingResult {
 pub struct Router<'f> {
     fabric: &'f Fabric,
     width: usize,
-    height: usize,
     tracks: usize,
+    /// Who reads each node, flattened: node `i`'s readers are
+    /// `readers[reader_start[i]..reader_start[i + 1]]`, in the order the
+    /// search relaxes them (east, west, north, south).
+    readers: Vec<Reader>,
+    reader_start: Vec<u32>,
     /// Accumulated history cost per node.
     history: Vec<f64>,
+}
+
+/// A node that can select another through its switch mux.
+#[derive(Debug, Clone, Copy)]
+struct Reader {
+    /// The reading node.
+    node: u32,
+    /// The mux input it selects to read.
+    pos: u32,
+}
+
+/// `from` of a search root: a tree node or a source attachment.
+const ROOT: usize = usize::MAX;
+
+/// The buffers of [`Router::search`], kept across the calls of a routing
+/// run so that a call allocates little more than its result. Every call
+/// overwrites what it reads: `cost` and `roots` per call, `dist` per sink,
+/// and `from` wherever it sets `dist`; it clears the previous call's tree
+/// and its marks first.
+struct Scratch {
+    /// Cost of entering each node.
+    cost: Vec<f64>,
+    /// Least cost found to each node.
+    dist: Vec<f64>,
+    /// The node each node was reached from, or [`ROOT`].
+    from: Vec<usize>,
+    /// The source attachments as `(node, selection)`.
+    roots: Vec<(usize, usize)>,
+    /// The FIFO queue: a search pushes at the back and pops at a head index.
+    queue: Vec<u32>,
+    /// The net's tree as `(node, selection)`.
+    tree: Vec<(usize, usize)>,
+    /// Membership in `tree`.
+    in_tree: Vec<bool>,
+}
+
+impl Scratch {
+    fn new(n_nodes: usize) -> Self {
+        Self {
+            cost: Vec::with_capacity(n_nodes),
+            dist: vec![f64::INFINITY; n_nodes],
+            from: vec![ROOT; n_nodes],
+            roots: Vec::new(),
+            queue: Vec::with_capacity(n_nodes),
+            tree: Vec::new(),
+            in_tree: vec![false; n_nodes],
+        }
+    }
 }
 
 impl<'f> Router<'f> {
@@ -134,18 +186,59 @@ impl<'f> Router<'f> {
         let width = fabric.width();
         let height = fabric.height();
         let tracks = fabric.config().channel_width;
+        let n_nodes = width * height * tracks;
+        let index = |x: usize, y: usize, t: usize| ((y * width + x) * tracks + t) as u32;
+        let mut readers = Vec::with_capacity(4 * n_nodes);
+        let mut reader_start = Vec::with_capacity(n_nodes + 1);
+        for y in 0..height {
+            for x in 0..width {
+                for t in 0..tracks {
+                    reader_start.push(readers.len() as u32);
+                    // The east neighbour reads us through its west input
+                    // (0), the west neighbour through its east input (1).
+                    // Every vertical hop *increments* the track index (see
+                    // `Fabric::track_mux_inputs`): the north neighbour reads
+                    // us through its south input (2) and the south
+                    // neighbour through its north input (3), both on track
+                    // `t + 1`.
+                    let up = (t + 1) % tracks;
+                    let mut read = |node, pos| readers.push(Reader { node, pos });
+                    if x + 1 < width {
+                        read(index(x + 1, y, t), 0);
+                    }
+                    if x > 0 {
+                        read(index(x - 1, y, t), 1);
+                    }
+                    if y + 1 < height {
+                        read(index(x, y + 1, up), 2);
+                    }
+                    if y > 0 {
+                        read(index(x, y - 1, up), 3);
+                    }
+                }
+            }
+        }
+        reader_start.push(readers.len() as u32);
         Self {
             fabric,
             width,
-            height,
             tracks,
-            history: vec![0.0; width * height * tracks],
+            readers,
+            reader_start,
+            history: vec![0.0; n_nodes],
         }
     }
 
     #[inline]
     fn node_index(&self, x: usize, y: usize, t: usize) -> usize {
         (y * self.width + x) * self.tracks + t
+    }
+
+    /// `(x, y, t)` of node `i`.
+    #[inline]
+    fn coords(&self, i: usize) -> (usize, usize, usize) {
+        let tile = i / self.tracks;
+        (tile % self.width, tile / self.width, i % self.tracks)
     }
 
     /// Track nodes a source can drive directly, with the mux input index the
@@ -178,8 +271,8 @@ impl<'f> Router<'f> {
     ///
     /// # Errors
     ///
-    /// Returns the id of the first net that could not be routed legally
-    /// within `max_iterations`.
+    /// Returns the id of a net that could not be routed legally within
+    /// `max_iterations` (see [`Router::route_all_budgeted`]).
     pub fn route_all(
         &mut self,
         requests: &[RouteRequest],
@@ -200,7 +293,10 @@ impl<'f> Router<'f> {
     ///
     /// # Errors
     ///
-    /// [`RouteError`] — an unroutable net or an exhausted budget.
+    /// [`RouteError`] — an unroutable net or an exhausted budget. A net with
+    /// an unreachable sink is reported as soon as it is met; when
+    /// negotiation ends with nodes still shared, the lowest request id on an
+    /// over-used node is reported.
     pub fn route_all_budgeted(
         &mut self,
         requests: &[RouteRequest],
@@ -209,7 +305,7 @@ impl<'f> Router<'f> {
     ) -> Result<RoutingResult, RouteError> {
         let _span = shell_trace::span!("route.negotiate");
         let unroutable = |net: usize| RouteError::Unroutable { net };
-        let n_nodes = self.width * self.height * self.tracks;
+        let n_nodes = self.history.len();
         let mut routes: HashMap<usize, RoutedNet> = HashMap::new();
         let mut occupancy: Vec<u32> = vec![0; n_nodes];
         let by_id: HashMap<usize, &RouteRequest> =
@@ -229,8 +325,11 @@ impl<'f> Router<'f> {
         let candidates: Vec<Option<RoutedNet>> = {
             let this: &Router<'f> = self;
             let empty = vec![0u32; n_nodes];
-            shell_exec::parallel_map(requests, |req| this.route_one(req, &empty, 0))
+            shell_exec::parallel_map(requests, |req| {
+                this.route_one(req, &empty, 0, &mut Scratch::new(n_nodes))
+            })
         };
+        let mut scratch = Scratch::new(n_nodes);
         for (req, candidate) in requests.iter().zip(candidates) {
             let candidate = candidate.ok_or(unroutable(req.net))?;
             let collides = candidate
@@ -238,7 +337,8 @@ impl<'f> Router<'f> {
                 .keys()
                 .any(|&(x, y, t)| occupancy[self.node_index(x, y, t)] > 0);
             let routed = if collides {
-                self.route_one(req, &occupancy, 0).ok_or(unroutable(req.net))?
+                self.route_one(req, &occupancy, 0, &mut scratch)
+                    .ok_or(unroutable(req.net))?
             } else {
                 candidate
             };
@@ -264,18 +364,7 @@ impl<'f> Router<'f> {
                     occupancy[self.node_index(x, y, t)] += 1;
                 }
             }
-            // Offenders, in deterministic order.
-            let mut offenders: Vec<usize> = routes
-                .iter()
-                .filter(|(_, routed)| {
-                    routed
-                        .nodes
-                        .keys()
-                        .any(|&(x, y, t)| occupancy[self.node_index(x, y, t)] > 1)
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            offenders.sort_unstable();
+            let offenders = self.offenders(&routes, &occupancy);
             if offenders.is_empty() {
                 let wirelength = routes.values().map(|r| r.nodes.len()).sum();
                 return Ok(RoutingResult {
@@ -304,7 +393,9 @@ impl<'f> Router<'f> {
                     occupancy[self.node_index(x, y, t)] -= 1;
                 }
                 let req = by_id[&id];
-                let routed = self.route_one(req, &occupancy, iter).ok_or(unroutable(id))?;
+                let routed = self
+                    .route_one(req, &occupancy, iter, &mut scratch)
+                    .ok_or(unroutable(id))?;
                 for &(x, y, t) in routed.nodes.keys() {
                     occupancy[self.node_index(x, y, t)] += 1;
                 }
@@ -312,23 +403,35 @@ impl<'f> Router<'f> {
             }
         }
         // Final legality check after the last iteration's re-routes.
-        if occupancy.iter().all(|&o| o <= 1) {
-            let wirelength = routes.values().map(|r| r.nodes.len()).sum();
-            return Ok(RoutingResult {
-                nets: routes,
-                iterations,
-                wirelength,
-            });
-        }
-        // Identify a culprit: a net occupying an over-used node.
-        for (id, routed) in &routes {
-            for &(x, y, t) in routed.nodes.keys() {
-                if occupancy[self.node_index(x, y, t)] > 1 {
-                    return Err(unroutable(*id));
-                }
+        match self.offenders(&routes, &occupancy).first() {
+            None => {
+                let wirelength = routes.values().map(|r| r.nodes.len()).sum();
+                Ok(RoutingResult {
+                    nets: routes,
+                    iterations,
+                    wirelength,
+                })
             }
+            // The lowest id, not the first in hash order: the culprit is
+            // named in the error and must not change from run to run.
+            Some(&culprit) => Err(unroutable(culprit)),
         }
-        Err(unroutable(requests.first().map(|r| r.net).unwrap_or(0)))
+    }
+
+    /// Ids of the nets occupying an over-used node, ascending.
+    fn offenders(&self, routes: &HashMap<usize, RoutedNet>, occupancy: &[u32]) -> Vec<usize> {
+        let mut offenders: Vec<usize> = routes
+            .iter()
+            .filter(|(_, routed)| {
+                routed
+                    .nodes
+                    .keys()
+                    .any(|&(x, y, t)| occupancy[self.node_index(x, y, t)] > 1)
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        offenders.sort_unstable();
+        offenders
     }
 
     /// Routes one net against current occupancy. Returns `None` when some
@@ -338,132 +441,161 @@ impl<'f> Router<'f> {
         req: &RouteRequest,
         occupancy: &[u32],
         iteration: usize,
+        scratch: &mut Scratch,
     ) -> Option<RoutedNet> {
-        let present_penalty = 1.0 + iteration as f64 * 2.0;
+        let (routed, relaxations) = self.search(req, occupancy, iteration, scratch);
         // Relaxations are counted locally and flushed once per call: the
         // total is a pure function of the request stream, so the counter is
         // identical at any `SHELL_JOBS` even though calls run on workers.
+        shell_trace::counter_add("route.spfa_relaxations", relaxations);
+        routed
+    }
+
+    /// [`Router::route_one`] without the counter: the routed net, and the
+    /// number of queue pops its searches made.
+    ///
+    /// Each sink is one SPFA search from the tree routed so far. The order
+    /// of relaxations breaks cost ties, so it is fixed: tree seeds in
+    /// `(x, y, t)` order, then the source attachments; a FIFO queue; the
+    /// readers in table order; a strictly lower cost to relax; the first
+    /// track of least cost at the sink.
+    fn search(
+        &self,
+        req: &RouteRequest,
+        occupancy: &[u32],
+        iteration: usize,
+        scratch: &mut Scratch,
+    ) -> (Option<RoutedNet>, u64) {
+        let Scratch {
+            cost,
+            dist,
+            from,
+            roots,
+            queue,
+            tree,
+            in_tree,
+        } = scratch;
+        let present_penalty = 1.0 + iteration as f64 * 2.0;
+        // Occupancy and history stay fixed during the call.
+        cost.clear();
+        cost.extend(
+            occupancy
+                .iter()
+                .zip(&self.history)
+                .map(|(&o, &h)| node_cost(o, h, present_penalty)),
+        );
+        roots.clear();
+        roots.extend(
+            self.source_attachments(req.source)
+                .into_iter()
+                .map(|((x, y, t), s)| (self.node_index(x, y, t), s)),
+        );
+        for &(i, _) in tree.iter() {
+            in_tree[i] = false;
+        }
+        tree.clear();
         let mut relaxations = 0u64;
-        let mut tree = RoutedNet {
-            nodes: HashMap::new(),
-            sink_tracks: Vec::with_capacity(req.sinks.len()),
-        };
-        let attachments = self.source_attachments(req.source);
+        let mut sink_tracks = Vec::with_capacity(req.sinks.len());
         for sink in &req.sinks {
-            // BFS (uniform-ish cost: use Dijkstra-lite with BinaryHeap on
-            // f64-scaled integer costs).
-            let mut dist: Vec<f64> = vec![f64::INFINITY; self.width * self.height * self.tracks];
-            let mut from: Vec<i64> = vec![-2; dist.len()]; // -2 unset, -1 source, else predecessor node
-            let mut sel: Vec<usize> = vec![usize::MAX; dist.len()];
-            let mut queue: VecDeque<usize> = VecDeque::new();
-            // Seed: existing tree nodes (free) + source attachments.
-            // Seed in sorted node order: relaxation order breaks cost ties,
-            // and hash-order seeding would make the routing tree (and thus
-            // the bitstream) differ run-to-run for the same seed.
-            let mut tree_seeds: Vec<((usize, usize, usize), usize)> =
-                tree.nodes.iter().map(|(&n, &s)| (n, s)).collect();
-            tree_seeds.sort_unstable();
-            for ((x, y, t), s) in tree_seeds {
-                let i = self.node_index(x, y, t);
+            dist.fill(f64::INFINITY);
+            // Seed: existing tree nodes (free) + source attachments. Seed in
+            // (x, y, t) order: relaxation order breaks cost ties, and
+            // insertion-order seeding would make the routing tree differ.
+            tree.sort_unstable_by_key(|&(i, _)| self.coords(i));
+            queue.clear();
+            for &(i, _) in tree.iter() {
                 dist[i] = 0.0;
-                from[i] = -1;
-                sel[i] = s;
-                queue.push_back(i);
+                from[i] = ROOT;
+                queue.push(i as u32);
             }
-            for &((x, y, t), s) in &attachments {
-                let i = self.node_index(x, y, t);
-                let cost = self.node_cost(i, occupancy, present_penalty);
-                if cost < dist[i] {
-                    dist[i] = cost;
-                    from[i] = -1;
-                    sel[i] = s;
-                    queue.push_back(i);
+            for &(i, _) in roots.iter() {
+                if cost[i] < dist[i] {
+                    dist[i] = cost[i];
+                    from[i] = ROOT;
+                    queue.push(i as u32);
                 }
             }
             // SPFA-style relaxation (costs are small positive; fine here).
-            while let Some(u) = queue.pop_front() {
-                relaxations += 1;
+            // A root keeps `dist` at 0 or at its own cost, which no path
+            // can undercut, so it is never relaxed.
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let u = u as usize;
                 let du = dist[u];
-                let t = u % self.tracks;
-                let tile = u / self.tracks;
-                let (x, y) = (tile % self.width, tile / self.width);
-                // Neighbors that can select this node: direction index is
-                // the *neighbor's* view: neighbor east of us selects its
-                // west input (0) to read us, etc. Every vertical hop
-                // *increments* the track index (see
-                // `Fabric::track_mux_inputs`): both the north and the south
-                // neighbor read us through their track `t + 1`.
-                let w = self.tracks;
-                let neigh: [(i64, i64, usize, usize); 4] = [
-                    (x as i64 + 1, y as i64, 0, t), // east neighbor reads west
-                    (x as i64 - 1, y as i64, 1, t), // west neighbor reads east
-                    (x as i64, y as i64 + 1, 2, (t + 1) % w), // north reads south
-                    (x as i64, y as i64 - 1, 3, (t + 1) % w), // south reads north
-                ];
-                for (nx, ny, pos, nt) in neigh {
-                    if nx < 0 || ny < 0 || nx as usize >= self.width || ny as usize >= self.height
-                    {
-                        continue;
-                    }
-                    let v = self.node_index(nx as usize, ny as usize, nt);
-                    let step = self.node_cost(v, occupancy, present_penalty);
-                    if du + step < dist[v] {
-                        dist[v] = du + step;
-                        from[v] = u as i64;
-                        sel[v] = pos;
-                        queue.push_back(v);
+                for &Reader { node, .. } in self.readers_of(u) {
+                    let v = node as usize;
+                    let alt = du + cost[v];
+                    if alt < dist[v] {
+                        dist[v] = alt;
+                        from[v] = u;
+                        queue.push(node);
                     }
                 }
             }
+            relaxations += head as u64;
             // Pick the best node satisfying the sink.
             let target = match *sink {
                 SinkKind::AnyTrackAt { x, y } => (0..self.tracks)
                     .map(|t| self.node_index(x, y, t))
                     .filter(|&i| dist[i].is_finite())
                     .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).expect("finite")),
-                SinkKind::OutputPad { pad } => {
-                    let sig = self.fabric.io_output_source(pad);
-                    match sig {
-                        SignalRef::Track { x, y, t } => {
-                            let i = self.node_index(x, y, t);
-                            dist[i].is_finite().then_some(i)
-                        }
-                        _ => None,
+                SinkKind::OutputPad { pad } => match self.fabric.io_output_source(pad) {
+                    SignalRef::Track { x, y, t } => {
+                        let i = self.node_index(x, y, t);
+                        dist[i].is_finite().then_some(i)
                     }
-                }
+                    _ => None,
+                },
             };
             let Some(target) = target else {
-                shell_trace::counter_add("route.spfa_relaxations", relaxations);
-                return None;
+                return (None, relaxations);
             };
-            // Walk back, adding nodes to the tree.
-            tree.sink_tracks.push(target % self.tracks);
-            let mut cur = target as i64;
-            while cur >= 0 {
-                let i = cur as usize;
-                let t = i % self.tracks;
-                let tile = i / self.tracks;
-                let (x, y) = (tile % self.width, tile / self.width);
-                if tree.nodes.contains_key(&(x, y, t)) {
-                    break; // merged into existing tree
+            // Walk back, adding nodes to the tree until it merges. A node
+            // reached from `u` selects the mux input `u`'s reader entry for
+            // it names; a root that is not in the tree is an attachment.
+            sink_tracks.push(target % self.tracks);
+            let mut cur = target;
+            while !in_tree[cur] {
+                in_tree[cur] = true;
+                let u = from[cur];
+                let sel = if u == ROOT {
+                    roots.iter().find(|&&(i, _)| i == cur).map(|&(_, s)| s)
+                } else {
+                    let reader = self.readers_of(u).iter().find(|r| r.node as usize == cur);
+                    reader.map(|r| r.pos as usize)
+                };
+                tree.push((cur, sel.expect("a reached node has a way in")));
+                if u == ROOT {
+                    break;
                 }
-                tree.nodes.insert((x, y, t), sel[i]);
-                cur = from[i];
+                cur = u;
             }
         }
-        shell_trace::counter_add("route.spfa_relaxations", relaxations);
-        Some(tree)
+        let nodes = tree.iter().map(|&(i, s)| (self.coords(i), s)).collect();
+        (Some(RoutedNet { nodes, sink_tracks }), relaxations)
     }
 
-    fn node_cost(&self, i: usize, occupancy: &[u32], present_penalty: f64) -> f64 {
-        1.0 + occupancy[i] as f64 * present_penalty + self.history[i]
+    /// The readers of node `u`, in relaxation order.
+    #[inline]
+    fn readers_of(&self, u: usize) -> &[Reader] {
+        &self.readers[self.reader_start[u] as usize..self.reader_start[u + 1] as usize]
     }
+}
+
+/// Cost of entering a node that `occupancy` nets use and that has
+/// accumulated `history`.
+#[inline]
+fn node_cost(occupancy: u32, history: f64, present_penalty: f64) -> f64 {
+    1.0 + occupancy as f64 * present_penalty + history
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use shell_fabric::FabricConfig;
+    use shell_util::{forall, Rng};
+    use std::collections::VecDeque;
 
     fn fabric(w: usize, h: usize) -> Fabric {
         Fabric::generate(FabricConfig::fabulous_style(true), w, h)
@@ -628,6 +760,25 @@ mod tests {
     }
 
     #[test]
+    fn unroutable_culprit_is_the_lowest_id_on_every_run() {
+        // The saturated tile above: nets 0 and 8 enter through the same pad
+        // and so share its track on every iteration. Both are culprits, and
+        // the error names the lower one however the routes are hashed.
+        let f = fabric(1, 1);
+        let reqs: Vec<RouteRequest> = (0..9)
+            .map(|i| RouteRequest {
+                net: i,
+                source: SourceKind::Pad(west_pad(&f, 0, i % 8)),
+                sinks: vec![SinkKind::AnyTrackAt { x: 0, y: 0 }],
+            })
+            .collect();
+        for run in 0..16 {
+            let outcome = Router::new(&f).route_all(&reqs, 6);
+            assert_eq!(outcome.err(), Some(0), "run {run}");
+        }
+    }
+
+    #[test]
     fn wirelength_reported() {
         let f = fabric(4, 1);
         let mut r = Router::new(&f);
@@ -661,5 +812,189 @@ mod tests {
             .expect("chain tile used");
         // Chain input position = 4 + luts_per_clb = 8.
         assert_eq!(*src_node.1, 8);
+    }
+
+    /// The search before the reader table, kept as the oracle of
+    /// [`Router::search`]: every relaxation works out its tile and track
+    /// and bounds-checks four neighbours, every sink allocates its own
+    /// buffers, and the tree is a map.
+    fn oracle_search(
+        r: &Router,
+        req: &RouteRequest,
+        occupancy: &[u32],
+        iteration: usize,
+    ) -> (Option<RoutedNet>, u64) {
+        let present_penalty = 1.0 + iteration as f64 * 2.0;
+        let mut relaxations = 0u64;
+        let mut tree = RoutedNet {
+            nodes: HashMap::new(),
+            sink_tracks: Vec::with_capacity(req.sinks.len()),
+        };
+        let attachments = r.source_attachments(req.source);
+        for sink in &req.sinks {
+            let mut dist: Vec<f64> = vec![f64::INFINITY; r.history.len()];
+            let mut from: Vec<i64> = vec![-2; dist.len()]; // -2 unset, -1 source
+            let mut sel: Vec<usize> = vec![usize::MAX; dist.len()];
+            let mut queue: VecDeque<usize> = VecDeque::new();
+            let mut tree_seeds: Vec<((usize, usize, usize), usize)> =
+                tree.nodes.iter().map(|(&n, &s)| (n, s)).collect();
+            tree_seeds.sort_unstable();
+            for ((x, y, t), s) in tree_seeds {
+                let i = r.node_index(x, y, t);
+                dist[i] = 0.0;
+                from[i] = -1;
+                sel[i] = s;
+                queue.push_back(i);
+            }
+            for &((x, y, t), s) in &attachments {
+                let i = r.node_index(x, y, t);
+                let cost = node_cost(occupancy[i], r.history[i], present_penalty);
+                if cost < dist[i] {
+                    dist[i] = cost;
+                    from[i] = -1;
+                    sel[i] = s;
+                    queue.push_back(i);
+                }
+            }
+            while let Some(u) = queue.pop_front() {
+                relaxations += 1;
+                let du = dist[u];
+                let t = u % r.tracks;
+                let tile = u / r.tracks;
+                let (x, y) = (tile % r.width, tile / r.width);
+                let w = r.tracks;
+                let neigh: [(i64, i64, usize, usize); 4] = [
+                    (x as i64 + 1, y as i64, 0, t),
+                    (x as i64 - 1, y as i64, 1, t),
+                    (x as i64, y as i64 + 1, 2, (t + 1) % w),
+                    (x as i64, y as i64 - 1, 3, (t + 1) % w),
+                ];
+                for (nx, ny, pos, nt) in neigh {
+                    if nx < 0
+                        || ny < 0
+                        || nx as usize >= r.width
+                        || ny as usize >= r.fabric.height()
+                    {
+                        continue;
+                    }
+                    let v = r.node_index(nx as usize, ny as usize, nt);
+                    let step = node_cost(occupancy[v], r.history[v], present_penalty);
+                    if du + step < dist[v] {
+                        dist[v] = du + step;
+                        from[v] = u as i64;
+                        sel[v] = pos;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            let target = match *sink {
+                SinkKind::AnyTrackAt { x, y } => (0..r.tracks)
+                    .map(|t| r.node_index(x, y, t))
+                    .filter(|&i| dist[i].is_finite())
+                    .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).expect("finite")),
+                SinkKind::OutputPad { pad } => match r.fabric.io_output_source(pad) {
+                    SignalRef::Track { x, y, t } => {
+                        let i = r.node_index(x, y, t);
+                        dist[i].is_finite().then_some(i)
+                    }
+                    _ => None,
+                },
+            };
+            let Some(target) = target else {
+                return (None, relaxations);
+            };
+            tree.sink_tracks.push(target % r.tracks);
+            let mut cur = target as i64;
+            while cur >= 0 {
+                let i = cur as usize;
+                let t = i % r.tracks;
+                let tile = i / r.tracks;
+                let (x, y) = (tile % r.width, tile / r.width);
+                if tree.nodes.contains_key(&(x, y, t)) {
+                    break;
+                }
+                tree.nodes.insert((x, y, t), sel[i]);
+                cur = from[i];
+            }
+        }
+        (Some(tree), relaxations)
+    }
+
+    /// A random request on `f`: a slot, chain-block or pad source, and one
+    /// to four any-track or output-pad sinks.
+    fn random_request(f: &Fabric, net: usize, rng: &mut Rng) -> RouteRequest {
+        let (w, h) = (f.width(), f.height());
+        let (x, y) = (rng.gen_range(0..w), rng.gen_range(0..h));
+        let source = match rng.gen_range(0..3) {
+            0 => SourceKind::Slot {
+                x,
+                y,
+                slot: rng.gen_range(0..f.config().luts_per_clb),
+            },
+            1 if f.config().mux_chains => SourceKind::ChainBlock { x, y },
+            _ => SourceKind::Pad(rng.gen_range(0..f.io_input_count())),
+        };
+        let sinks = (0..rng.gen_range(1..5))
+            .map(|_| {
+                if rng.gen_bool(0.7) {
+                    SinkKind::AnyTrackAt {
+                        x: rng.gen_range(0..w),
+                        y: rng.gen_range(0..h),
+                    }
+                } else {
+                    SinkKind::OutputPad {
+                        pad: rng.gen_range(0..f.io_output_count()),
+                    }
+                }
+            })
+            .collect();
+        RouteRequest { net, source, sinks }
+    }
+
+    #[test]
+    fn search_matches_oracle() {
+        forall(
+            "search == oracle",
+            0x5EA2_C401,
+            160,
+            |rng| (rng.gen_range(1..7), rng.gen_range(1..7), rng.next_u64()),
+            |&(w, h, seed)| {
+                let (w, h) = (w.max(1), h.max(1));
+                let mut rng = Rng::seed_from_u64(seed);
+                let mut config = match rng.gen_range(0..3) {
+                    0 => FabricConfig::openfpga_style(),
+                    1 => FabricConfig::fabulous_style(false),
+                    _ => FabricConfig::fabulous_style(true),
+                };
+                if rng.gen_bool(0.5) {
+                    config.channel_width = [2, 3, 4, 5, 8][rng.gen_range(0..5)];
+                }
+                let f = Fabric::generate(config, w, h);
+                let mut router = Router::new(&f);
+                // Integer-valued costs tie often, so the tie-breaking order
+                // of the search is what decides most routes here.
+                let busy = rng.gen_bool(0.7);
+                for hist in &mut router.history {
+                    *hist = if busy { rng.gen_range(0..4) as f64 } else { 0.0 };
+                }
+                let occupancy: Vec<u32> = (0..router.history.len())
+                    .map(|_| if busy { rng.gen_range(0..3) as u32 } else { 0 })
+                    .collect();
+                // One scratch for all requests, as in a routing run.
+                let mut scratch = Scratch::new(router.history.len());
+                for net in 0..rng.gen_range(1..6) {
+                    let req = random_request(&f, net, &mut rng);
+                    let iteration = rng.gen_range(0..12);
+                    let got = router.search(&req, &occupancy, iteration, &mut scratch);
+                    let want = oracle_search(&router, &req, &occupancy, iteration);
+                    if got != want {
+                        return Err(format!(
+                            "{req:?} at iteration {iteration}: search {got:?}, oracle {want:?}"
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

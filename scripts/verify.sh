@@ -105,8 +105,14 @@ fi
 echo "ok"
 
 # Trace smoke: SHELL_TRACE=1 must produce a loadable Chrome trace without
-# perturbing the run (the fault report below is compared untraced).
+# perturbing the run (the fault report below is compared untraced). The
+# smoke writes over the committed trace pair with fresh timings, so the pair
+# is saved first and put back afterwards, also when the smoke fails.
 echo "== trace smoke: SHELL_TRACE=1 emits results/trace/*.json =="
+trace_keep=$(mktemp -d)
+cp results/trace/fault_campaign.json results/trace/fault_campaign.summary.txt "$trace_keep/"
+restore_trace() { cp "$trace_keep"/* results/trace/ && rm -rf "$trace_keep"; }
+trap restore_trace EXIT
 rm -f results/trace/fault_campaign.json results/trace/fault_campaign.summary.txt
 SHELL_TRACE=1 SHELL_JOBS=2 cargo run -q --release --offline --bin fault_campaign -- \
     --faults 24 --seed 7 --out FAULT_trace_smoke >/dev/null
@@ -119,6 +125,8 @@ test -s results/trace/fault_campaign.summary.txt || {
     exit 1
 }
 rm -f results/FAULT_trace_smoke.json
+restore_trace
+trap - EXIT
 echo "ok"
 
 # Differential-fuzz smoke: the full lock pipeline, stage boundaries
@@ -213,7 +221,8 @@ done
 for counter in 'place.moves 486400' 'pnr.fit_attempts 26' \
                'route.spfa_relaxations 4613471' 'synth.cuts 78' \
                'shrink.cycle_cuts 4055' 'shrink.steps 4044' \
-               'lock.ladder_attempts 6'; do
+               'lock.ladder_attempts 6' \
+               'pnr.verify_patterns 1920'; do
     name=${counter% *}
     want=${counter#* }
     key="\"${name//./\\.}\": "

@@ -2,7 +2,7 @@
 //! shrinking semantics, and attack behavior on fabric-locked designs.
 
 use shell_attacks::{cyclic_reduction, sat_attack, SatAttackOptions, SatAttackOutcome};
-use shell_circuits::{axi_xbar, mux_tree_circuit, ripple_adder};
+use shell_circuits::{mux_tree_circuit, ripple_adder};
 use shell_fabric::{
     shrink_locked_netlist, to_configured_netlist, to_locked_netlist, FabricConfig,
 };
