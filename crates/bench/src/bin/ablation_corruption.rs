@@ -59,7 +59,7 @@ fn main() {
     }
     t.print("Extension — Wrong-Key Corruptibility and Miter Hardness (SheLL flow)");
     match shell_bench::write_results_json("ablation_corruption", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!("corruption ~0.5 is ideal; c2v near the 3-5 band is the classic hard zone");

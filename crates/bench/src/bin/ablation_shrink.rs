@@ -59,7 +59,7 @@ fn main() {
     }
     t.print("Ablation — Shrinking Reconfigurability (Fig. 4 step 8) on/off");
     match shell_bench::write_results_json("ablation_shrink", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!("expected: shrinking removes the routing-mesh cycles entirely and cuts");

@@ -1,6 +1,6 @@
 //! Seeded fault-injection campaign over a configured fabric (the
-//! robustness smoke: every fault detected or masked-with-proof, zero
-//! panics).
+//! robustness smoke: every fault detected, corrected or masked-with-proof,
+//! zero panics).
 //!
 //! Usage: `fault_campaign [--faults N] [--seed S] [--out results/NAME.json]`
 //!

@@ -92,7 +92,7 @@ fn main() {
 
     t.print("Fig. 1 — Robustness Ladder of Reconfigurability-Based Locking");
     match shell_bench::write_results_json("fig1", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!("expected: robustness grows (a) -> (e); (c) leaks structure to the");

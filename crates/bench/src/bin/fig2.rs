@@ -69,7 +69,7 @@ fn main() {
     }
     t.print("Fig. 2 — Fabric Utilization: Square OpenFPGA vs Demand-Shaped FABulous");
     match shell_bench::write_results_json("fig2", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!("paper reference: desX on a 7x7 OpenFPGA grid left 11/49 tiles unused (<77%).");

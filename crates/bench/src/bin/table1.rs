@@ -77,7 +77,7 @@ fn main() {
     }
     t.print("Table I — Resource Utilization for a ROUTE circuit (8-channel AXI Xbar)");
     match shell_bench::write_results_json("table1", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
 

@@ -82,7 +82,7 @@ fn main() {
     }
     t.print("Table IV — Comparative (Normalized) Overhead in eFPGA-based IP Redaction");
     match shell_bench::write_results_json("table4", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     if shell_n > 0 && base_n > 0 {

@@ -52,7 +52,7 @@ fn main() {
     }
     t.print("Table V — Same-Target (ROUTE-based) Overhead, Cases 1-4");
     match shell_bench::write_results_json("table5", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!("note: Cases 1 and 2 coincide by construction (same tool, same target),");

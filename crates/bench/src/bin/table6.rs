@@ -78,7 +78,7 @@ fn main() {
     }
     t.print("Table VI — Eq. 1 Coefficient Sweep {α,β,γ,λ,ξ,σ} (c5 = SheLL objectives)");
     match shell_bench::write_results_json("table6", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     println!(

@@ -66,7 +66,7 @@ fn main() {
     }
     t.print("Table VII — LGC/ROUTE Correlation Depth vs Overhead (SheLL = depth 0)");
     match shell_bench::write_results_json("table7", &t.to_json()) {
-        Ok(path) => println!("json: {path}"),
+        Ok(path) => eprintln!("json: {path}"),
         Err(e) => eprintln!("could not write results json: {e}"),
     }
     shell_bench::trace_finish("table7");

@@ -231,8 +231,8 @@ pub fn trace_init() -> bool {
 /// Exports the installed tracer (if any) to `results/trace/{name}.json`
 /// (Chrome trace format, loadable in Perfetto) and
 /// `results/trace/{name}.summary.txt` (timed span summary), printing both
-/// paths. A no-op when tracing is disabled, so every bin can call it
-/// unconditionally at exit.
+/// paths on stderr. A no-op when tracing is disabled, so every bin can call
+/// it unconditionally at exit.
 pub fn trace_finish(name: &str) {
     let Some(tracer) = shell_trace::uninstall() else {
         return;
@@ -243,8 +243,8 @@ pub fn trace_finish(name: &str) {
         .join("trace");
     match shell_trace::write_artifacts(&dir, name, &tracer.snapshot()) {
         Ok((json, summary)) => {
-            println!("trace: {}", json.display());
-            println!("trace summary: {}", summary.display());
+            eprintln!("trace: {}", json.display());
+            eprintln!("trace summary: {}", summary.display());
         }
         Err(e) => eprintln!("could not write trace artifacts: {e}"),
     }

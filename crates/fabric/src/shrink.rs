@@ -10,7 +10,7 @@
 //! key bits remain.
 
 use crate::bitstream::Bitstream;
-use shell_graph::{for_each_scc, NodeId};
+use shell_graph::{for_each_scc, mark_dead_end, NodeId, SccBuffers};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
 use shell_synth::{
     clean_netlist, propagate_constants_cyclic, rebuild_resolved, resolve, resolve_cell, Resolution,
@@ -114,11 +114,12 @@ pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
     debug_assert_eq!(true_key.len(), netlist.key_inputs().len());
     let max_steps = netlist.cell_count().max(1);
     let mut replay = Replay::new(netlist, true_key);
+    let mut passes = Passes::default();
     let mut cuts = Vec::new();
     let mut steps = 0u64;
     for _ in 0..max_steps {
         steps += 1;
-        let Some(picked) = replay.pick_cuts() else {
+        let Some(picked) = replay.pick_cuts(&mut passes) else {
             break; // acyclic
         };
         if picked.is_empty() {
@@ -133,6 +134,7 @@ pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
     }
     shell_trace::counter_add("shrink.steps", steps);
     shell_trace::counter_add("shrink.cycle_cuts", cuts.len() as u64);
+    shell_trace::counter_add("shrink.scc_nodes", passes.visited);
     let netlist = if cuts.is_empty() {
         replay.netlist
     } else {
@@ -144,6 +146,20 @@ pub fn defender_cycle_cut(netlist: Netlist, true_key: &[bool]) -> CycleCut {
         netlist
     };
     CycleCut { netlist, cuts }
+}
+
+/// What the Tarjan passes of one [`defender_cycle_cut`] keep across steps.
+#[derive(Default)]
+struct Passes {
+    buffers: SccBuffers,
+    /// Per cell-graph node: it reaches no cyclic component, and no later
+    /// step's graph changes that, so the passes skip it. Only the ties gain
+    /// edges, so they are never marked (see DESIGN.md, "Shrinking").
+    dead: Vec<bool>,
+    /// Per node: a member of the component being searched for a cut.
+    member: Vec<bool>,
+    /// Nodes the passes visited.
+    visited: u64,
 }
 
 /// One cut a step picks: `pin` of `cell`, read from cell-graph node `driver`.
@@ -315,17 +331,35 @@ impl Replay {
 
     /// The step's cuts: `None` when the rebuilt netlist is acyclic, else
     /// the first cuttable pin of each cyclic component, in component order.
-    fn pick_cuts(&self) -> Option<Vec<Cut>> {
+    /// The pass skips the nodes `passes` has marked dead and marks those it
+    /// finds.
+    fn pick_cuts(&self, passes: &mut Passes) -> Option<Vec<Cut>> {
         let mut cyclic = false;
         let mut picked = Vec::new();
-        let mut member = vec![false; self.succ.len()];
-        for_each_scc(
-            self.succ.len(),
+        let Passes {
+            buffers,
+            dead,
+            member,
+            visited,
+        } = passes;
+        dead.resize(self.succ.len(), false);
+        member.resize(self.succ.len(), false);
+        *visited += for_each_scc(
+            buffers,
+            dead,
             self.roots(),
             |u| self.succ[u.index()].as_slice(),
-            |comp| {
-                if comp.len() == 1 && !self.succ[comp[0].index()].contains(&comp[0]) {
-                    return;
+            |comp, dead| {
+                if let [u] = *comp {
+                    let succs = self.succ[u.index()].as_slice();
+                    if !succs.contains(&u) {
+                        // A cut gives `tie0` a new edge, which can lead
+                        // into a cycle.
+                        if !TIES.contains(&u) {
+                            mark_dead_end(dead, u, succs);
+                        }
+                        return;
+                    }
                 }
                 cyclic = true;
                 comp.iter().for_each(|n| member[n.index()] = true);
@@ -340,7 +374,7 @@ impl Replay {
                 picked.extend(cut);
                 comp.iter().for_each(|n| member[n.index()] = false);
             },
-        );
+        ) as u64;
         cyclic.then_some(picked)
     }
 

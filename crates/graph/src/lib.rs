@@ -46,5 +46,8 @@ pub use centrality::{
 };
 pub use coverage::{coverage_fraction, covered_nodes, reachable_from, reaches_to};
 pub use digraph::{DiGraph, EdgeRef, NodeId};
-pub use scc::{condensation, for_each_scc, has_cycle, strongly_connected_components, CycleInfo};
+pub use scc::{
+    condensation, for_each_scc, has_cycle, mark_dead_end, strongly_connected_components, CycleInfo,
+    SccBuffers,
+};
 pub use traversal::{bfs_distances, bfs_order, dfs_postorder, longest_path_dag, topological_order};

@@ -25,35 +25,68 @@ pub struct CycleInfo {
 pub fn strongly_connected_components<T>(g: &DiGraph<T>) -> Vec<Vec<NodeId>> {
     let mut components = Vec::new();
     for_each_scc(
-        g.node_count(),
+        &mut SccBuffers::default(),
+        &mut vec![false; g.node_count()],
         (0..g.node_count() as u32).map(NodeId),
         |u| g.successors(u),
-        |comp| components.push(comp.to_vec()),
+        |comp, _| components.push(comp.to_vec()),
     );
     components
 }
 
-/// Tarjan's algorithm over the nodes `0..n` of a graph given by its
-/// successor lists, for callers that keep their own flat adjacency instead
-/// of a [`DiGraph`]. A DFS starts from each of `roots` in turn that no
-/// earlier one reached, so nodes no root reaches are left out; successors
+/// The work buffers of [`for_each_scc`]. A caller that runs many passes
+/// keeps one and hands it to every pass, so no pass allocates.
+#[derive(Debug, Default)]
+pub struct SccBuffers {
+    /// Per node: its DFS number while it is on the Tarjan stack, else
+    /// `UNSET` (not reached yet) or `DONE` (emitted, or skipped).
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    stack: Vec<NodeId>,
+    comp: Vec<NodeId>,
+    /// Iterative Tarjan: frame = (node, next successor position).
+    call: Vec<(NodeId, usize)>,
+}
+
+/// Tarjan's algorithm over the nodes `0..skip.len()` of a graph given by
+/// its successor lists, for callers that keep their own flat adjacency
+/// instead of a [`DiGraph`]. A DFS starts from each of `roots` in turn that
+/// no earlier one reached, so nodes no root reaches are left out; successors
 /// are tried in list order. `visit` receives each component as it
 /// completes: in reverse topological order of the condensation, each one's
 /// nodes in the order they leave the Tarjan stack (its DFS root last).
+///
+/// A node marked in `skip` is neither a root nor a successor. Skipping any
+/// set of nodes that reach no cyclic component leaves every other node's
+/// component, the order of those components and the order of their members
+/// as they are without the skip: such a node only reaches other such nodes,
+/// finishes before its DFS parent, and never lowers the parent's lowlink.
+/// `visit` also gets the marks, so it can grow them with [`mark_dead_end`]
+/// during the pass. Returns the number of nodes visited.
 pub fn for_each_scc<'a>(
-    n: usize,
+    buffers: &mut SccBuffers,
+    skip: &mut [bool],
     roots: impl IntoIterator<Item = NodeId>,
     successors: impl Fn(NodeId) -> &'a [NodeId],
-    mut visit: impl FnMut(&[NodeId]),
-) {
+    mut visit: impl FnMut(&[NodeId], &mut [bool]),
+) -> usize {
     const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut comp: Vec<NodeId> = Vec::new();
-    // Iterative Tarjan: frame = (node, next successor position).
-    let mut call: Vec<(NodeId, usize)> = Vec::new();
+    // A reached node off the stack is in an emitted component, so one
+    // `index` load tells all three cases apart.
+    const DONE: u32 = u32::MAX - 1;
+    debug_assert!(skip.len() < DONE as usize);
+    let SccBuffers {
+        index,
+        lowlink,
+        stack,
+        comp,
+        call,
+    } = buffers;
+    // `stack` and `call` end every pass empty, `comp` is cleared before each
+    // use, and `lowlink` is written before it is read.
+    index.clear();
+    index.extend(skip.iter().map(|&s| if s { DONE } else { UNSET }));
+    lowlink.resize(skip.len(), 0);
     let mut next_index = 0u32;
 
     for root in roots {
@@ -67,38 +100,53 @@ pub fn for_each_scc<'a>(
                 lowlink[u.index()] = next_index;
                 next_index += 1;
                 stack.push(u);
-                on_stack[u.index()] = true;
             }
+            // Take u's successors up to the first one not reached yet.
             let succs = successors(u);
-            if *pos < succs.len() {
-                let v = succs[*pos];
+            let mut unreached = None;
+            while let Some(&v) = succs.get(*pos) {
                 *pos += 1;
-                if index[v.index()] == UNSET {
-                    call.push((v, 0));
-                } else if on_stack[v.index()] {
-                    lowlink[u.index()] = lowlink[u.index()].min(index[v.index()]);
-                }
-            } else {
-                if lowlink[u.index()] == index[u.index()] {
-                    comp.clear();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w.index()] = false;
-                        comp.push(w);
-                        if w == u {
-                            break;
-                        }
+                match index[v.index()] {
+                    UNSET => {
+                        unreached = Some(v);
+                        break;
                     }
-                    visit(&comp);
+                    DONE => {}
+                    on_stack => lowlink[u.index()] = lowlink[u.index()].min(on_stack),
                 }
-                call.pop();
-                if let Some(&mut (parent, _)) = call.last_mut() {
-                    lowlink[parent.index()] =
-                        lowlink[parent.index()].min(lowlink[u.index()]);
+            }
+            if let Some(v) = unreached {
+                call.push((v, 0));
+                continue;
+            }
+            if lowlink[u.index()] == index[u.index()] {
+                comp.clear();
+                loop {
+                    let w = stack.pop().expect("tarjan stack underflow");
+                    index[w.index()] = DONE;
+                    comp.push(w);
+                    if w == u {
+                        break;
+                    }
                 }
+                visit(comp, skip);
+            }
+            call.pop();
+            if let Some(&mut (parent, _)) = call.last_mut() {
+                lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[u.index()]);
             }
         }
     }
+    next_index as usize
+}
+
+/// The rule that grows `skip` during a [`for_each_scc`] pass: `u`, just
+/// completed as a component of its own without a self-loop, is marked when
+/// every one of its `successors` is. By induction over the components'
+/// reverse topological order, every marked node then reaches no cyclic
+/// component, as long as a marked node gains no unmarked successor later.
+pub fn mark_dead_end(skip: &mut [bool], u: NodeId, successors: &[NodeId]) {
+    skip[u.index()] = successors.iter().all(|v| skip[v.index()]);
 }
 
 /// Returns `true` when the graph contains at least one directed cycle
@@ -136,6 +184,7 @@ pub fn condensation<T>(g: &DiGraph<T>) -> CycleInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shell_util::{forall, Rng};
 
     #[test]
     fn dag_has_no_cycles() {
@@ -205,10 +254,11 @@ mod tests {
         let run = |roots: &[u32]| {
             let mut comps: Vec<Vec<u32>> = Vec::new();
             for_each_scc(
-                succ.len(),
+                &mut SccBuffers::default(),
+                &mut vec![false; succ.len()],
                 roots.iter().map(|&r| NodeId(r)),
                 |u| &succ[u.index()],
-                |comp| comps.push(comp.iter().map(|n| n.0).collect()),
+                |comp, _| comps.push(comp.iter().map(|n| n.0).collect()),
             );
             comps
         };
@@ -225,6 +275,206 @@ mod tests {
         );
         // A node no root reaches is left out.
         assert_eq!(run(&[3, 1]), vec![vec![5, 4], vec![3], vec![0, 2, 1]]);
+    }
+
+    /// One pass over `succ` from `roots` with `skip`, growing the marks
+    /// with [`mark_dead_end`] when `mark` is set: the components and the
+    /// number of nodes visited.
+    fn pass(
+        buffers: &mut SccBuffers,
+        skip: &mut [bool],
+        succ: &[Vec<NodeId>],
+        roots: &[NodeId],
+        mark: bool,
+    ) -> (Vec<Vec<NodeId>>, usize) {
+        let mut comps = Vec::new();
+        let visited = for_each_scc(
+            buffers,
+            skip,
+            roots.iter().copied(),
+            |u| &succ[u.index()],
+            |comp, skip| {
+                if let [u] = *comp {
+                    let succs = &succ[u.index()];
+                    if mark && !succs.contains(&u) {
+                        mark_dead_end(skip, u, succs);
+                    }
+                }
+                comps.push(comp.to_vec());
+            },
+        );
+        (comps, visited)
+    }
+
+    /// Textbook recursive Tarjan from `roots` in turn: the components, in
+    /// order and member for member, that [`for_each_scc`] must give.
+    fn recursive_tarjan(succ: &[Vec<NodeId>], roots: &[NodeId]) -> Vec<Vec<NodeId>> {
+        struct Dfs<'a> {
+            succ: &'a [Vec<NodeId>],
+            index: Vec<Option<u32>>,
+            lowlink: Vec<u32>,
+            on_stack: Vec<bool>,
+            stack: Vec<NodeId>,
+            next: u32,
+            comps: Vec<Vec<NodeId>>,
+        }
+        fn visit(d: &mut Dfs, u: NodeId) {
+            d.index[u.index()] = Some(d.next);
+            d.lowlink[u.index()] = d.next;
+            d.next += 1;
+            d.stack.push(u);
+            d.on_stack[u.index()] = true;
+            let succ = d.succ;
+            for &v in &succ[u.index()] {
+                match d.index[v.index()] {
+                    None => {
+                        visit(d, v);
+                        d.lowlink[u.index()] = d.lowlink[u.index()].min(d.lowlink[v.index()]);
+                    }
+                    Some(j) if d.on_stack[v.index()] => {
+                        d.lowlink[u.index()] = d.lowlink[u.index()].min(j);
+                    }
+                    Some(_) => {}
+                }
+            }
+            if Some(d.lowlink[u.index()]) == d.index[u.index()] {
+                let mut comp = Vec::new();
+                loop {
+                    let w = d.stack.pop().unwrap();
+                    d.on_stack[w.index()] = false;
+                    comp.push(w);
+                    if w == u {
+                        break;
+                    }
+                }
+                d.comps.push(comp);
+            }
+        }
+        let n = succ.len();
+        let mut d = Dfs {
+            succ,
+            index: vec![None; n],
+            lowlink: vec![0; n],
+            on_stack: vec![false; n],
+            stack: Vec::new(),
+            next: 0,
+            comps: Vec::new(),
+        };
+        for &r in roots {
+            if d.index[r.index()].is_none() {
+                visit(&mut d, r);
+            }
+        }
+        d.comps
+    }
+
+    #[test]
+    fn skipping_nodes_that_reach_no_cycle_keeps_every_other_component() {
+        forall(
+            "skipping dead ends keeps the cycle-reaching components and their order",
+            0x5CC_DEAD,
+            300,
+            |rng| {
+                let n = 1 + rng.gen_range(0..24);
+                let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..3 * n))
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                    .collect();
+                (n, edges, rng.next_u64())
+            },
+            |(n, edges, seed)| {
+                let n = (*n).max(1);
+                let mut succ = vec![Vec::new(); n];
+                for &(u, v) in edges.iter().filter(|&&(u, v)| u < n && v < n) {
+                    succ[u].push(NodeId(v as u32));
+                }
+                let mut rng = Rng::seed_from_u64(*seed);
+                let mut roots: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+                rng.shuffle(&mut roots);
+                let want = recursive_tarjan(&succ, &roots);
+                let (got, _) = pass(
+                    &mut SccBuffers::default(),
+                    &mut vec![false; n],
+                    &succ,
+                    &roots,
+                    false,
+                );
+                if got != want {
+                    return Err(format!("components {got:?}, recursive Tarjan {want:?}"));
+                }
+                // Reaching a cycle, by a search from every node.
+                let cyclic: Vec<bool> = {
+                    let mut c = vec![false; n];
+                    for comp in &want {
+                        if comp.len() > 1 || succ[comp[0].index()].contains(&comp[0]) {
+                            comp.iter().for_each(|u| c[u.index()] = true);
+                        }
+                    }
+                    c
+                };
+                let reaches_cycle: Vec<bool> = (0..n)
+                    .map(|s| {
+                        let mut seen = vec![false; n];
+                        let mut todo = vec![s];
+                        while let Some(u) = todo.pop() {
+                            if std::mem::replace(&mut seen[u], true) {
+                                continue;
+                            }
+                            if cyclic[u] {
+                                return true;
+                            }
+                            todo.extend(succ[u].iter().map(|v| v.index()));
+                        }
+                        false
+                    })
+                    .collect();
+                let live = |comps: &[Vec<NodeId>]| -> Vec<Vec<NodeId>> {
+                    comps
+                        .iter()
+                        .filter(|c| reaches_cycle[c[0].index()])
+                        .cloned()
+                        .collect()
+                };
+                let subset: Vec<bool> = (0..n)
+                    .map(|u| !reaches_cycle[u] && rng.gen_bool(0.5))
+                    .collect();
+                let skipped = subset.iter().filter(|&&s| s).count();
+
+                // One set of buffers for every pass below.
+                let mut buffers = SccBuffers::default();
+                let mut skip = subset.clone();
+                let (got, visited) = pass(&mut buffers, &mut skip, &succ, &roots, false);
+                if live(&got) != live(&want) {
+                    return Err(format!(
+                        "skipping {subset:?} changed {:?} to {:?}",
+                        live(&want),
+                        live(&got)
+                    ));
+                }
+                if visited != n - skipped {
+                    return Err(format!("visited {visited} of {n} nodes, {skipped} skipped"));
+                }
+                // Marking during a pass marks exactly the nodes that reach
+                // no cycle, and a later pass that skips them all agrees.
+                let mut marks = subset.clone();
+                let (got, _) = pass(&mut buffers, &mut marks, &succ, &roots, true);
+                if live(&got) != live(&want) {
+                    return Err("a marking pass changed the components".into());
+                }
+                let dead: Vec<bool> = reaches_cycle.iter().map(|r| !r).collect();
+                if marks != dead {
+                    return Err(format!("marked {marks:?}, reaching no cycle {dead:?}"));
+                }
+                let (got, _) = pass(&mut buffers, &mut marks, &succ, &roots, true);
+                if got != live(&want) {
+                    return Err("skipping every dead end changed the components".into());
+                }
+                let (got, _) = pass(&mut buffers, &mut vec![false; n], &succ, &roots, false);
+                if got != want {
+                    return Err("reused buffers give other components than fresh ones".into());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -300,6 +300,7 @@ pub fn place(request: &PlaceRequest) -> Result<Placement, Shortage> {
         let mut rng = Rng::seed_from_u64(seed);
         let annealed = anneal(request, &connectivity, &mut rng);
         shell_trace::counter_add("place.moves", annealed.moves);
+        shell_trace::counter_add("place.swaps", annealed.swaps);
         shell_trace::gauge("place.hpwl", annealed.cost as f64);
         let sites = sites_of(&annealed.slot_at, slots.len(), fabric);
         let (input_pads, output_pads) = assign_io(request, &connectivity, &sites, &mut rng)?;
@@ -339,6 +340,12 @@ struct Connectivity {
     nets: Vec<PricedNet>,
     /// Slot → indices into `nets` of the priced nets it touches, each once.
     slot_nets: Vec<Vec<usize>>,
+    /// Slot → the dense index of the net on each of its pins, then of its
+    /// output: the claims it makes at its tile.
+    slot_claims: Vec<Vec<u32>>,
+    /// How many distinct nets the slots' pins and outputs carry; the dense
+    /// indices run below it.
+    claimable: usize,
 }
 
 /// A net's terminals, as the wirelength term sees them.
@@ -363,7 +370,7 @@ impl Connectivity {
         ids.sort_unstable();
         let mut nets = Vec::new();
         let mut slot_nets = vec![Vec::new(); slots.len()];
-        for id in ids {
+        for &id in &ids {
             let members = &net_slots[&id];
             let fixed = pin_hints.get(&id).map(Vec::as_slice).unwrap_or_default();
             if members.len() + fixed.len() < 2 {
@@ -383,10 +390,20 @@ impl Connectivity {
                 fixed,
             });
         }
+        let slot_claims = slots
+            .iter()
+            .map(|slot| {
+                (slot.input_nets.iter().chain([&slot.output_net]))
+                    .map(|n| ids.binary_search(n).expect("every slot net is listed") as u32)
+                    .collect()
+            })
+            .collect();
         Connectivity {
             net_slots,
             nets,
             slot_nets,
+            slot_claims,
+            claimable: ids.len(),
         }
     }
 }
@@ -399,7 +416,6 @@ impl Connectivity {
 /// tiles, so [`CostState::swap`] updates those tiles' claim counts and
 /// re-prices only the nets the two slots touch.
 struct CostState<'a> {
-    slots: &'a [Slot],
     connectivity: &'a Connectivity,
     width: usize,
     per_clb: usize,
@@ -411,9 +427,12 @@ struct CostState<'a> {
     xy: Vec<(usize, usize)>,
     /// Priced net → its current half-perimeter.
     net_len: Vec<usize>,
-    /// Tile → `(net, claims)` for every net its slots' pins and outputs
-    /// claim, single-terminal nets included.
-    claims: Vec<Vec<(NetId, u32)>>,
+    /// Tile × claimable net → how many pins and outputs of the tile's slots
+    /// carry the net, single-terminal nets included: `claimable` counters
+    /// per tile.
+    claims: Vec<u32>,
+    /// Tile → how many of its counters are nonzero.
+    distinct: Vec<usize>,
     /// Tile → whether it is a chain tile.
     chain: Vec<bool>,
     /// The current cost.
@@ -438,17 +457,7 @@ impl<'a> CostState<'a> {
                 request.chain_tiles.contains(&xy)
             })
             .collect();
-        // Room for every claim a full tile can make, so no move allocates.
-        let pins = slots
-            .iter()
-            .map(|s| s.input_nets.len() + 1)
-            .max()
-            .unwrap_or(0);
-        let claims = (0..fabric.tile_count())
-            .map(|_| Vec::with_capacity(per_clb * pins))
-            .collect();
         let mut state = CostState {
-            slots,
             connectivity,
             width: fabric.width(),
             per_clb,
@@ -456,7 +465,8 @@ impl<'a> CostState<'a> {
             slot_at,
             xy: vec![(0, 0); slots.len()],
             net_len: vec![0; connectivity.nets.len()],
-            claims,
+            claims: vec![0; fabric.tile_count() * connectivity.claimable],
+            distinct: vec![0; fabric.tile_count()],
             chain,
             cost: 0,
             last_delta: 0,
@@ -470,7 +480,7 @@ impl<'a> CostState<'a> {
                 state.cost += 25 * i64::from(state.chain[tile]);
             }
         }
-        for tile in 0..state.claims.len() {
+        for tile in 0..state.distinct.len() {
             state.cost += state.overflow_cost(tile);
         }
         for n in 0..state.net_len.len() {
@@ -486,7 +496,7 @@ impl<'a> CostState<'a> {
 
     /// 40 per distinct net claimed at `tile` beyond the track budget.
     fn overflow_cost(&self, tile: usize) -> i64 {
-        40 * self.claims[tile].len().saturating_sub(self.track_budget) as i64
+        40 * self.distinct[tile].saturating_sub(self.track_budget) as i64
     }
 
     fn half_perimeter(&self, net: usize) -> usize {
@@ -504,29 +514,21 @@ impl<'a> CostState<'a> {
 
     /// Adds slot `s`'s pin and output claims to `tile`.
     fn claim(&mut self, s: usize, tile: usize) {
-        let slot = &self.slots[s];
-        let claims = &mut self.claims[tile];
-        for &net in slot.input_nets.iter().chain([&slot.output_net]) {
-            match claims.iter_mut().find(|(n, _)| *n == net) {
-                Some((_, count)) => *count += 1,
-                None => claims.push((net, 1)),
-            }
+        let base = tile * self.connectivity.claimable;
+        for &net in &self.connectivity.slot_claims[s] {
+            let count = &mut self.claims[base + net as usize];
+            self.distinct[tile] += usize::from(*count == 0);
+            *count += 1;
         }
     }
 
     /// Removes slot `s`'s pin and output claims from `tile`.
     fn release(&mut self, s: usize, tile: usize) {
-        let slot = &self.slots[s];
-        let claims = &mut self.claims[tile];
-        for &net in slot.input_nets.iter().chain([&slot.output_net]) {
-            let i = claims
-                .iter()
-                .position(|(n, _)| *n == net)
-                .expect("a placed slot's nets are claimed at its tile");
-            claims[i].1 -= 1;
-            if claims[i].1 == 0 {
-                claims.swap_remove(i);
-            }
+        let base = tile * self.connectivity.claimable;
+        for &net in &self.connectivity.slot_claims[s] {
+            let count = &mut self.claims[base + net as usize];
+            *count -= 1;
+            self.distinct[tile] -= usize::from(*count == 0);
         }
     }
 
@@ -609,6 +611,8 @@ struct Annealed {
     degraded: Option<Exhausted>,
     /// Moves attempted.
     moves: u64,
+    /// Moves priced by [`CostState::swap`]: those that move a slot.
+    swaps: u64,
 }
 
 /// Simulated annealing over site swaps, from a round-robin spread of the
@@ -653,6 +657,7 @@ fn anneal(request: &PlaceRequest, connectivity: &Connectivity, rng: &mut Rng) ->
     let mut best_cost = state.cost;
     let mut degraded = None;
     let mut moves_done = 0u64;
+    let mut swaps = 0u64;
     for m in 0..moves {
         moves_done += 1;
         if m % 256 == 0 {
@@ -666,6 +671,7 @@ fn anneal(request: &PlaceRequest, connectivity: &Connectivity, rng: &mut Rng) ->
         if a == b || (state.slot_at[a].is_none() && state.slot_at[b].is_none()) {
             continue;
         }
+        swaps += 1;
         let delta = state.swap(a, b);
         let accept = delta <= 0 || rng.gen_f64() < (-(delta as f64) / temperature).exp();
         if accept {
@@ -690,6 +696,7 @@ fn anneal(request: &PlaceRequest, connectivity: &Connectivity, rng: &mut Rng) ->
         cost,
         degraded,
         moves: moves_done,
+        swaps,
     }
 }
 

@@ -12,7 +12,7 @@
 //! * [`fault`] — the seeded fault-injection campaign: bit-flips and
 //!   stuck-at faults injected into configured bitstreams, every faulted
 //!   configuration re-verified inside a panic guard and classified as
-//!   detected / masked-with-proof / undetected / panicked,
+//!   detected / corrected / masked-with-proof / undetected / panicked,
 //! * [`fuzz`] — the differential flow fuzzer: seeded random netlists pushed
 //!   through LUT-map → place-and-route → bitstream → fabric emulation →
 //!   lock → activate, with every stage boundary miter-checked, mismatches

@@ -129,6 +129,30 @@ restore_trace
 trap - EXIT
 echo "ok"
 
+# Table smoke: table1 and fig2 must regenerate their committed artifacts
+# exactly, the JSON and the captured stdout, so a stale artifact fails
+# here. Both bins write over results/, so the committed files are saved
+# first and put back afterwards, also when the smoke fails.
+echo "== table smoke: table1 and fig2 regenerate their committed artifacts =="
+table_keep=$(mktemp -d)
+table_out=$(mktemp -d)
+cp results/table1.json results/table1.txt results/fig2.json results/fig2.txt "$table_keep/"
+restore_tables() { cp "$table_keep"/* results/ && rm -rf "$table_keep" "$table_out"; }
+trap restore_tables EXIT
+for b in table1 fig2; do
+    SHELL_JOBS=1 cargo run -q --release --offline -p shell-bench --bin "$b" >"$table_out/$b.txt"
+    cp "results/$b.json" "$table_out/"
+    for f in "$b.json" "$b.txt"; do
+        diff -u "$table_keep/$f" "$table_out/$f" >&2 || {
+            echo "table smoke: results/$f differs from what $b writes now" >&2
+            exit 1
+        }
+    done
+done
+restore_tables
+trap - EXIT
+echo "ok"
+
 # Differential-fuzz smoke: the full lock pipeline, stage boundaries
 # miter-checked, at two job counts. Zero mismatches is correctness; the
 # byte-identical reports are the determinism contract (the fuzz report
@@ -153,9 +177,9 @@ cmp "$fuzz_j1" "$fuzz_j4" || {
 echo "ok"
 
 # Fault-injection smoke: 240 seeded bit-flip/stuck-at faults into a
-# configured bitstream. Every fault must be detected or masked-with-proof
-# and nothing may panic, at both job counts; the reports carry no worker
-# count, so they must also be byte-identical.
+# configured bitstream. Every fault must be detected, corrected or
+# masked-with-proof and nothing may panic, at both job counts; the reports
+# carry no worker count, so they must also be byte-identical.
 echo "== fault smoke: 240 faults, SHELL_JOBS=1 vs 4, zero undetected/panics =="
 SHELL_JOBS=1 cargo run -q --release --offline --bin fault_campaign -- \
     --faults 240 --seed 7 --out FAULT_smoke_j1
@@ -173,6 +197,12 @@ grep -q '"panics": 0' results/FAULT_smoke_j1.json || {
 }
 cmp results/FAULT_smoke_j1.json results/FAULT_smoke_j4.json || {
     echo "fault reports differ between SHELL_JOBS=1 and 4" >&2
+    exit 1
+}
+# The report does not carry its `--out` name, so the smoke's run of the
+# committed recipe must equal the committed artifact.
+cmp results/FAULT_smoke_j1.json results/FAULT_campaign.json || {
+    echo "results/FAULT_campaign.json differs from what its recipe writes now" >&2
     exit 1
 }
 rm -f results/FAULT_smoke_j1.json results/FAULT_smoke_j4.json
@@ -222,7 +252,8 @@ for counter in 'place.moves 486400' 'pnr.fit_attempts 26' \
                'route.spfa_relaxations 4613471' 'synth.cuts 78' \
                'shrink.cycle_cuts 4055' 'shrink.steps 4044' \
                'lock.ladder_attempts 6' \
-               'pnr.verify_patterns 1920'; do
+               'pnr.verify_patterns 1920' \
+               'shrink.scc_nodes 5477306' 'place.swaps 228576'; do
     name=${counter% *}
     want=${counter#* }
     key="\"${name//./\\.}\": "

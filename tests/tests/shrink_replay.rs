@@ -396,3 +396,49 @@ fn replay_matches_oracle_with_both_ties_before_one_cell() {
     assert_eq!(cuts, vec![("s".to_string(), 2), ("x0".to_string(), 2)]);
     assert_eq!(matches_oracle(&netlist, &key), Ok(2));
 }
+
+/// A cut can give `tie0` its first edge into a cycle, so the replay never
+/// marks a tie as reaching none. Step 1 cuts self-loop `s`, whose cut pin
+/// then reads constant 0, so from step 2 on `tie0` is the first DFS root and
+/// leads only to `s`. Step 2 cuts pin 3 of `x` in ring `y ↔ x`, which `x`
+/// still closes through pin 4, and that cut gives `tie0` the edge into `x`.
+/// Step 3 enters the ring from `tie0` at `x`, which makes `y` the ring's
+/// first member and its pin the cut. With `tie0` skipped, root `y` would
+/// enter the ring at `y` and lose `x`'s pin 4 instead. The ring's selects
+/// reach their keys through buffers, so step 1 cannot cut it.
+fn tie_enters_a_cycle_after_a_cut() -> (Netlist, Vec<bool>) {
+    let mut n = Netlist::new("tie_enters_a_cycle_after_a_cut");
+    let a = n.add_input("a");
+    let ks = n.add_key_input("ks");
+    let ky = n.add_key_input("ky");
+    let kx1 = n.add_key_input("kx1");
+    let kx0 = n.add_key_input("kx0");
+    let s = n.add_net("s");
+    n.add_cell_driving("s", CellKind::Mux2, vec![ks, a, s], s)
+        .unwrap();
+    let by = n.add_cell("by", CellKind::Buf, vec![ky]);
+    let bx1 = n.add_cell("bx1", CellKind::Buf, vec![kx1]);
+    let bx0 = n.add_cell("bx0", CellKind::Buf, vec![kx0]);
+    let x = n.add_net("x");
+    let y = n.add_cell("y", CellKind::Mux2, vec![by, a, x]);
+    n.add_cell_driving("x", CellKind::Mux4, vec![bx1, bx0, a, y, y, a], x)
+        .unwrap();
+    n.add_output("s", s);
+    n.add_output("x", x);
+    (n, vec![false; 4])
+}
+
+#[test]
+fn replay_matches_oracle_when_a_cut_leads_a_tie_into_a_cycle() {
+    let (netlist, key) = tie_enters_a_cycle_after_a_cut();
+    let (_, cuts) = oracle_cycle_cut(netlist.clone(), &key);
+    assert_eq!(
+        cuts,
+        vec![
+            ("s".to_string(), 2),
+            ("x".to_string(), 3),
+            ("y".to_string(), 2)
+        ]
+    );
+    assert_eq!(matches_oracle(&netlist, &key), Ok(3));
+}
