@@ -128,10 +128,7 @@ fn cyclic_components(netlist: &Netlist) -> Vec<Vec<CellId>> {
     }
     strongly_connected_components(&g)
         .into_iter()
-        .filter(|comp| {
-            comp.len() > 1
-                || g.successors(comp[0]).contains(&comp[0])
-        })
+        .filter(|comp| comp.len() > 1 || g.successors(comp[0]).contains(&comp[0]))
         .map(|comp| comp.into_iter().map(|n| *g.payload(n)).collect())
         .collect()
 }
@@ -247,7 +244,8 @@ mod tests {
         let mut n = Netlist::new("s");
         let a = n.add_input("a");
         let q = n.add_net("q");
-        n.add_cell_driving("g", CellKind::Or, vec![a, q], q).unwrap();
+        n.add_cell_driving("g", CellKind::Or, vec![a, q], q)
+            .unwrap();
         n.add_output("f", q);
         let r = cyclic_reduction(&n);
         assert!(r.netlist.topo_order().is_ok());

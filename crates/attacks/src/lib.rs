@@ -35,9 +35,8 @@ pub mod structural;
 pub use cyclic::{cyclic_reduction, cyclic_reduction_budgeted, CyclicReductionReport};
 pub use removal::{removal_attack, RemovalOutcome};
 pub use sat_attack::{
-    sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells,
-    xor_lock_outputs, AttackCheckpoint,
-    AttackReport, SatAttackOptions, SatAttackOutcome, ScanError,
+    sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells, xor_lock_outputs,
+    AttackCheckpoint, AttackReport, SatAttackOptions, SatAttackOutcome, ScanError,
     DEFAULT_CONFLICT_QUOTA,
 };
 pub use structural::{structural_mux_attack, structural_mux_attack_budgeted, StructuralReport};

@@ -8,9 +8,7 @@
 //! checks functional equivalence and reports whether the removal attack
 //! succeeds.
 
-use shell_netlist::equiv::{
-    equiv_exhaustive, equiv_random, equiv_sequential_random, EquivResult,
-};
+use shell_netlist::equiv::{equiv_exhaustive, equiv_random, equiv_sequential_random, EquivResult};
 use shell_netlist::Netlist;
 
 /// Result of a removal attempt.

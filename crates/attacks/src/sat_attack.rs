@@ -28,12 +28,12 @@
 //! and data pins pseudo-outputs, so a single combinational frame carries the
 //! whole secret.
 
+use shell_chaos::Io;
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::equiv::{equiv_exhaustive, equiv_random, EquivResult};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
 use shell_sat::{encode_cell, encode_miter_gated, Lit, SatResult, Solver, Var};
 use shell_synth::{resolve, resolve_cell, Resolution};
-use shell_chaos::Io;
 use shell_util::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -171,7 +171,10 @@ impl AttackCheckpoint {
                     .and_then(Json::as_arr)
                     .ok_or_else(|| format!("checkpoint: dip missing `{key}`"))?
                     .iter()
-                    .map(|b| b.as_bool().ok_or_else(|| format!("checkpoint: non-bool in `{key}`")))
+                    .map(|b| {
+                        b.as_bool()
+                            .ok_or_else(|| format!("checkpoint: non-bool in `{key}`"))
+                    })
                     .collect()
             };
             dips.push((bools("input")?, bools("response")?));
@@ -211,8 +214,8 @@ impl AttackCheckpoint {
 
     /// [`AttackCheckpoint::load`] through an explicit [`Io`] seam.
     pub fn load_with(io: &dyn Io, path: &Path) -> Result<Self, String> {
-        let text = shell_chaos::read_string(io, path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text =
+            shell_chaos::read_string(io, path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_json(&Json::parse(&text)?)
     }
 }
@@ -295,9 +298,12 @@ impl AttackReport {
                 iterations,
                 conflicts,
             } => ("resilient", None, *iterations, *conflicts),
-            SatAttackOutcome::WrongKey { key, iterations } => {
-                ("wrong_key", Some(key.clone()), *iterations, self.conflicts_spent)
-            }
+            SatAttackOutcome::WrongKey { key, iterations } => (
+                "wrong_key",
+                Some(key.clone()),
+                *iterations,
+                self.conflicts_spent,
+            ),
         };
         Json::obj([
             ("status", Json::Str(status.to_string())),
@@ -348,10 +354,9 @@ impl std::fmt::Display for ScanError {
             ScanError::Latch { cell } => {
                 write!(f, "latch `{cell}` not supported in scan frames")
             }
-            ScanError::UnrealizedDataPin { cell } => write!(
-                f,
-                "data pin of DFF `{cell}` is fed by an unrealized net"
-            ),
+            ScanError::UnrealizedDataPin { cell } => {
+                write!(f, "data pin of DFF `{cell}` is fed by an unrealized net")
+            }
             ScanError::Cyclic => write!(f, "cyclic netlist"),
         }
     }
@@ -568,7 +573,10 @@ pub fn sat_attack_report(
     options: &SatAttackOptions,
 ) -> AttackReport {
     let _span = shell_trace::span!("attack.sat");
-    assert!(locked.is_combinational(), "scan_frame the locked design first");
+    assert!(
+        locked.is_combinational(),
+        "scan_frame the locked design first"
+    );
     assert!(oracle.is_combinational(), "scan_frame the oracle first");
     assert!(oracle.key_inputs().is_empty(), "oracle must be activated");
     assert_eq!(
@@ -959,7 +967,9 @@ mod tests {
         let (locked, true_key) = xor_lock(&oracle, 6);
         let outcome = sat_attack(&locked, &oracle, &SatAttackOptions::default());
         match outcome {
-            SatAttackOutcome::Broken { key, iterations, .. } => {
+            SatAttackOutcome::Broken {
+                key, iterations, ..
+            } => {
                 // The recovered key must be *functionally* correct; chained
                 // inverted bits can cancel, so bit equality with true_key is
                 // not required. The attack verified already; double-check.
@@ -1142,7 +1152,10 @@ mod tests {
             SatAttackOutcome::Broken { iterations, .. } => *iterations,
             other => panic!("expected break, got {other:?}"),
         };
-        assert!(full_iters >= 2, "need a multi-iteration attack to interrupt");
+        assert!(
+            full_iters >= 2,
+            "need a multi-iteration attack to interrupt"
+        );
 
         // Interrupted run: kill it partway via a conflict quota, with
         // checkpointing on.
@@ -1251,7 +1264,7 @@ mod tests {
         assert!(frame.is_combinational());
         assert_eq!(frame.inputs().len(), 2); // d + scan_q0
         assert_eq!(frame.outputs().len(), 2); // f + scan_d0
-        // frame: f = scan_q0 ^ d, scan_d0 = d.
+                                              // frame: f = scan_q0 ^ d, scan_d0 = d.
         assert_eq!(frame.eval_comb(&[true, false]), vec![true, true]);
         assert_eq!(frame.eval_comb(&[true, true]), vec![false, true]);
     }

@@ -153,10 +153,7 @@ pub fn structural_mux_attack_budgeted(
         .enumerate()
         .filter_map(|(i, g)| g.map(|v| (i, v)))
         .collect();
-    let correct = analyzed
-        .iter()
-        .filter(|(i, v)| *v == true_key[*i])
-        .count();
+    let correct = analyzed.iter().filter(|(i, v)| *v == true_key[*i]).count();
     let accuracy = if analyzed.is_empty() {
         0.0
     } else {
@@ -269,8 +266,9 @@ mod tests {
             Err(Exhausted::Quota)
         );
         // A sufficient quota matches the unbudgeted run exactly.
-        let full = structural_mux_attack_budgeted(&locked, &key, &Budget::unlimited().with_quota(8))
-            .unwrap();
+        let full =
+            structural_mux_attack_budgeted(&locked, &key, &Budget::unlimited().with_quota(8))
+                .unwrap();
         assert_eq!(full, structural_mux_attack(&locked, &key));
     }
 }

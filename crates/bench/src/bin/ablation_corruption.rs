@@ -28,12 +28,7 @@ fn miter_c2v(locked: &shell_netlist::Netlist) -> Option<f64> {
 
 fn main() {
     shell_bench::trace_init();
-    let mut t = Table::new(&[
-        "Benchmark",
-        "key bits",
-        "corruption rate",
-        "miter c2v",
-    ]);
+    let mut t = Table::new(&["Benchmark", "key bits", "corruption rate", "miter c2v"]);
     for bench in Benchmark::all() {
         let design = generate(bench, eval_scale());
         match shell_lock(&design, &ShellOptions::default()) {

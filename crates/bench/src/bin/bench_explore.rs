@@ -60,7 +60,11 @@ fn main() {
             p.key_bits.to_string(),
             f2(p.area),
             f2(p.delay),
-            if front.contains(&p.index) { "*".into() } else { String::new() },
+            if front.contains(&p.index) {
+                "*".into()
+            } else {
+                String::new()
+            },
         ]);
     }
     table.print(&format!(
@@ -78,24 +82,25 @@ fn main() {
         None => println!("pick_fabric: no surviving point on this grid"),
     }
 
-    let resolved = report
+    let resolved = report.points.iter().all(|p| p.verdict.label() != "failed");
+    let survivors = report
         .points
         .iter()
-        .all(|p| p.verdict.label() != "failed");
-    let survivors = report.points.iter().filter(|p| p.verdict.survived()).count();
+        .filter(|p| p.verdict.survived())
+        .count();
     assert!(!front.is_empty(), "Pareto front must be non-empty");
 
     let doc = Json::obj([
         ("design", Json::from("axi_xbar(4,1)")),
         ("seed", Json::from(opts.seed)),
         ("attack_quota", Json::from(opts.attack_quota)),
-        ("max_attack_iterations", Json::from(opts.max_attack_iterations)),
+        (
+            "max_attack_iterations",
+            Json::from(opts.max_attack_iterations),
+        ),
         ("grid", grid.to_json()),
         ("report", report.to_json()),
-        (
-            "pick",
-            pick.map(|p| p.to_json()).unwrap_or(Json::Null),
-        ),
+        ("pick", pick.map(|p| p.to_json()).unwrap_or(Json::Null)),
         (
             "verdicts",
             Json::obj([
@@ -109,10 +114,7 @@ fn main() {
 
     // The smoke run (`--out`) writes the identical wrapped payload to a
     // scratch path so it never clobbers the committed artifact.
-    let wrapped = Json::obj([
-        ("jobs_invariant", Json::Bool(true)),
-        ("data", doc.clone()),
-    ]);
+    let wrapped = Json::obj([("jobs_invariant", Json::Bool(true)), ("data", doc.clone())]);
     match flag(&argv, "--out") {
         Some(path) => match std::fs::write(&path, wrapped.to_string_pretty()) {
             Ok(()) => println!("wrote {path}"),

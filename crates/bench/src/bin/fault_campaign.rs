@@ -47,7 +47,14 @@ fn main() {
     )
     .expect("reference design fits");
 
-    let report = fault_campaign(&mapped, &pnr.fabric, &pnr.bitstream, &pnr.io_map, faults, seed);
+    let report = fault_campaign(
+        &mapped,
+        &pnr.fabric,
+        &pnr.bitstream,
+        &pnr.io_map,
+        faults,
+        seed,
+    );
     let json = report.to_json();
     println!(
         "fault_campaign: {} faults, detected={} corrected={} masked={} undetected={} panics={}",

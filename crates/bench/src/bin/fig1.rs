@@ -14,8 +14,8 @@ use shell_attacks::{sat_attack, structural_mux_attack, SatAttackOutcome};
 use shell_bench::{attack_budget, check_resilience, f2, Table};
 use shell_circuits::ripple_adder;
 use shell_lock::{
-    lock_lut_heuristic, lock_lut_random, lock_mux_lut, lock_mux_routing, shell_lock,
-    LockedDesign, ShellOptions,
+    lock_lut_heuristic, lock_lut_random, lock_mux_lut, lock_mux_routing, shell_lock, LockedDesign,
+    ShellOptions,
 };
 
 fn attack_row(t: &mut Table, scheme: &str, lock: &LockedDesign, oracle: &shell_netlist::Netlist) {

@@ -40,7 +40,10 @@ fn main() {
     ]);
     for (label, cfg) in [
         ("OpenFPGA (square)", FabricConfig::openfpga_style()),
-        ("FABulous (demand-shaped)", FabricConfig::fabulous_style(false)),
+        (
+            "FABulous (demand-shaped)",
+            FabricConfig::fabulous_style(false),
+        ),
     ] {
         match place_and_route(&mapped, cfg, &opts) {
             Ok(r) => {

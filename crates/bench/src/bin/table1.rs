@@ -41,12 +41,8 @@ fn main() {
         &opts,
     )
     .expect("FABulous std flow maps");
-    let fab_chain = place_and_route_with_chains(
-        &xbar,
-        FabricConfig::fabulous_style(true),
-        &opts,
-    )
-    .expect("FABulous chain flow maps");
+    let fab_chain = place_and_route_with_chains(&xbar, FabricConfig::fabulous_style(true), &opts)
+        .expect("FABulous chain flow maps");
 
     let mut t = Table::new(&[
         "Tool",

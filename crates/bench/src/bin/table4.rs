@@ -13,9 +13,7 @@ use shell_lock::{evaluate_overhead, redact_baseline, BaselineCase, ShellOptions}
 
 fn main() {
     shell_bench::trace_init();
-    let mut t = Table::new(&[
-        "Benchmark", "Case", "TfR", "A", "P", "D", "SAT", "key bits",
-    ]);
+    let mut t = Table::new(&["Benchmark", "Case", "TfR", "A", "P", "D", "SAT", "key bits"]);
     let mut shell_sum = [0.0f64; 3];
     let mut base_sum = [0.0f64; 3];
     let mut base_n = 0usize;

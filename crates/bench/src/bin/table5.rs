@@ -15,8 +15,19 @@ fn main() {
     shell_bench::trace_init();
     let benches = [Benchmark::PicoSoc, Benchmark::Aes, Benchmark::Fir];
     let mut t = Table::new(&[
-        "Benchmark", "C1 A", "C1 P", "C1 D", "C2 A", "C2 P", "C2 D", "C3 A", "C3 P", "C3 D",
-        "C4 A", "C4 P", "C4 D",
+        "Benchmark",
+        "C1 A",
+        "C1 P",
+        "C1 D",
+        "C2 A",
+        "C2 P",
+        "C2 D",
+        "C3 A",
+        "C3 P",
+        "C3 D",
+        "C4 A",
+        "C4 P",
+        "C4 D",
     ]);
     // Each (benchmark, case) redaction is independent: fan the whole grid
     // out over workers and assemble the rows in order afterwards.

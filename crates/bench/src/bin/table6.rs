@@ -8,9 +8,7 @@
 
 use shell_bench::{check_resilience, eval_scale, f2, Table};
 use shell_circuits::{generate, Benchmark};
-use shell_lock::{
-    evaluate_overhead, shell_lock, Coefficients, SelectionOptions, ShellOptions,
-};
+use shell_lock::{evaluate_overhead, shell_lock, Coefficients, SelectionOptions, ShellOptions};
 
 fn main() {
     shell_bench::trace_init();
@@ -62,8 +60,7 @@ fn main() {
     for (bi, bench) in Benchmark::all().into_iter().enumerate() {
         let mut row = vec![bench.name().to_string()];
         let mut areas: Vec<f64> = Vec::new();
-        for (cells, area) in outcomes.iter().skip(bi * presets.len()).take(presets.len())
-        {
+        for (cells, area) in outcomes.iter().skip(bi * presets.len()).take(presets.len()) {
             row.extend(cells.iter().cloned());
             areas.push(*area);
         }

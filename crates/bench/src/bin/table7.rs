@@ -17,9 +17,15 @@ fn main() {
     let benches = [Benchmark::PicoSoc, Benchmark::Aes, Benchmark::Fir];
     let mut t = Table::new(&[
         "Benchmark",
-        "d2 A", "d2 P", "d2 D",
-        "d1 A", "d1 P", "d1 D",
-        "d0 A", "d0 P", "d0 D",
+        "d2 A",
+        "d2 P",
+        "d2 D",
+        "d1 A",
+        "d1 P",
+        "d1 D",
+        "d0 A",
+        "d0 P",
+        "d0 D",
         "d2/d0 area",
     ]);
     // Paper order: depth 2, depth 1, then SheLL's direct depth 0. The nine

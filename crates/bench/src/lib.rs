@@ -198,10 +198,7 @@ pub fn write_results_json(name: &str, json: &Json) -> Result<String, String> {
 ///
 /// Returns the IO error text on failure.
 pub fn write_invariant_results_json(name: &str, json: &Json) -> Result<String, String> {
-    let payload = Json::obj([
-        ("jobs_invariant", Json::Bool(true)),
-        ("data", json.clone()),
-    ]);
+    let payload = Json::obj([("jobs_invariant", Json::Bool(true)), ("data", json.clone())]);
     write_results_file(name, &payload)
 }
 

@@ -178,7 +178,8 @@ impl Journal {
         if let Some(parent) = target.parent().filter(|p| !p.as_os_str().is_empty()) {
             self.io.create_dir_all(parent)?;
         }
-        self.io.write(&intent_path, intent.to_string_pretty().as_bytes())?;
+        self.io
+            .write(&intent_path, intent.to_string_pretty().as_bytes())?;
         self.io.sync(&intent_path)?;
         self.io.write(&tmp_path, bytes)?;
         self.io.sync(&tmp_path)?;
@@ -356,7 +357,10 @@ mod tests {
         let intent = Json::obj([
             ("target", Json::from(target.display().to_string())),
             ("len", Json::from(b"the-new-value".len())),
-            ("fnv", Json::from(format!("{:016x}", fnv64(b"the-new-value")))),
+            (
+                "fnv",
+                Json::from(format!("{:016x}", fnv64(b"the-new-value"))),
+            ),
         ]);
         std::fs::write(
             journal.dir().join(format!("cafe.{INTENT_EXT}")),

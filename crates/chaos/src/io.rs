@@ -273,8 +273,7 @@ impl ChaosIo {
             self.count_injected("chaos.crashes");
             return Ok((index, word, true));
         }
-        if self.config.enospc_per_mille > 0
-            && word % 1000 < u64::from(self.config.enospc_per_mille)
+        if self.config.enospc_per_mille > 0 && word % 1000 < u64::from(self.config.enospc_per_mille)
         {
             self.count_injected("chaos.enospc");
             return Err(io::Error::new(
@@ -293,7 +292,11 @@ impl Io for ChaosIo {
             // Reads get their own op counter so a read fault does not shift
             // the crash-point index space of the mutating ops.
             let index = self.mutating_ops.load(Ordering::SeqCst);
-            let word = decide(self.config.seed, index, 0x5EAD ^ path.as_os_str().len() as u64);
+            let word = decide(
+                self.config.seed,
+                index,
+                0x5EAD ^ path.as_os_str().len() as u64,
+            );
             if word % 1000 < u64::from(self.config.short_read_per_mille) {
                 self.count_injected("chaos.short_reads");
                 return Err(io::Error::new(
@@ -417,7 +420,10 @@ mod tests {
             vec![dir.join("a.txt"), dir.join("b.txt")],
             "listing must be sorted"
         );
-        assert_eq!(io.list_dir(&dir.join("missing")).unwrap(), Vec::<PathBuf>::new());
+        assert_eq!(
+            io.list_dir(&dir.join("missing")).unwrap(),
+            Vec::<PathBuf>::new()
+        );
         io.rename(&dir.join("a.txt"), &dir.join("c.txt")).unwrap();
         assert!(io.exists(&dir.join("c.txt")));
         io.remove_file(&dir.join("c.txt")).unwrap();

@@ -104,7 +104,11 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// A policy that never retries (tests, or latency-critical paths).
     pub fn none() -> RetryPolicy {
-        RetryPolicy { attempts: 1, base: Duration::ZERO, max: Duration::ZERO }
+        RetryPolicy {
+            attempts: 1,
+            base: Duration::ZERO,
+            max: Duration::ZERO,
+        }
     }
 
     /// Backoff slept after the `attempt`-th failure (1-based).
@@ -145,7 +149,11 @@ pub fn with_retry<T>(
             Err(err) => {
                 let class = classify(&err);
                 let exhausted = class == ErrorClass::Permanent || attempt >= policy.attempts;
-                let backoff = if exhausted { Duration::ZERO } else { policy.backoff(attempt) };
+                let backoff = if exhausted {
+                    Duration::ZERO
+                } else {
+                    policy.backoff(attempt)
+                };
                 ladder.push(RetryAttempt {
                     attempt,
                     error: Some(err.to_string()),
@@ -187,7 +195,10 @@ mod tests {
     fn transient_errors_retry_until_success() {
         let mut failures_left = 2;
         let mut ladder = Vec::new();
-        let policy = RetryPolicy { base: Duration::ZERO, ..RetryPolicy::default() };
+        let policy = RetryPolicy {
+            base: Duration::ZERO,
+            ..RetryPolicy::default()
+        };
         let out = with_retry(&policy, &mut ladder, || {
             if failures_left > 0 {
                 failures_left -= 1;
@@ -207,10 +218,14 @@ mod tests {
     fn permanent_errors_fail_fast() {
         let mut calls = 0;
         let mut ladder = Vec::new();
-        let err = with_retry(&RetryPolicy::default(), &mut ladder, || -> io::Result<()> {
-            calls += 1;
-            Err(io::Error::new(io::ErrorKind::PermissionDenied, "denied"))
-        })
+        let err = with_retry(
+            &RetryPolicy::default(),
+            &mut ladder,
+            || -> io::Result<()> {
+                calls += 1;
+                Err(io::Error::new(io::ErrorKind::PermissionDenied, "denied"))
+            },
+        )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         assert_eq!(calls, 1, "permanent errors must not retry");
@@ -221,7 +236,11 @@ mod tests {
     fn ladder_is_bounded_and_reports_giveup() {
         let mut calls = 0;
         let mut ladder = Vec::new();
-        let policy = RetryPolicy { attempts: 3, base: Duration::ZERO, max: Duration::ZERO };
+        let policy = RetryPolicy {
+            attempts: 3,
+            base: Duration::ZERO,
+            max: Duration::ZERO,
+        };
         let err = with_retry(&policy, &mut ladder, || -> io::Result<()> {
             calls += 1;
             Err(io::Error::new(io::ErrorKind::TimedOut, "stuck"))

@@ -201,7 +201,9 @@ pub fn generate(bench: Benchmark, scale: Scale) -> Netlist {
 }
 
 fn input_bus(n: &mut Netlist, name: &str, width: usize) -> Vec<NetId> {
-    (0..width).map(|i| n.add_input(format!("{name}[{i}]"))).collect()
+    (0..width)
+        .map(|i| n.add_input(format!("{name}[{i}]")))
+        .collect()
 }
 
 fn output_bus(n: &mut Netlist, name: &str, bus: &[NetId]) {
@@ -256,7 +258,13 @@ fn picosoc(scale: Scale) -> Netlist {
         .zip(&alu_xor)
         .enumerate()
         .map(|(i, (&a, &x))| {
-            gate(&mut n, "alu", &format!("mux{i}"), CellKind::Mux2, vec![alu_sel, a, x])
+            gate(
+                &mut n,
+                "alu",
+                &format!("mux{i}"),
+                CellKind::Mux2,
+                vec![alu_sel, a, x],
+            )
         })
         .collect();
 
@@ -315,17 +323,27 @@ fn aes(scale: Scale) -> Netlist {
     for r in 0..scale.units {
         let sub = sbox_layer(&mut n, &format!("sbox.r{r}"), &state, 0xAE5 + r as u64);
         // shift-rows flavored permutation.
-        let shifted: Vec<NetId> = (0..sub.len()).map(|i| sub[(i * 5 + 1) % sub.len()]).collect();
+        let shifted: Vec<NetId> = (0..sub.len())
+            .map(|i| sub[(i * 5 + 1) % sub.len()])
+            .collect();
         state = shifted;
         if r == scale.units - 1 {
             // The named last-round blocks Cases 1/2 target.
             let last = xor_bank(&mut n, "addround_last", &state, &active_key);
-            let shrow: Vec<NetId> = (0..last.len()).map(|i| last[(i * 3 + 2) % last.len()]).collect();
+            let shrow: Vec<NetId> = (0..last.len())
+                .map(|i| last[(i * 3 + 2) % last.len()])
+                .collect();
             let shrow_named: Vec<NetId> = shrow
                 .iter()
                 .enumerate()
                 .map(|(i, &b)| {
-                    gate(&mut n, "shrow_last", &format!("b{i}"), CellKind::Buf, vec![b])
+                    gate(
+                        &mut n,
+                        "shrow_last",
+                        &format!("b{i}"),
+                        CellKind::Buf,
+                        vec![b],
+                    )
                 })
                 .collect();
             state = shrow_named;
@@ -373,7 +391,15 @@ fn fir(scale: Scale) -> Netlist {
     let gated: Vec<NetId> = observed
         .iter()
         .enumerate()
-        .map(|(i, &b)| gate(&mut n, "ctrl_gate", &format!("g{i}"), CellKind::And, vec![b, valid]))
+        .map(|(i, &b)| {
+            gate(
+                &mut n,
+                "ctrl_gate",
+                &format!("g{i}"),
+                CellKind::And,
+                vec![b, valid],
+            )
+        })
         .collect();
     let (out, _) = adder(&mut n, "acc_add", &acc, &gated);
     output_bus(&mut n, "y", &out);
@@ -395,12 +421,30 @@ fn spmv(scale: Scale) -> Netlist {
     let lane_sel = input_bus(&mut n, "lane", select_bits(lanes).max(1));
 
     // Index incrementer (named target): idx + 1 registered.
-    let one = gate(&mut n, "ind_array_inc", "one", CellKind::Const(true), vec![]);
+    let one = gate(
+        &mut n,
+        "ind_array_inc",
+        "one",
+        CellKind::Const(true),
+        vec![],
+    );
     let mut carry = one;
     let mut next_idx = Vec::with_capacity(4);
     for (i, &b) in idx.iter().enumerate() {
-        let s = gate(&mut n, "ind_array_inc", &format!("s{i}"), CellKind::Xor, vec![b, carry]);
-        carry = gate(&mut n, "ind_array_inc", &format!("c{i}"), CellKind::And, vec![b, carry]);
+        let s = gate(
+            &mut n,
+            "ind_array_inc",
+            &format!("s{i}"),
+            CellKind::Xor,
+            vec![b, carry],
+        );
+        carry = gate(
+            &mut n,
+            "ind_array_inc",
+            &format!("c{i}"),
+            CellKind::And,
+            vec![b, carry],
+        );
         next_idx.push(s);
     }
     let idx_reg = reg_word(&mut n, "ind_array_inc.reg", &next_idx);
@@ -415,7 +459,13 @@ fn spmv(scale: Scale) -> Netlist {
                 .zip(&shifted)
                 .enumerate()
                 .map(|(i, (&a, &b))| {
-                    gate(&mut n, &format!("mult.l{l}"), &format!("a{i}"), CellKind::And, vec![a, b])
+                    gate(
+                        &mut n,
+                        &format!("mult.l{l}"),
+                        &format!("a{i}"),
+                        CellKind::And,
+                        vec![a, b],
+                    )
                 })
                 .collect();
             ands
@@ -428,7 +478,15 @@ fn spmv(scale: Scale) -> Netlist {
     let gated: Vec<NetId> = sum_reg
         .iter()
         .enumerate()
-        .map(|(i, &b)| gate(&mut n, "sum_gate", &format!("g{i}"), CellKind::And, vec![b, done]))
+        .map(|(i, &b)| {
+            gate(
+                &mut n,
+                "sum_gate",
+                &format!("g{i}"),
+                CellKind::And,
+                vec![b, done],
+            )
+        })
         .collect();
     output_bus(&mut n, "acc", &gated);
     output_bus(&mut n, "idx_next", &idx_reg);
@@ -479,7 +537,13 @@ fn dla(scale: Scale) -> Netlist {
             .iter()
             .enumerate()
             .map(|(i, &b)| {
-                gate(&mut n, "out_gate", &format!("p{p}_{i}"), CellKind::And, vec![b, active])
+                gate(
+                    &mut n,
+                    "out_gate",
+                    &format!("p{p}_{i}"),
+                    CellKind::And,
+                    vec![b, active],
+                )
             })
             .collect();
         output_bus(&mut n, &format!("fm{p}"), &out);
@@ -553,10 +617,7 @@ mod tests {
             let n = generate(bench, Scale::small());
             let t = bench.redaction_targets();
             let cells = cells_of_block(&n, t.shell_route);
-            let muxes = cells
-                .iter()
-                .filter(|&&c| n.cell(c).kind.is_mux())
-                .count();
+            let muxes = cells.iter().filter(|&&c| n.cell(c).kind.is_mux()).count();
             assert!(
                 muxes * 2 >= cells.len(),
                 "{}: route block not mux-dominated ({muxes}/{})",
@@ -613,7 +674,11 @@ mod tests {
         for bench in Benchmark::all() {
             let n = generate(bench, Scale::small());
             let stats = NetlistStats::of(&n);
-            assert!(stats.sequential > 0, "{} is purely combinational", bench.name());
+            assert!(
+                stats.sequential > 0,
+                "{} is purely combinational",
+                bench.name()
+            );
         }
     }
 }

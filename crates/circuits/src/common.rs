@@ -17,13 +17,7 @@ pub fn select_bits(n: usize) -> usize {
 }
 
 /// Adds a named gate under a block prefix.
-pub fn gate(
-    n: &mut Netlist,
-    block: &str,
-    name: &str,
-    kind: CellKind,
-    inputs: Vec<NetId>,
-) -> NetId {
+pub fn gate(n: &mut Netlist, block: &str, name: &str, kind: CellKind, inputs: Vec<NetId>) -> NetId {
     n.add_cell(format!("{block}.{name}"), kind, inputs)
 }
 

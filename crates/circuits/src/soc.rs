@@ -4,15 +4,15 @@
 //! step 1 flattens and uniquifies before the connectivity analysis.
 
 use crate::common::select_bits;
-use shell_netlist::{
-    CellKind, Design, Instance, ModuleDef, NetId, Netlist, PortBinding,
-};
+use shell_netlist::{CellKind, Design, Instance, ModuleDef, NetId, Netlist, PortBinding};
 
 /// Builds a small IP core module: `width`-bit in/out, a per-core constant
 /// mixed into an XOR/AND pipeline with one register stage.
 fn ip_core(name: &str, width: usize, flavor: u64) -> Netlist {
     let mut m = Netlist::new(name);
-    let din: Vec<NetId> = (0..width).map(|i| m.add_input(format!("din[{i}]"))).collect();
+    let din: Vec<NetId> = (0..width)
+        .map(|i| m.add_input(format!("din[{i}]")))
+        .collect();
     let mut stage = Vec::with_capacity(width);
     for (i, &d) in din.iter().enumerate() {
         let bit = (flavor >> (i % 8)) & 1 == 1;
@@ -140,7 +140,11 @@ mod tests {
             })
             .collect();
         assert!(
-            outputs.iter().collect::<std::collections::HashSet<_>>().len() > 1,
+            outputs
+                .iter()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+                > 1,
             "core selection must matter"
         );
     }

@@ -102,8 +102,7 @@ pub fn redact_baseline(
             let mapped = lut_map(&partition.sub, 4)
                 .map_err(|e| PnrError::Unsupported(e.to_string()))?
                 .netlist;
-            let pnr =
-                place_and_route(&mapped, FabricConfig::fabulous_style(false), &options.pnr)?;
+            let pnr = place_and_route(&mapped, FabricConfig::fabulous_style(false), &options.pnr)?;
             finish(design, partition, pnr, true, Vec::new())
         }
         BaselineCase::Shell => {

@@ -41,10 +41,7 @@ impl RedactionPartition {
     ///
     /// Returns a [`shell_netlist::NetlistError`] when the replacement's
     /// ports do not match the hole.
-    pub fn reassemble(
-        &self,
-        replacement: Netlist,
-    ) -> Result<Netlist, shell_netlist::NetlistError> {
+    pub fn reassemble(&self, replacement: Netlist) -> Result<Netlist, shell_netlist::NetlistError> {
         // Check the replacement covers every bound port before flattening
         // (flatten tolerates extra unbound *outputs*, so a port-less
         // replacement would silently leave the hole floating).
@@ -175,8 +172,7 @@ pub fn partition_by_cells(netlist: &Netlist, selected: &[CellId]) -> RedactionPa
     }
     // Pre-create host sequential outputs.
     for (cid, c) in netlist.cells() {
-        if !sel.contains(&cid) && c.kind.is_sequential() && host_map[c.output.index()].is_none()
-        {
+        if !sel.contains(&cid) && c.kind.is_sequential() && host_map[c.output.index()].is_none() {
             host_map[c.output.index()] = Some(host.add_net(netlist.net(c.output).name.clone()));
         }
     }
@@ -306,8 +302,8 @@ pub fn partition_is_sound(original: &Netlist, partition: &RedactionPartition) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shell_circuits::{axi_xbar, generate, Benchmark, Scale};
     use shell_circuits::common::cells_of_block;
+    use shell_circuits::{axi_xbar, generate, Benchmark, Scale};
 
     #[test]
     fn partition_roundtrip_combinational() {

@@ -35,10 +35,7 @@ fn selection_cost(design: &Netlist, options: &SelectionOptions) -> f64 {
 /// coordinate sweeps with a shrinking step size.
 ///
 /// Returns the tuned coefficients and the final proxy cost.
-pub fn optimize_coefficients(
-    design: &Netlist,
-    rounds: usize,
-) -> (Coefficients, f64) {
+pub fn optimize_coefficients(design: &Netlist, rounds: usize) -> (Coefficients, f64) {
     let mut current = Coefficients::c5_shell();
     let base_opts = SelectionOptions::default();
     let eval = |c: &Coefficients| {
@@ -124,11 +121,7 @@ pub fn corruption_rate(
             let pattern: Vec<bool> = (0..n_in).map(|_| next() & 1 == 1).collect();
             let want = oracle_sim.step(&pattern, &[]);
             let got = locked_sim.step(&pattern, &[]);
-            let flipped = want
-                .iter()
-                .zip(&got)
-                .filter(|(a, b)| a != b)
-                .count();
+            let flipped = want.iter().zip(&got).filter(|(a, b)| a != b).count();
             total += flipped as f64 / want.len().max(1) as f64;
             samples += 1;
         }
@@ -155,7 +148,14 @@ mod tests {
         let (tuned, cost) = optimize_coefficients(&design, 6);
         assert!(cost <= c5_cost, "tuned {cost} vs c5 {c5_cost}");
         // Tuned weights remain bounded.
-        for w in [tuned.alpha, tuned.beta, tuned.gamma, tuned.lambda, tuned.xi, tuned.sigma] {
+        for w in [
+            tuned.alpha,
+            tuned.beta,
+            tuned.gamma,
+            tuned.lambda,
+            tuned.xi,
+            tuned.sigma,
+        ] {
             assert!((-2.0..=2.0).contains(&w));
         }
     }

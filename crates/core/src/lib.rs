@@ -45,4 +45,6 @@ pub use pipeline::{
 };
 pub use score::{score_cells, CellScore, Coefficients};
 pub use select::{select_subcircuit, SelectionOptions, SelectionResult};
-pub use taxonomy::{lock_lut_random, lock_lut_heuristic, lock_mux_routing, lock_mux_lut, LockedDesign};
+pub use taxonomy::{
+    lock_lut_heuristic, lock_lut_random, lock_mux_lut, lock_mux_routing, LockedDesign,
+};

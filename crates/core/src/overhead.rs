@@ -99,9 +99,8 @@ mod tests {
     fn overheads_exceed_unity() {
         let n = generate(Benchmark::Dla, Scale::small());
         let cells = BaselineCase::Shell.target_cells(Benchmark::Dla, &n);
-        let outcome =
-            redact_baseline(&n, &cells, BaselineCase::Shell, &ShellOptions::default())
-                .expect("maps");
+        let outcome = redact_baseline(&n, &cells, BaselineCase::Shell, &ShellOptions::default())
+            .expect("maps");
         let oh = evaluate_overhead(&n, &outcome);
         assert!(oh.area > 1.0, "area {}", oh.area);
         assert!(oh.power > 1.0, "power {}", oh.power);
@@ -116,8 +115,7 @@ mod tests {
         let n = generate(Benchmark::Dla, Scale::small());
         let cells = BaselineCase::Shell.target_cells(Benchmark::Dla, &n);
         let opts = ShellOptions::default();
-        let shell =
-            redact_baseline(&n, &cells, BaselineCase::Shell, &opts).expect("shell maps");
+        let shell = redact_baseline(&n, &cells, BaselineCase::Shell, &opts).expect("shell maps");
         let open = redact_baseline(&n, &cells, BaselineCase::NoStrategyOpenFpga, &opts)
             .expect("case1 maps");
         let oh_shell = evaluate_overhead(&n, &shell);

@@ -239,8 +239,7 @@ fn map_with_ladder(
                     }
                     2 => {
                         pnr_options.max_fit_attempts += 8;
-                        action =
-                            format!("max_fit_attempts -> {}", pnr_options.max_fit_attempts);
+                        action = format!("max_fit_attempts -> {}", pnr_options.max_fit_attempts);
                     }
                     _ => {
                         pnr_options.place_starts += 2;
@@ -397,8 +396,7 @@ mod tests {
         // lock; the Xbar muxes land on fabric chains.
         let design = shell_circuits::soc_platform(3, 2);
         let flat = design.flatten().unwrap();
-        let outcome = shell_lock_design(&design, &ShellOptions::default())
-            .expect("SoC-level flow");
+        let outcome = shell_lock_design(&design, &ShellOptions::default()).expect("SoC-level flow");
         assert!(outcome.route_cells > 0);
         let activated = propagate_constants_cyclic(&activate(&outcome));
         assert!(

@@ -9,8 +9,7 @@
 //! objectives enter with negative coefficients.
 
 use shell_graph::{
-    betweenness_centrality_between, closeness_to_targets, degree_centrality,
-    eigenvector_centrality,
+    betweenness_centrality_between, closeness_to_targets, degree_centrality, eigenvector_centrality,
 };
 use shell_netlist::graph::to_graph;
 use shell_netlist::{CellId, Netlist};
@@ -169,10 +168,7 @@ pub fn score_cells(netlist: &Netlist, coefficients: &Coefficients) -> Vec<CellSc
     let mut normed = vec![[0.0f64; 6]; raw.len()];
     for (col, getter) in columns.iter().enumerate() {
         let lo = raw.iter().map(getter).fold(f64::INFINITY, f64::min);
-        let hi = raw
-            .iter()
-            .map(getter)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let hi = raw.iter().map(getter).fold(f64::NEG_INFINITY, f64::max);
         let span = (hi - lo).max(1e-12);
         for (i, s) in raw.iter().enumerate() {
             normed[i][col] = (getter(s) - lo) / span;
@@ -181,11 +177,7 @@ pub fn score_cells(netlist: &Netlist, coefficients: &Coefficients) -> Vec<CellSc
     let c = coefficients;
     let weights = [c.alpha, c.beta, c.gamma, c.lambda, c.xi, c.sigma];
     for (i, s) in raw.iter_mut().enumerate() {
-        s.score = weights
-            .iter()
-            .zip(&normed[i])
-            .map(|(w, v)| w * v)
-            .sum();
+        s.score = weights.iter().zip(&normed[i]).map(|(w, v)| w * v).sum();
     }
     raw
 }

@@ -73,13 +73,8 @@ pub struct SelectionResult {
 /// use the LUT-insertion taxonomy locks for such designs).
 pub fn select_subcircuit(netlist: &Netlist, options: &SelectionOptions) -> SelectionResult {
     let scores = score_cells(netlist, &options.coefficients);
-    let score_of = |cid: CellId| -> f64 {
-        scores[cid.index()].score
-    };
-    debug_assert!(scores
-        .iter()
-        .enumerate()
-        .all(|(i, s)| s.cell.index() == i));
+    let score_of = |cid: CellId| -> f64 { scores[cid.index()].score };
+    debug_assert!(scores.iter().enumerate().all(|(i, s)| s.cell.index() == i));
 
     // --- ROUTE seeds: mux cells by descending score -------------------
     let mut mux_cells: Vec<&CellScore> = scores
@@ -124,11 +119,7 @@ pub fn select_subcircuit(netlist: &Netlist, options: &SelectionOptions) -> Selec
         .into_iter()
         .filter(|c| !selected.contains(c) && !netlist.cell(*c).kind.is_mux())
         .collect();
-    lgc_candidates.sort_by(|a, b| {
-        score_of(*b)
-            .partial_cmp(&score_of(*a))
-            .expect("finite")
-    });
+    lgc_candidates.sort_by(|a, b| score_of(*b).partial_cmp(&score_of(*a)).expect("finite"));
     let mut lgc: Vec<CellId> = Vec::new();
     let mut lgc_luts = 0.0;
     for cand in lgc_candidates {
@@ -277,11 +268,7 @@ mod tests {
         for bench in Benchmark::all() {
             let n = generate(bench, Scale::small());
             let r = select_subcircuit(&n, &SelectionOptions::default());
-            assert!(
-                !r.cells.is_empty(),
-                "{}: nothing selected",
-                bench.name()
-            );
+            assert!(!r.cells.is_empty(), "{}: nothing selected", bench.name());
             assert!(!r.route_cells.is_empty(), "{}: no ROUTE", bench.name());
         }
     }

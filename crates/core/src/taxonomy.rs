@@ -72,22 +72,22 @@ fn lock_lut_impl(design: &Netlist, luts: usize, seed: u64, heuristic: bool) -> L
     let mut candidates: Vec<CellId> = design
         .cells()
         .filter(|(_, c)| {
-            c.inputs.len() == 2
-                && !c.kind.is_sequential()
-                && !matches!(c.kind, CellKind::Const(_))
+            c.inputs.len() == 2 && !c.kind.is_sequential() && !matches!(c.kind, CellKind::Const(_))
         })
         .map(|(id, _)| id)
         .collect();
     if heuristic {
         // High fanout first.
-        candidates.sort_by_key(|&c| {
-            std::cmp::Reverse(fanout[design.cell(c).output.index()].len())
-        });
+        candidates.sort_by_key(|&c| std::cmp::Reverse(fanout[design.cell(c).output.index()].len()));
     }
     let mut chosen: Vec<CellId> = Vec::new();
     let mut blocked: std::collections::HashSet<CellId> = std::collections::HashSet::new();
     while chosen.len() < luts && !candidates.is_empty() {
-        let idx = if heuristic { 0 } else { rng.pick(candidates.len()) };
+        let idx = if heuristic {
+            0
+        } else {
+            rng.pick(candidates.len())
+        };
         let cell = candidates.remove(idx);
         if heuristic && blocked.contains(&cell) {
             continue;
@@ -219,7 +219,10 @@ pub fn lock_mux_routing(design: &Netlist, bits: usize, seed: u64) -> LockedDesig
         };
         let m = locked.add_cell(format!("rmux{i}"), CellKind::Mux2, vec![k, p1, p2]);
         locked.rewire_input(cell, pin, m);
-        debug_assert!(locked.topo_order().is_ok(), "reachability pre-check missed a cycle");
+        debug_assert!(
+            locked.topo_order().is_ok(),
+            "reachability pre-check missed a cycle"
+        );
         key.push(key_bit);
         i += 1;
     }

@@ -200,9 +200,7 @@ fn run_ranges<U: Send>(
                 // Spin until every element is accounted for: a worker that
                 // finds all deques empty may only exit once the in-flight
                 // tasks of other workers have finished (or failed).
-                while remaining.load(Ordering::Acquire) > 0
-                    && !poisoned.load(Ordering::Acquire)
-                {
+                while remaining.load(Ordering::Acquire) > 0 && !poisoned.load(Ordering::Acquire) {
                     let Some(range) = pop_or_steal(deques, me) else {
                         std::thread::yield_now();
                         continue;
@@ -256,10 +254,7 @@ fn run_ranges<U: Send>(
 }
 
 /// Own deque LIFO first, then steal FIFO from victims in scan order.
-fn pop_or_steal(
-    deques: &[Mutex<VecDeque<Range<usize>>>],
-    me: usize,
-) -> Option<Range<usize>> {
+fn pop_or_steal(deques: &[Mutex<VecDeque<Range<usize>>>], me: usize) -> Option<Range<usize>> {
     if let Some(range) = deques[me].lock().unwrap().pop_back() {
         return Some(range);
     }
@@ -446,9 +441,7 @@ mod tests {
                 assert_eq!((a, b), (42, "ok"));
             });
         }
-        let caught = std::panic::catch_unwind(|| {
-            with_jobs(2, || join(|| panic!("left"), || 1))
-        });
+        let caught = std::panic::catch_unwind(|| with_jobs(2, || join(|| panic!("left"), || 1)));
         assert!(caught.is_err());
     }
 

@@ -249,7 +249,10 @@ impl SweepGrid {
             return Err("grid has an empty axis".into());
         }
         if self.len() > MAX_POINTS {
-            return Err(format!("grid expands to {} points (max {MAX_POINTS})", self.len()));
+            return Err(format!(
+                "grid expands to {} points (max {MAX_POINTS})",
+                self.len()
+            ));
         }
         for p in self.points() {
             p.validate().map_err(|e| format!("{}: {e}", p.label()))?;
@@ -260,7 +263,10 @@ impl SweepGrid {
     /// JSON form (axis lists keyed by name).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("lut_k", Json::arr(self.lut_k.iter().map(|&v| Json::from(v)))),
+            (
+                "lut_k",
+                Json::arr(self.lut_k.iter().map(|&v| Json::from(v))),
+            ),
             (
                 "channel_width",
                 Json::arr(self.channel_width.iter().map(|&v| Json::from(v))),
@@ -411,7 +417,10 @@ mod tests {
             chain_len: 4,
             min_dims: (2, 2),
         };
-        assert_eq!(p.to_config(), shell_fabric::FabricConfig::fabulous_style(true));
+        assert_eq!(
+            p.to_config(),
+            shell_fabric::FabricConfig::fabulous_style(true)
+        );
         let p2 = FabricPoint {
             lut_k: 4,
             channel_width: 12,

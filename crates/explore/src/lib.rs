@@ -58,8 +58,6 @@ pub mod pareto;
 pub mod sweep;
 
 pub use customize::{pick_fabric, pick_from_report};
-pub use grid::{FabricPoint, Switchbox, SweepGrid, MAX_POINTS};
+pub use grid::{FabricPoint, SweepGrid, Switchbox, MAX_POINTS};
 pub use pareto::{dominates, pareto_front, pareto_json, resilience_score};
-pub use sweep::{
-    run_sweep, PointResult, PointVerdict, SweepError, SweepOptions, SweepReport,
-};
+pub use sweep::{run_sweep, PointResult, PointVerdict, SweepError, SweepOptions, SweepReport};

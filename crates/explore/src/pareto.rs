@@ -12,9 +12,7 @@ use shell_util::Json;
 /// the front.
 pub fn resilience_score(result: &PointResult) -> Option<u64> {
     match &result.verdict {
-        PointVerdict::Survived { .. } | PointVerdict::SurvivedStructural { .. } => {
-            Some(u64::MAX)
-        }
+        PointVerdict::Survived { .. } | PointVerdict::SurvivedStructural { .. } => Some(u64::MAX),
         PointVerdict::Broken { conflicts, .. } => Some(*conflicts),
         PointVerdict::Failed { .. } => None,
     }
@@ -94,7 +92,13 @@ mod tests {
     use super::*;
     use crate::grid::{FabricPoint, Switchbox};
 
-    fn point(index: usize, verdict: PointVerdict, area: f64, power: f64, delay: f64) -> PointResult {
+    fn point(
+        index: usize,
+        verdict: PointVerdict,
+        area: f64,
+        power: f64,
+        delay: f64,
+    ) -> PointResult {
         PointResult {
             index,
             point: FabricPoint {

@@ -89,7 +89,10 @@ impl std::fmt::Display for SweepError {
             SweepError::Interrupted {
                 evaluated,
                 remaining,
-            } => write!(f, "interrupted after {evaluated} points ({remaining} remaining)"),
+            } => write!(
+                f,
+                "interrupted after {evaluated} points ({remaining} remaining)"
+            ),
         }
     }
 }
@@ -286,10 +289,7 @@ impl SweepReport {
                 "points",
                 Json::arr(self.points.iter().map(PointResult::to_json)),
             ),
-            (
-                "front",
-                Json::arr(self.front().into_iter().map(Json::from)),
-            ),
+            ("front", Json::arr(self.front().into_iter().map(Json::from))),
         ])
     }
 }
@@ -385,7 +385,11 @@ fn evaluate_point(
         Err(PnrError::Exhausted(_)) => {
             // The *sweep* budget ran out mid-flow — not a property of the
             // point. Don't journal a verdict; let the caller stop.
-            return Err(opts.budget.checkpoint().err().unwrap_or(Exhausted::Deadline));
+            return Err(opts
+                .budget
+                .checkpoint()
+                .err()
+                .unwrap_or(Exhausted::Deadline));
         }
         Err(e) => {
             shell_trace::counter_add("explore.points_evaluated", 1);
@@ -416,7 +420,11 @@ fn evaluate_point(
 /// The standard oracle-guided attack at budget *B*: full-scan frames,
 /// cyclic reduction on the locked side, then the quota-capped SAT attack.
 /// Mirrors the bench harness's resilience check, with the sweep's knobs.
-fn attack_point(design: &Netlist, outcome: &shell_lock::RedactionOutcome, opts: &SweepOptions) -> PointVerdict {
+fn attack_point(
+    design: &Netlist,
+    outcome: &shell_lock::RedactionOutcome,
+    opts: &SweepOptions,
+) -> PointVerdict {
     let oracle_frame = scan_frame(design);
     let locked = if outcome.locked.topo_order().is_ok() {
         outcome.locked.clone()
@@ -497,7 +505,9 @@ pub fn run_sweep(
         }
     }
 
-    let mut todo: Vec<usize> = (0..points.len()).filter(|&i| results[i].is_none()).collect();
+    let mut todo: Vec<usize> = (0..points.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
     let total_todo = todo.len();
     let limited = opts.point_limit.is_some_and(|limit| limit < total_todo);
     if let Some(limit) = opts.point_limit {
@@ -536,7 +546,10 @@ pub fn run_sweep(
             remaining,
         });
     }
-    let points: Vec<PointResult> = results.into_iter().map(|r| r.expect("all evaluated")).collect();
+    let points: Vec<PointResult> = results
+        .into_iter()
+        .map(|r| r.expect("all evaluated"))
+        .collect();
     let report = SweepReport { points, resumed };
     shell_trace::gauge("explore.pareto_size", report.front().len() as f64);
     Ok(report)

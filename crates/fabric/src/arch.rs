@@ -1,6 +1,5 @@
 //! Architecture description of the modeled eFPGA fabrics.
 
-
 /// Which storage element holds configuration bits.
 ///
 /// OpenFPGA-style fabrics scan configuration through D flip-flops; the

@@ -95,10 +95,10 @@ impl Bitstream {
     /// Reads bit `i`, returning an error instead of panicking when `i`
     /// is out of range.
     pub fn try_bit(&self, i: usize) -> Result<bool, BitstreamError> {
-        self.bits
-            .get(i)
-            .copied()
-            .ok_or(BitstreamError::OutOfRange { index: i, len: self.bits.len() })
+        self.bits.get(i).copied().ok_or(BitstreamError::OutOfRange {
+            index: i,
+            len: self.bits.len(),
+        })
     }
 
     /// Sets bit `i` and marks it used.
@@ -196,7 +196,8 @@ impl Bitstream {
     ///
     /// Panics when the field does not fit in the bitstream.
     pub fn field(&self, base: usize, width: usize) -> u64 {
-        self.try_field(base, width).unwrap_or_else(|e| panic!("{e}"))
+        self.try_field(base, width)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`field`](Self::field).
@@ -324,15 +325,29 @@ mod tests {
     #[test]
     fn try_accessors_report_out_of_range() {
         let mut b = Bitstream::zeros(8);
-        assert_eq!(b.try_bit(8), Err(BitstreamError::OutOfRange { index: 8, len: 8 }));
-        assert_eq!(b.try_set(9, true), Err(BitstreamError::OutOfRange { index: 9, len: 8 }));
+        assert_eq!(
+            b.try_bit(8),
+            Err(BitstreamError::OutOfRange { index: 8, len: 8 })
+        );
+        assert_eq!(
+            b.try_set(9, true),
+            Err(BitstreamError::OutOfRange { index: 9, len: 8 })
+        );
         assert_eq!(
             b.try_field(4, 5),
-            Err(BitstreamError::FieldOutOfRange { base: 4, width: 5, len: 8 })
+            Err(BitstreamError::FieldOutOfRange {
+                base: 4,
+                width: 5,
+                len: 8
+            })
         );
         assert_eq!(
             b.try_set_field(6, 4, 0xF),
-            Err(BitstreamError::FieldOutOfRange { base: 6, width: 4, len: 8 })
+            Err(BitstreamError::FieldOutOfRange {
+                base: 6,
+                width: 4,
+                len: 8
+            })
         );
         // A failed field write must not partially program the bitstream.
         assert_eq!(b.used_count(), 0);
@@ -350,8 +365,14 @@ mod tests {
         let err = BitstreamError::OutOfRange { index: 12, len: 8 };
         assert_eq!(err.to_string(), "bit 12 out of range for a 8-bit bitstream");
         let caught = std::panic::catch_unwind(|| Bitstream::zeros(4).bit(7));
-        let msg = *caught.unwrap_err().downcast::<String>().expect("string payload");
-        assert!(msg.contains("out of range"), "panic should carry the typed message: {msg}");
+        let msg = *caught
+            .unwrap_err()
+            .downcast::<String>()
+            .expect("string payload");
+        assert!(
+            msg.contains("out of range"),
+            "panic should carry the typed message: {msg}"
+        );
     }
 
     #[test]

@@ -107,7 +107,9 @@ impl FabricConfig {
             mux_chains: bool_field("mux_chains")?,
             chain_len: usize_field("chain_len")?,
             style: FabricStyle::from_tag(
-                field("style")?.as_str().ok_or("field `style` is not a string")?,
+                field("style")?
+                    .as_str()
+                    .ok_or("field `style` is not a string")?,
             )?,
             custom_cell_factor: field("custom_cell_factor")?
                 .as_f64()
@@ -140,8 +142,7 @@ impl Fabric {
     /// Returns a message when fields are missing or the regenerated layout
     /// disagrees with the recorded `config_bits`.
     pub fn from_arch_json(json: &Json) -> Result<Self, String> {
-        let config =
-            FabricConfig::from_json(json.get("config").ok_or("missing field `config`")?)?;
+        let config = FabricConfig::from_json(json.get("config").ok_or("missing field `config`")?)?;
         let width = json
             .get("width")
             .and_then(Json::as_usize)
@@ -226,11 +227,15 @@ impl Bitstream {
             .and_then(Json::as_usize)
             .ok_or("missing/ill-typed field `len`")?;
         let bits = hex_to_bools(
-            json.get("bits").and_then(Json::as_str).ok_or("missing field `bits`")?,
+            json.get("bits")
+                .and_then(Json::as_str)
+                .ok_or("missing field `bits`")?,
             len,
         )?;
         let used = hex_to_bools(
-            json.get("used").and_then(Json::as_str).ok_or("missing field `used`")?,
+            json.get("used")
+                .and_then(Json::as_str)
+                .ok_or("missing field `used`")?,
             len,
         )?;
         let mut bs = Bitstream::zeros(len);
@@ -288,7 +293,9 @@ mod tests {
                 }
             }
         }
-        assert!(FabricConfig::from_json(&json).unwrap_err().contains("lut_k"));
+        assert!(FabricConfig::from_json(&json)
+            .unwrap_err()
+            .contains("lut_k"));
         assert!(FabricConfig::from_json(&Json::obj::<&str>([]))
             .unwrap_err()
             .contains("missing field"));
@@ -298,8 +305,8 @@ mod tests {
     fn fabric_arch_roundtrips() {
         let fabric = Fabric::generate(FabricConfig::fabulous_style(true), 3, 2);
         let json = fabric.to_arch_json();
-        let back = Fabric::from_arch_json(&Json::parse(&json.to_string_compact()).unwrap())
-            .unwrap();
+        let back =
+            Fabric::from_arch_json(&Json::parse(&json.to_string_compact()).unwrap()).unwrap();
         assert_eq!(back, fabric);
     }
 
@@ -310,8 +317,7 @@ mod tests {
         bs.set(36, true);
         bs.set_unused(20, true); // value without used mark must survive too
         let json = bs.to_json();
-        let back = Bitstream::from_json(&Json::parse(&json.to_string_pretty()).unwrap())
-            .unwrap();
+        let back = Bitstream::from_json(&Json::parse(&json.to_string_pretty()).unwrap()).unwrap();
         assert_eq!(back, bs);
         assert_eq!(back.used_count(), bs.used_count());
         assert!(back.bit(20) && !back.is_used(20));

@@ -198,7 +198,10 @@ impl Fabric {
     ///
     /// Panics on a zero dimension or an invalid [`FabricConfig`].
     pub fn generate(config: FabricConfig, width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "fabric dimensions must be positive");
+        assert!(
+            width > 0 && height > 0,
+            "fabric dimensions must be positive"
+        );
         config.validate().expect("invalid fabric config");
         let (width, height) = if config.square_fabric {
             let side = width.max(height);
@@ -222,7 +225,13 @@ impl Fabric {
                 for lut in 0..config.luts_per_clb {
                     for pin in 0..config.lut_k {
                         for bit in 0..in_sel {
-                            bit_layout.push(BitInfo::ClbInputSelect { x, y, lut, pin, bit });
+                            bit_layout.push(BitInfo::ClbInputSelect {
+                                x,
+                                y,
+                                lut,
+                                pin,
+                                bit,
+                            });
                         }
                     }
                     for row in 0..config.bits_per_lut() {
@@ -368,8 +377,7 @@ impl Fabric {
     pub fn bits_per_tile(&self) -> usize {
         let c = &self.config;
         c.channel_width * self.track_select_width()
-            + c.luts_per_clb
-                * (c.lut_k * self.clb_input_select_width() + c.bits_per_lut() + 1)
+            + c.luts_per_clb * (c.lut_k * self.clb_input_select_width() + c.bits_per_lut() + 1)
             + self.chain_bits_per_block()
     }
 
@@ -411,9 +419,11 @@ impl Fabric {
         let c = &self.config;
         let chains_base = self.tile_base(x, y)
             + c.channel_width * self.track_select_width()
-            + c.luts_per_clb
-                * (c.lut_k * self.clb_input_select_width() + c.bits_per_lut() + 1);
-        chains_base + (0..j).map(|e| self.chain_bits_per_element(e)).sum::<usize>()
+            + c.luts_per_clb * (c.lut_k * self.clb_input_select_width() + c.bits_per_lut() + 1);
+        chains_base
+            + (0..j)
+                .map(|e| self.chain_bits_per_element(e))
+                .sum::<usize>()
     }
 
     /// `(base, width)` of the connection-mux select for chain element `j`'s
@@ -530,12 +540,20 @@ impl Fabric {
             SignalRef::IoIn(self.io_in_index(Side::East, y, t))
         });
         ins.push(if y > 0 {
-            SignalRef::Track { x, y: y - 1, t: (t + w - 1) % w }
+            SignalRef::Track {
+                x,
+                y: y - 1,
+                t: (t + w - 1) % w,
+            }
         } else {
             SignalRef::IoIn(self.io_in_index(Side::South, x, t))
         });
         ins.push(if y + 1 < self.height {
-            SignalRef::Track { x, y: y + 1, t: (t + w - 1) % w }
+            SignalRef::Track {
+                x,
+                y: y + 1,
+                t: (t + w - 1) % w,
+            }
         } else {
             SignalRef::IoIn(self.io_in_index(Side::North, x, t))
         });
@@ -598,20 +616,42 @@ impl Fabric {
         assert!(idx < self.io_input_count(), "io pad out of range");
         if idx < hw {
             // West edge of column 0.
-            (SignalRef::Track { x: 0, y: idx / w, t: idx % w }, 0)
+            (
+                SignalRef::Track {
+                    x: 0,
+                    y: idx / w,
+                    t: idx % w,
+                },
+                0,
+            )
         } else if idx < 2 * hw {
             let r = idx - hw;
             (
-                SignalRef::Track { x: self.width - 1, y: r / w, t: r % w },
+                SignalRef::Track {
+                    x: self.width - 1,
+                    y: r / w,
+                    t: r % w,
+                },
                 1,
             )
         } else if idx < 2 * hw + ww {
             let r = idx - 2 * hw;
-            (SignalRef::Track { x: r / w, y: 0, t: r % w }, 2)
+            (
+                SignalRef::Track {
+                    x: r / w,
+                    y: 0,
+                    t: r % w,
+                },
+                2,
+            )
         } else {
             let r = idx - 2 * hw - ww;
             (
-                SignalRef::Track { x: r / w, y: self.height - 1, t: r % w },
+                SignalRef::Track {
+                    x: r / w,
+                    y: self.height - 1,
+                    t: r % w,
+                },
                 3,
             )
         }
@@ -677,8 +717,7 @@ mod tests {
     fn bit_count_formula() {
         let cfg = FabricConfig::fabulous_style(true);
         let f = Fabric::generate(cfg.clone(), 2, 2);
-        let track_sel =
-            FabricConfig::mux_select_bits(Fabric::track_mux_input_count(&cfg));
+        let track_sel = FabricConfig::mux_select_bits(Fabric::track_mux_input_count(&cfg));
         let conn = FabricConfig::mux_select_bits(cfg.channel_width);
         // Chain block: element 0 has 4 muxed data pins, the rest 3; every
         // element has two select pins (conn mux + value + mode bits).
@@ -719,7 +758,10 @@ mod tests {
     fn chain_pin_muxing_rules() {
         let f = small();
         assert!(f.chain_pin_is_muxed(0, 0), "element 0 muxes all pins");
-        assert!(!f.chain_pin_is_muxed(1, 0), "later elements hard-wire pin 0");
+        assert!(
+            !f.chain_pin_is_muxed(1, 0),
+            "later elements hard-wire pin 0"
+        );
         assert!(f.chain_pin_is_muxed(1, 1));
         assert!(f.chain_pin_is_muxed(3, 3));
     }
@@ -759,7 +801,12 @@ mod tests {
     #[test]
     fn find_bit_roundtrip() {
         let f = small();
-        let info = BitInfo::LutMask { x: 1, y: 1, lut: 2, row: 5 };
+        let info = BitInfo::LutMask {
+            x: 1,
+            y: 1,
+            lut: 2,
+            row: 5,
+        };
         let pos = f.find_bit(&info).expect("bit exists");
         assert_eq!(f.describe_bit(pos), &info);
     }
@@ -778,7 +825,12 @@ mod tests {
         for b in 0..width {
             assert_eq!(
                 f.describe_bit(base + b),
-                &BitInfo::TrackMuxSelect { x: 1, y: 0, t: 2, bit: b }
+                &BitInfo::TrackMuxSelect {
+                    x: 1,
+                    y: 0,
+                    t: 2,
+                    bit: b
+                }
             );
         }
         // CLB input selects.
@@ -786,18 +838,34 @@ mod tests {
         for b in 0..width {
             assert_eq!(
                 f.describe_bit(base + b),
-                &BitInfo::ClbInputSelect { x: 0, y: 1, lut: 2, pin: 1, bit: b }
+                &BitInfo::ClbInputSelect {
+                    x: 0,
+                    y: 1,
+                    lut: 2,
+                    pin: 1,
+                    bit: b
+                }
             );
         }
         // LUT mask rows.
         let mask_base = f.lut_mask_base(1, 1, 3);
         assert_eq!(
             f.describe_bit(mask_base),
-            &BitInfo::LutMask { x: 1, y: 1, lut: 3, row: 0 }
+            &BitInfo::LutMask {
+                x: 1,
+                y: 1,
+                lut: 3,
+                row: 0
+            }
         );
         assert_eq!(
             f.describe_bit(mask_base + 7),
-            &BitInfo::LutMask { x: 1, y: 1, lut: 3, row: 7 }
+            &BitInfo::LutMask {
+                x: 1,
+                y: 1,
+                lut: 3,
+                row: 7
+            }
         );
         // FF bypass.
         assert_eq!(
@@ -809,14 +877,26 @@ mod tests {
         for b in 0..width {
             assert_eq!(
                 f.describe_bit(base + b),
-                &BitInfo::ChainDataSelect { x: 1, y: 0, j: 0, pin: 0, bit: b }
+                &BitInfo::ChainDataSelect {
+                    x: 1,
+                    y: 0,
+                    j: 0,
+                    pin: 0,
+                    bit: b
+                }
             );
         }
         let (base, width) = f.chain_data_field(1, 0, 2, 3);
         for b in 0..width {
             assert_eq!(
                 f.describe_bit(base + b),
-                &BitInfo::ChainDataSelect { x: 1, y: 0, j: 2, pin: 3, bit: b }
+                &BitInfo::ChainDataSelect {
+                    x: 1,
+                    y: 0,
+                    j: 2,
+                    pin: 3,
+                    bit: b
+                }
             );
         }
         // Chain select connection + value/mode.
@@ -824,17 +904,35 @@ mod tests {
         for b in 0..width {
             assert_eq!(
                 f.describe_bit(base + b),
-                &BitInfo::ChainSelConn { x: 1, y: 0, j: 2, pin: 1, bit: b }
+                &BitInfo::ChainSelConn {
+                    x: 1,
+                    y: 0,
+                    j: 2,
+                    pin: 1,
+                    bit: b
+                }
             );
         }
         let (val, mode) = f.chain_select_bits(1, 0, 2, 1);
         assert_eq!(
             f.describe_bit(val),
-            &BitInfo::ChainSelect { x: 1, y: 0, j: 2, pin: 1, mode_flag: false }
+            &BitInfo::ChainSelect {
+                x: 1,
+                y: 0,
+                j: 2,
+                pin: 1,
+                mode_flag: false
+            }
         );
         assert_eq!(
             f.describe_bit(mode),
-            &BitInfo::ChainSelect { x: 1, y: 0, j: 2, pin: 1, mode_flag: true }
+            &BitInfo::ChainSelect {
+                x: 1,
+                y: 0,
+                j: 2,
+                pin: 1,
+                mode_flag: true
+            }
         );
         // Per-tile arithmetic matches the generated layout size.
         assert_eq!(f.bits_per_tile() * f.tile_count(), f.config_bit_count());

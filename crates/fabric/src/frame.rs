@@ -112,7 +112,10 @@ impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FrameError::InvalidAddress { code } => {
-                write!(f, "packed frame address {code:#010x} is not a valid address")
+                write!(
+                    f,
+                    "packed frame address {code:#010x} is not a valid address"
+                )
             }
             FrameError::AddressOutOfRange { addr } => {
                 write!(f, "frame address {addr} is outside the fabric geometry")
@@ -121,13 +124,22 @@ impl fmt::Display for FrameError {
                 write!(f, "frame geometry mismatch: expected {expected}, got {got}")
             }
             FrameError::LengthMismatch { expected, got } => {
-                write!(f, "flat bitstream has {got} bits, geometry demands {expected}")
+                write!(
+                    f,
+                    "flat bitstream has {got} bits, geometry demands {expected}"
+                )
             }
             FrameError::CodeBitOutOfRange { bit } => {
-                write!(f, "codeword bit {bit} out of range (frames are {FRAME_TOTAL_BITS} bits)")
+                write!(
+                    f,
+                    "codeword bit {bit} out of range (frames are {FRAME_TOTAL_BITS} bits)"
+                )
             }
             FrameError::DoubleBitUpset { frame } => {
-                write!(f, "double-bit upset detected in frame {frame} (uncorrectable)")
+                write!(
+                    f,
+                    "double-bit upset detected in frame {frame} (uncorrectable)"
+                )
             }
             FrameError::CrcMismatch { frame } => {
                 write!(f, "CRC mismatch in frame {frame} after ECC decode")
@@ -191,7 +203,11 @@ impl FrameGeometry {
             width > 0 && height > 0 && bits_per_tile > 0,
             "frame geometry dimensions must be positive"
         );
-        Self { width, height, bits_per_tile }
+        Self {
+            width,
+            height,
+            bits_per_tile,
+        }
     }
 
     /// The geometry of a generated fabric.
@@ -278,7 +294,9 @@ impl FrameGeometry {
     }
 
     fn check(&self, addr: FrameAddress) -> Result<(), FrameError> {
-        if addr.region >= self.height || addr.row >= self.width || addr.col >= self.frames_per_tile()
+        if addr.region >= self.height
+            || addr.row >= self.width
+            || addr.col >= self.frames_per_tile()
         {
             return Err(FrameError::AddressOutOfRange { addr });
         }
@@ -354,7 +372,11 @@ pub fn frame_crc(data: u32) -> u8 {
     for byte in 0..4 {
         crc ^= (data >> (8 * byte)) as u8;
         for _ in 0..8 {
-            crc = if crc & 0x80 != 0 { (crc << 1) ^ 0x07 } else { crc << 1 };
+            crc = if crc & 0x80 != 0 {
+                (crc << 1) ^ 0x07
+            } else {
+                crc << 1
+            };
         }
     }
     crc
@@ -715,11 +737,16 @@ impl FramedBitstream {
             ("ecc_bits", FRAME_ECC_BITS),
         ] {
             if usize_field(k)? != expected {
-                return Err(err(format!("field `{k}` disagrees with this codec ({expected})")));
+                return Err(err(format!(
+                    "field `{k}` disagrees with this codec ({expected})"
+                )));
             }
         }
-        let (w, h, bpt) =
-            (usize_field("width")?, usize_field("height")?, usize_field("bits_per_tile")?);
+        let (w, h, bpt) = (
+            usize_field("width")?,
+            usize_field("height")?,
+            usize_field("bits_per_tile")?,
+        );
         if w == 0 || h == 0 || bpt == 0 {
             return Err(err("zero geometry dimension".into()));
         }
@@ -743,7 +770,9 @@ impl FramedBitstream {
                 .ok_or_else(|| err(format!("frame {i}: missing/ill-typed `addr`")))?;
             let code = u32::try_from(code)
                 .map_err(|_| err(format!("frame {i}: address does not fit in 32 bits")))?;
-            let addr = geometry.unpack(code).map_err(|e| err(format!("frame {i}: {e}")))?;
+            let addr = geometry
+                .unpack(code)
+                .map_err(|e| err(format!("frame {i}: {e}")))?;
             let expected = geometry.address_at(i);
             if addr != expected {
                 return Err(err(format!(
@@ -760,7 +789,11 @@ impl FramedBitstream {
             .as_str()
             .ok_or_else(|| err("field `used` is not a string".into()))?;
         let used = hex_to_bools(used_hex, geometry.flat_bits()).map_err(FrameError::Format)?;
-        Ok(Self { geometry, frames, used })
+        Ok(Self {
+            geometry,
+            frames,
+            used,
+        })
     }
 
     /// Packed-frames text dump: a header line plus one
@@ -813,7 +846,10 @@ impl PartialReconfig {
                 writes.push((base.geometry.pack(addr)?, target.frames[i]));
             }
         }
-        Ok(Self { geometry: base.geometry, writes })
+        Ok(Self {
+            geometry: base.geometry,
+            writes,
+        })
     }
 
     /// The delta's address space.
@@ -916,7 +952,11 @@ impl PartialReconfig {
                 )))
             }
         }
-        let (w, h, bpt) = (usize_field("width")?, usize_field("height")?, usize_field("bits_per_tile")?);
+        let (w, h, bpt) = (
+            usize_field("width")?,
+            usize_field("height")?,
+            usize_field("bits_per_tile")?,
+        );
         if w == 0 || h == 0 || bpt == 0 {
             return Err(err("zero geometry dimension".into()));
         }
@@ -934,9 +974,13 @@ impl PartialReconfig {
                 .ok_or_else(|| err(format!("write {i}: missing/ill-typed `addr`")))?;
             let addr = u32::try_from(addr)
                 .map_err(|_| err(format!("write {i}: address does not fit in 32 bits")))?;
-            geometry.unpack(addr).map_err(|e| err(format!("write {i}: {e}")))?;
+            geometry
+                .unpack(addr)
+                .map_err(|e| err(format!("write {i}: {e}")))?;
             if last.is_some_and(|prev| prev >= addr) {
-                return Err(err(format!("write {i}: addresses must be strictly ascending")));
+                return Err(err(format!(
+                    "write {i}: addresses must be strictly ascending"
+                )));
             }
             last = Some(addr);
             let hex = item
@@ -1016,12 +1060,30 @@ mod tests {
     fn address_space_is_non_contiguous() {
         let fabric = Fabric::generate(FabricConfig::fabulous_style(true), 2, 2);
         let geometry = FrameGeometry::of(&fabric);
-        assert!(geometry.frames_per_tile() > 5, "need a ÷5 split to see gaps");
+        assert!(
+            geometry.frames_per_tile() > 5,
+            "need a ÷5 split to see gaps"
+        );
         // col 4 → col_lo 4; col 5 → col_lo 0, col_hi 1: the packed codes
         // jump over the invalid col_lo values 5–7.
-        let a4 = geometry.pack(FrameAddress { region: 0, row: 0, col: 4 }).unwrap();
-        let a5 = geometry.pack(FrameAddress { region: 0, row: 0, col: 5 }).unwrap();
-        assert!(a5 > a4 + 1, "gap between col 4 ({a4:#x}) and col 5 ({a5:#x})");
+        let a4 = geometry
+            .pack(FrameAddress {
+                region: 0,
+                row: 0,
+                col: 4,
+            })
+            .unwrap();
+        let a5 = geometry
+            .pack(FrameAddress {
+                region: 0,
+                row: 0,
+                col: 5,
+            })
+            .unwrap();
+        assert!(
+            a5 > a4 + 1,
+            "gap between col 4 ({a4:#x}) and col 5 ({a5:#x})"
+        );
         for gap in a4 + 1..a5 {
             assert_eq!(
                 geometry.unpack(gap),
@@ -1046,7 +1108,9 @@ mod tests {
             prev = Some(code);
         }
         // Stray high bits are invalid, not silently masked.
-        let top = geometry.pack(geometry.address_at(geometry.frame_count() - 1)).unwrap();
+        let top = geometry
+            .pack(geometry.address_at(geometry.frame_count() - 1))
+            .unwrap();
         assert!(geometry.unpack(top | 1 << 31).is_err());
     }
 
@@ -1081,7 +1145,11 @@ mod tests {
         let fabric = Fabric::generate(FabricConfig::fabulous_style(true), 2, 2);
         let flat = demo_flat(FrameGeometry::of(&fabric), 0xBEEF);
         let pristine = FramedBitstream::from_flat(&fabric, &flat).unwrap();
-        let addr = FrameAddress { region: 1, row: 0, col: 3 };
+        let addr = FrameAddress {
+            region: 1,
+            row: 0,
+            col: 3,
+        };
         let clean = pristine.readback(addr).unwrap();
 
         let mut upset = pristine.clone();
@@ -1093,7 +1161,10 @@ mod tests {
         assert_eq!(upset.to_flat().unwrap(), flat);
 
         upset.flip_code_bit(addr, 30).unwrap();
-        assert!(matches!(upset.readback(addr), Err(FrameError::DoubleBitUpset { .. })));
+        assert!(matches!(
+            upset.readback(addr),
+            Err(FrameError::DoubleBitUpset { .. })
+        ));
         assert!(upset.to_flat().is_err());
     }
 
@@ -1102,11 +1173,23 @@ mod tests {
         let fabric = Fabric::generate(FabricConfig::fabulous_style(false), 2, 3);
         let flat = demo_flat(FrameGeometry::of(&fabric), 0xA11CE);
         let mut framed = FramedBitstream::from_flat(&fabric, &flat).unwrap();
-        framed.flip_code_bit(FrameAddress { region: 2, row: 1, col: 0 }, 5).unwrap();
-        let json = framed.to_json();
-        let back = FramedBitstream::from_json(&Json::parse(&json.to_string_pretty()).unwrap())
+        framed
+            .flip_code_bit(
+                FrameAddress {
+                    region: 2,
+                    row: 1,
+                    col: 0,
+                },
+                5,
+            )
             .unwrap();
-        assert_eq!(back, framed, "tampered codewords must survive serialization");
+        let json = framed.to_json();
+        let back =
+            FramedBitstream::from_json(&Json::parse(&json.to_string_pretty()).unwrap()).unwrap();
+        assert_eq!(
+            back, framed,
+            "tampered codewords must survive serialization"
+        );
     }
 
     #[test]
@@ -1141,7 +1224,13 @@ mod tests {
         let base_flat = demo_flat(geometry, 10);
         let mut target_flat = base_flat.clone();
         // Dirty exactly one frame: flip a bit in tile (0,0), chunk 2.
-        let (start, _) = geometry.bit_range(FrameAddress { region: 0, row: 0, col: 2 }).unwrap();
+        let (start, _) = geometry
+            .bit_range(FrameAddress {
+                region: 0,
+                row: 0,
+                col: 2,
+            })
+            .unwrap();
         target_flat.set_unused(start, !target_flat.bit(start));
 
         let base = FramedBitstream::from_flat(&fabric, &base_flat).unwrap();
@@ -1152,7 +1241,10 @@ mod tests {
 
         let mut patched = base.clone();
         assert_eq!(delta.apply(&mut patched).unwrap(), 1);
-        assert_eq!(patched.to_flat().unwrap().as_bools(), target_flat.as_bools());
+        assert_eq!(
+            patched.to_flat().unwrap().as_bools(),
+            target_flat.as_bools()
+        );
 
         // Empty delta.
         let none = PartialReconfig::diff(&base, &base).unwrap();
@@ -1177,7 +1269,10 @@ mod tests {
         ));
         let delta = PartialReconfig::diff(&fb, &fb).unwrap();
         let mut fa3 = fa;
-        assert!(matches!(delta.apply(&mut fa3), Err(FrameError::GeometryMismatch { .. })));
+        assert!(matches!(
+            delta.apply(&mut fa3),
+            Err(FrameError::GeometryMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1197,7 +1292,10 @@ mod tests {
         let mut device = base.clone();
         let delta = PartialReconfig::diff(&device, &target).unwrap();
         assert_eq!(delta.apply(&mut device).unwrap(), differing);
-        assert_eq!(device.to_flat().unwrap().as_bools(), target.to_flat().unwrap().as_bools());
+        assert_eq!(
+            device.to_flat().unwrap().as_bools(),
+            target.to_flat().unwrap().as_bools()
+        );
     }
 
     #[test]

@@ -65,12 +65,7 @@ impl std::error::Error for FabricNetlistError {}
 
 /// Builds a mux tree over `data` nets with the given encoded `selects`
 /// (LSB-first), padding by repeating the last input.
-fn mux_tree(
-    netlist: &mut Netlist,
-    prefix: &str,
-    selects: &[NetId],
-    data: &[NetId],
-) -> NetId {
+fn mux_tree(netlist: &mut Netlist, prefix: &str, selects: &[NetId], data: &[NetId]) -> NetId {
     debug_assert!(!data.is_empty());
     let mut layer: Vec<NetId> = data.to_vec();
     for (level, &s) in selects.iter().enumerate() {
@@ -109,12 +104,19 @@ fn mux_tree(
 /// Panics when an `io_map` pad index is out of range.
 pub fn to_locked_netlist(fabric: &Fabric, io_map: &IoMap) -> Netlist {
     let cfg = fabric.config().clone();
-    let mut n = Netlist::new(format!("{}x{}_fabric_locked", fabric.width(), fabric.height()));
+    let mut n = Netlist::new(format!(
+        "{}x{}_fabric_locked",
+        fabric.width(),
+        fabric.height()
+    ));
 
     // Primary inputs for mapped pads; constants elsewhere.
     let mut pad_nets: HashMap<usize, NetId> = HashMap::new();
     for (name, pad) in &io_map.inputs {
-        assert!(*pad < fabric.io_input_count(), "input pad {pad} out of range");
+        assert!(
+            *pad < fabric.io_input_count(),
+            "input pad {pad} out of range"
+        );
         pad_nets.insert(*pad, n.add_input(name.clone()));
     }
     // Key inputs, one per config bit.
@@ -235,8 +237,7 @@ pub fn to_locked_netlist(fabric: &Fabric, io_map: &IoMap) -> Netlist {
                     let mut sels = Vec::with_capacity(2);
                     for pin in 0..2 {
                         let (base, width) = fabric.chain_sel_conn_field(x, y, j, pin);
-                        let conn_sels: Vec<NetId> =
-                            (0..width).map(|b| keys[base + b]).collect();
+                        let conn_sels: Vec<NetId> = (0..width).map(|b| keys[base + b]).collect();
                         let dynamic = mux_tree(
                             &mut n,
                             &format!("chc_{x}_{y}_{j}_{pin}"),
@@ -272,7 +273,10 @@ pub fn to_locked_netlist(fabric: &Fabric, io_map: &IoMap) -> Netlist {
 
     // Outputs.
     for (name, pad) in &io_map.outputs {
-        assert!(*pad < fabric.io_output_count(), "output pad {pad} out of range");
+        assert!(
+            *pad < fabric.io_output_count(),
+            "output pad {pad} out of range"
+        );
         let src = fabric.io_output_source(*pad);
         let net = sig_net(&track_nets, &clb_nets, &chain_nets, &pad_nets, zero, src);
         n.add_output(name.clone(), net);
@@ -408,7 +412,13 @@ pub fn to_configured_netlist(
                     let (base, width) = fabric.clb_input_field(x, y, lut, pin);
                     let t = (bitstream.field(base, width) as usize).min(cfg.channel_width - 1);
                     let r = resolve_track(fabric, bitstream, &mut memo, &mut state, (x, y, t))?;
-                    pins.push(resolved_net(&slot_nets, &chain_out_nets, &pad_nets, zero, r));
+                    pins.push(resolved_net(
+                        &slot_nets,
+                        &chain_out_nets,
+                        &pad_nets,
+                        zero,
+                        r,
+                    ));
                 }
                 let mask_base = fabric.lut_mask_base(x, y, lut);
                 let mut mask = 0u64;
@@ -465,11 +475,10 @@ pub fn to_configured_netlist(
                     for pin in 0..4 {
                         if fabric.chain_pin_is_muxed(j, pin) {
                             let (base, width) = fabric.chain_data_field(x, y, j, pin);
-                            let t = (bitstream.field(base, width) as usize)
-                                .min(cfg.channel_width - 1);
-                            let r = resolve_track(
-                                fabric, bitstream, &mut memo, &mut state, (x, y, t),
-                            )?;
+                            let t =
+                                (bitstream.field(base, width) as usize).min(cfg.channel_width - 1);
+                            let r =
+                                resolve_track(fabric, bitstream, &mut memo, &mut state, (x, y, t))?;
                             data.push(resolved_net(
                                 &slot_nets,
                                 &chain_out_nets,
@@ -488,11 +497,10 @@ pub fn to_configured_netlist(
                         let (val_bit, mode_bit) = fabric.chain_select_bits(x, y, j, pin);
                         if bitstream.bit(mode_bit) {
                             let (base, width) = fabric.chain_sel_conn_field(x, y, j, pin);
-                            let t = (bitstream.field(base, width) as usize)
-                                .min(cfg.channel_width - 1);
-                            let r = resolve_track(
-                                fabric, bitstream, &mut memo, &mut state, (x, y, t),
-                            )?;
+                            let t =
+                                (bitstream.field(base, width) as usize).min(cfg.channel_width - 1);
+                            let r =
+                                resolve_track(fabric, bitstream, &mut memo, &mut state, (x, y, t))?;
                             sel_nets[pin] =
                                 resolved_net(&slot_nets, &chain_out_nets, &pad_nets, zero, r);
                         } else {
@@ -561,7 +569,9 @@ pub fn to_configured_netlist(
 
     // The configured netlist must be acyclic; surface a loop as an error.
     if n.topo_order().is_err() {
-        return Err(FabricNetlistError::ConfiguredLoop("clb/chain feedback".into()));
+        return Err(FabricNetlistError::ConfiguredLoop(
+            "clb/chain feedback".into(),
+        ));
     }
     Ok(n)
 }
@@ -732,7 +742,7 @@ mod tests {
         bs.set_field(b0, w0, 1); // east
         let (b1, w1) = f.track_select_field(1, 0, 3);
         bs.set_field(b1, w1, 0); // west
-        // Observe the looped track so resolution must walk it: wire LUT pin.
+                                 // Observe the looped track so resolution must walk it: wire LUT pin.
         let (pb, pw) = f.clb_input_field(0, 0, 0, 0);
         bs.set_field(pb, pw, 3);
         let io = IoMap {

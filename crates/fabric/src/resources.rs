@@ -306,10 +306,7 @@ mod tests {
         let f = Fabric::generate(FabricConfig::fabulous_style(true), 1, 1);
         let r = ResourceReport::for_fabric(&f);
         assert_eq!(r.total_muxes(), r.mux4 + r.mux2);
-        assert_eq!(
-            r.total_config_storage(),
-            r.config_latches + r.control_ffs
-        );
+        assert_eq!(r.total_config_storage(), r.config_latches + r.control_ffs);
         let text = r.to_string();
         assert!(text.contains("M4s"));
         assert!(text.contains("latches"));

@@ -520,11 +520,7 @@ fn rebind(locked: &Netlist, mut binding: impl FnMut(usize) -> Option<bool>) -> N
                 let net = if let Some(n) = const_nets[v as usize] {
                     n
                 } else {
-                    let n = out.add_cell(
-                        format!("tie{}", v as u8),
-                        CellKind::Const(v),
-                        vec![],
-                    );
+                    let n = out.add_cell(format!("tie{}", v as u8), CellKind::Const(v), vec![]);
                     const_nets[v as usize] = Some(n);
                     n
                 };

@@ -88,7 +88,7 @@ impl TechLibrary {
     /// accordingly.
     pub fn cost(&self, kind: CellKind, fanin: usize) -> CellCost {
         let ge = 1.25; // gate-equivalent area, µm²
-        
+
         match kind {
             CellKind::Not => CellCost {
                 area: 0.75 * ge,

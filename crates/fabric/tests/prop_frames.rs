@@ -21,7 +21,11 @@ const CASES: usize = 96;
 /// exactly at / above one frame, and frames_per_tile crossing the ÷5
 /// packing split).
 fn geometry_of(w: u64, h: u64, bpt: u64) -> FrameGeometry {
-    FrameGeometry::new(1 + (w % 5) as usize, 1 + (h % 5) as usize, 1 + (bpt % 400) as usize)
+    FrameGeometry::new(
+        1 + (w % 5) as usize,
+        1 + (h % 5) as usize,
+        1 + (bpt % 400) as usize,
+    )
 }
 
 fn random_flat(geometry: FrameGeometry, seed: u64) -> Bitstream {
@@ -43,12 +47,19 @@ fn prop_pack_unpack_roundtrips_any_fabric() {
         "frames: flat → framed → flat is lossless",
         0xF3A3_0001,
         CASES,
-        |rng| (rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()),
+        |rng| {
+            (
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+            )
+        },
         |&(w, h, bpt, seed)| {
             let geometry = geometry_of(w, h, bpt);
             let flat = random_flat(geometry, seed);
-            let framed = FramedBitstream::pack(geometry, &flat)
-                .map_err(|e| format!("pack failed: {e}"))?;
+            let framed =
+                FramedBitstream::pack(geometry, &flat).map_err(|e| format!("pack failed: {e}"))?;
             // Every address round-trips through its packed device code.
             for addr in geometry.addresses() {
                 let code = geometry.pack(addr).map_err(|e| e.to_string())?;
@@ -57,7 +68,9 @@ fn prop_pack_unpack_roundtrips_any_fabric() {
                     return Err(format!("address {addr} repacked as {back}"));
                 }
             }
-            let round = framed.to_flat().map_err(|e| format!("to_flat failed: {e}"))?;
+            let round = framed
+                .to_flat()
+                .map_err(|e| format!("to_flat failed: {e}"))?;
             if round != flat {
                 return Err("decoded flat bitstream differs from the original".into());
             }
@@ -79,10 +92,16 @@ fn prop_ecc_corrects_every_single_flip() {
                 let rb = decode_frame(code ^ (1u64 << bit), 0)
                     .map_err(|e| format!("bit {bit}: decode refused a single upset: {e}"))?;
                 if rb.data != data {
-                    return Err(format!("bit {bit}: decoded {:#x}, expected {data:#x}", rb.data));
+                    return Err(format!(
+                        "bit {bit}: decoded {:#x}, expected {data:#x}",
+                        rb.data
+                    ));
                 }
                 if rb.corrected != Some(bit) {
-                    return Err(format!("bit {bit}: correction witness was {:?}", rb.corrected));
+                    return Err(format!(
+                        "bit {bit}: correction witness was {:?}",
+                        rb.corrected
+                    ));
                 }
             }
             Ok(())
@@ -99,8 +118,8 @@ fn prop_ecc_flags_every_double_flip() {
         |rng| {
             let a = rng.bounded(FRAME_TOTAL_BITS as u64) as u32;
             // Distinct second position, uniform over the remaining 46.
-            let b = (a + 1 + rng.bounded(FRAME_TOTAL_BITS as u64 - 1) as u32)
-                % FRAME_TOTAL_BITS as u32;
+            let b =
+                (a + 1 + rng.bounded(FRAME_TOTAL_BITS as u64 - 1) as u32) % FRAME_TOTAL_BITS as u32;
             (rng.next_u64() as u32, a, b)
         },
         |&(data, a, b)| {
@@ -125,7 +144,14 @@ fn prop_partial_reconfig_reaches_the_target() {
         "frames: diff(base, target) applied to base equals target",
         0xF3A3_0004,
         CASES,
-        |rng| (rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()),
+        |rng| {
+            (
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+            )
+        },
         |&(w, h, seed_base, seed_target)| {
             let geometry = geometry_of(w, h, seed_base ^ seed_target);
             let base_flat = random_flat(geometry, seed_base);

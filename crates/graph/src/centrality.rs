@@ -165,7 +165,11 @@ fn brandes<T>(g: &DiGraph<T>, sources: &[NodeId], sinks: Option<&[NodeId]>) -> V
         }
         // Dependency accumulation (reverse BFS order).
         while let Some(w) = stack.pop() {
-            let seed = if is_sink[w.index()] && w != s { 1.0 } else { 0.0 };
+            let seed = if is_sink[w.index()] && w != s {
+                1.0
+            } else {
+                0.0
+            };
             let coeff = (seed + delta[w.index()]) / sigma[w.index()].max(1.0);
             for &p in &preds[w.index()] {
                 delta[p.index()] += sigma[p.index()] * coeff;

@@ -150,13 +150,10 @@ impl<T> DiGraph<T> {
 
     /// Iterator over every edge.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.successors
-            .iter()
-            .enumerate()
-            .flat_map(|(i, succs)| {
-                let from = NodeId(i as u32);
-                succs.iter().map(move |&to| EdgeRef { from, to })
-            })
+        self.successors.iter().enumerate().flat_map(|(i, succs)| {
+            let from = NodeId(i as u32);
+            succs.iter().map(move |&to| EdgeRef { from, to })
+        })
     }
 
     /// Returns `true` if an edge `from -> to` exists.

@@ -25,7 +25,11 @@ impl LutMask {
     /// Panics if `k > 6`.
     pub fn new(mask: u64, k: usize) -> Self {
         assert!(k <= Self::MAX_K, "LUT arity {k} exceeds {}", Self::MAX_K);
-        let keep = if k == 6 { u64::MAX } else { (1u64 << (1 << k)) - 1 };
+        let keep = if k == 6 {
+            u64::MAX
+        } else {
+            (1u64 << (1 << k)) - 1
+        };
         Self {
             mask: mask & keep,
             k: k as u8,

@@ -319,7 +319,13 @@ pub fn equiv_sequential_random(
     cycles: usize,
     seed: u64,
 ) -> EquivResult {
-    equiv(a, b, lhs_key, rhs_key, Method::SequentialRandom { cycles, seed })
+    equiv(
+        a,
+        b,
+        lhs_key,
+        rhs_key,
+        Method::SequentialRandom { cycles, seed },
+    )
 }
 
 /// Minimal deterministic PRNG so this crate stays dependency-free.
@@ -435,8 +441,7 @@ mod tests {
             n.add_output("f", c);
             n
         };
-        assert!(equiv_exhaustive(&konst(true, "t"), &konst(true, "t2"), &[], &[])
-            .is_equivalent());
+        assert!(equiv_exhaustive(&konst(true, "t"), &konst(true, "t2"), &[], &[]).is_equivalent());
         match equiv_exhaustive(&konst(true, "t"), &konst(false, "f"), &[], &[]) {
             EquivResult::Counterexample { inputs, lhs, rhs } => {
                 assert!(inputs.is_empty());
@@ -474,9 +479,7 @@ mod tests {
 
     #[test]
     fn random_agrees_with_exhaustive() {
-        assert!(
-            equiv_random(&and2(), &and2_via_nand(), &[], &[], 200, 42).is_equivalent()
-        );
+        assert!(equiv_random(&and2(), &and2_via_nand(), &[], &[], 200, 42).is_equivalent());
         assert!(!equiv_random(&and2(), &or2(), &[], &[], 200, 42).is_equivalent());
     }
 
@@ -488,14 +491,16 @@ mod tests {
             let q = t1.add_net("q");
             let one = t1.add_cell("one", CellKind::Const(true), vec![]);
             let nx = t1.add_cell("nx", CellKind::Xor, vec![q, one]);
-            t1.add_cell_driving("ff", CellKind::Dff, vec![nx], q).unwrap();
+            t1.add_cell_driving("ff", CellKind::Dff, vec![nx], q)
+                .unwrap();
             t1.add_output("q", q);
         }
         let mut t2 = Netlist::new("t2");
         {
             let q = t2.add_net("q");
             let buf = t2.add_cell("b", CellKind::Buf, vec![q]);
-            t2.add_cell_driving("ff", CellKind::Dff, vec![buf], q).unwrap();
+            t2.add_cell_driving("ff", CellKind::Dff, vec![buf], q)
+                .unwrap();
             t2.add_output("q", q);
         }
         assert!(!equiv_sequential_random(&t1, &t2, &[], &[], 8, 7).is_equivalent());
@@ -602,7 +607,9 @@ mod tests {
                 3 => (CellKind::Mux2, 3),
                 _ => (CellKind::Not, 1),
             };
-            let ins = (0..arity).map(|_| nets[rng.gen_range(0..nets.len())]).collect();
+            let ins = (0..arity)
+                .map(|_| nets[rng.gen_range(0..nets.len())])
+                .collect();
             nets.push(n.add_cell(format!("g{c}"), kind, ins));
         }
         for o in 0..outputs {
@@ -628,7 +635,10 @@ mod tests {
                 // under another key, or an unrelated netlist of that shape.
                 let (rhs, rhs_key) = match rng.gen_range(0..3) {
                     0 => (lhs.clone(), lhs_key.clone()),
-                    1 => (lhs.clone(), (0..lhs_keys).map(|_| rng.gen_bool(0.5)).collect()),
+                    1 => (
+                        lhs.clone(),
+                        (0..lhs_keys).map(|_| rng.gen_bool(0.5)).collect(),
+                    ),
                     _ => {
                         let keys = rng.gen_range(0..3);
                         let rhs = random_comb(&mut rng, inputs, keys, outputs);
@@ -662,13 +672,18 @@ mod tests {
         let x = cyclic.add_input("x");
         let loop_net = cyclic.add_net("loop");
         let g = cyclic.add_cell("g", CellKind::And, vec![x, loop_net]);
-        cyclic.add_cell_driving("h", CellKind::Buf, vec![g], loop_net).unwrap();
+        cyclic
+            .add_cell_driving("h", CellKind::Buf, vec![g], loop_net)
+            .unwrap();
         cyclic.add_output("f", g);
         let mut buf = Netlist::new("buf");
         let xb = buf.add_input("x");
         let f = buf.add_cell("f", CellKind::Buf, vec![xb]);
         buf.add_output("f", f);
-        let random = Method::Random { vectors: 0, seed: 1 };
+        let random = Method::Random {
+            vectors: 0,
+            seed: 1,
+        };
         assert_eq!(
             equiv_counted(&cyclic, &buf, &[], &[], random),
             (EquivResult::Equivalent, 0)

@@ -233,10 +233,7 @@ impl Design {
         };
 
         let binding_of = |port: &str| -> Option<NetId> {
-            inst.bindings
-                .iter()
-                .find(|b| b.port == port)
-                .map(|b| b.net)
+            inst.bindings.iter().find(|b| b.port == port).map(|b| b.net)
         };
 
         // Map each child net to a parent net.
@@ -270,12 +267,7 @@ impl Design {
                 .map(|n| net_map[n.index()].expect("mapped"))
                 .collect();
             let out_net = net_map[c.output.index()].expect("mapped");
-            parent.add_cell_driving(
-                format!("{path}.{}", c.name),
-                c.kind,
-                inputs,
-                out_net,
-            )?;
+            parent.add_cell_driving(format!("{path}.{}", c.name), c.kind, inputs, out_net)?;
         }
         // Stitch bound outputs with buffers.
         for (pname, onet) in flat_child.outputs() {
@@ -412,7 +404,10 @@ mod tests {
         let flat = d.flatten().unwrap();
         flat.validate().unwrap();
         assert_eq!(flat.eval_comb(&[true]), vec![true]);
-        assert!(flat.find_cell("m.i1.g").is_some(), "uniquified nested names");
+        assert!(
+            flat.find_cell("m.i1.g").is_some(),
+            "uniquified nested names"
+        );
     }
 
     #[test]

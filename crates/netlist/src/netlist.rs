@@ -203,7 +203,12 @@ impl Netlist {
     ///
     /// Panics if the input count is illegal for `kind` (use
     /// [`Netlist::try_add_cell`] for a fallible version).
-    pub fn add_cell(&mut self, name: impl Into<String>, kind: CellKind, inputs: Vec<NetId>) -> NetId {
+    pub fn add_cell(
+        &mut self,
+        name: impl Into<String>,
+        kind: CellKind,
+        inputs: Vec<NetId>,
+    ) -> NetId {
         self.try_add_cell(name, kind, inputs)
             .expect("illegal cell construction")
     }
@@ -503,8 +508,8 @@ impl Netlist {
     pub fn validate(&self) -> Result<(), NetlistError> {
         for (id, net) in self.nets() {
             let is_port = self.inputs.contains(&id) || self.key_inputs.contains(&id);
-            let read = self.cells.iter().any(|c| c.inputs.contains(&id))
-                || self.is_primary_output(id);
+            let read =
+                self.cells.iter().any(|c| c.inputs.contains(&id)) || self.is_primary_output(id);
             if net.driver.is_none() && !is_port && read {
                 return Err(NetlistError::UndrivenNet {
                     net: net.name.clone(),
@@ -676,7 +681,8 @@ mod tests {
         let w = n.add_net("w");
         let g = n.add_cell("g", CellKind::And, vec![a, w]);
         // close the loop: w is driven by a NOT of g
-        n.add_cell_driving("inv", CellKind::Not, vec![g], w).unwrap();
+        n.add_cell_driving("inv", CellKind::Not, vec![g], w)
+            .unwrap();
         n.add_output("f", g);
         assert!(matches!(
             n.topo_order(),
@@ -691,7 +697,8 @@ mod tests {
         let mut n = Netlist::new("toggle");
         let q = n.add_net("q");
         let nq = n.add_cell("nq", CellKind::Not, vec![q]);
-        n.add_cell_driving("ff", CellKind::Dff, vec![nq], q).unwrap();
+        n.add_cell_driving("ff", CellKind::Dff, vec![nq], q)
+            .unwrap();
         n.add_output("q", q);
         assert!(n.topo_order().is_ok());
         assert!(!n.is_combinational());

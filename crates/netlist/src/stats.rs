@@ -99,12 +99,7 @@ pub fn logic_depth(netlist: &Netlist) -> usize {
         if c.kind.is_sequential() {
             continue;
         }
-        let lv = 1 + c
-            .inputs
-            .iter()
-            .map(|n| level[n.index()])
-            .max()
-            .unwrap_or(0);
+        let lv = 1 + c.inputs.iter().map(|n| level[n.index()]).max().unwrap_or(0);
         level[c.output.index()] = lv;
         max = max.max(lv);
     }

@@ -179,7 +179,11 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Self { src, pos: 0, line: 1 }
+        Self {
+            src,
+            pos: 0,
+            line: 1,
+        }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -352,13 +356,14 @@ fn prim_kind(name: &str, line: usize) -> Result<Option<CellKind>, ParseError> {
         _ => {
             if let Some(rest) = name.strip_prefix("lut_") {
                 let mut parts = rest.splitn(2, '_');
-                let k: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(ParseError::Syntax {
-                        line,
-                        message: format!("malformed LUT primitive `{name}`"),
-                    })?;
+                let k: usize =
+                    parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or(ParseError::Syntax {
+                            line,
+                            message: format!("malformed LUT primitive `{name}`"),
+                        })?;
                 let mask_str = parts.next().ok_or(ParseError::Syntax {
                     line,
                     message: format!("malformed LUT primitive `{name}`"),
@@ -471,8 +476,7 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, ParseError> {
                     .iter()
                     .map(|a| resolve(&mut nets, &mut netlist, a))
                     .collect();
-                netlist
-                    .add_cell_driving(format!("{inst_name}__{cell_idx}"), kind, ins, out)?;
+                netlist.add_cell_driving(format!("{inst_name}__{cell_idx}"), kind, ins, out)?;
                 cell_idx += 1;
             }
         }
@@ -498,11 +502,7 @@ mod tests {
         let b = n.add_input("b.x");
         let k = n.add_key_input("k0");
         let m = n.add_cell("m", CellKind::Mux2, vec![k, a, b]);
-        let l = n.add_cell(
-            "l",
-            CellKind::Lut(LutMask::new(0b0110, 2)),
-            vec![m, a],
-        );
+        let l = n.add_cell("l", CellKind::Lut(LutMask::new(0b0110, 2)), vec![m, a]);
         n.add_output("f", l);
         n
     }
@@ -569,10 +569,7 @@ mod tests {
     #[test]
     fn parse_error_unknown_primitive() {
         let src = "module c (f); output f; frobnicate g (f); endmodule";
-        assert!(matches!(
-            parse_verilog(src),
-            Err(ParseError::Syntax { .. })
-        ));
+        assert!(matches!(parse_verilog(src), Err(ParseError::Syntax { .. })));
     }
 
     #[test]

@@ -313,8 +313,7 @@ fn run_fit_loop_hybrid(
         .map(|c| c.len().div_ceil(config.chain_len.max(1)))
         .sum();
     let ports = mapped.inputs().len() + mapped.outputs().len();
-    let (mut w, mut h) =
-        initial_dims(&config, slots.len(), chain_blocks, ports, options.min_dims);
+    let (mut w, mut h) = initial_dims(&config, slots.len(), chain_blocks, ports, options.min_dims);
     let mut last_err = String::new();
     let mut last_unroutable = false;
     for attempt in 1..=options.max_fit_attempts {
@@ -569,7 +568,13 @@ fn try_once(
     for (&cell, site) in &element_sites {
         let c = mapped.cell(cell);
         if site.j == site.last_j {
-            source_of.insert(c.output, SourceKind::ChainBlock { x: site.x, y: site.y });
+            source_of.insert(
+                c.output,
+                SourceKind::ChainBlock {
+                    x: site.x,
+                    y: site.y,
+                },
+            );
         } else {
             internal_chain_nets.insert(c.output);
         }
@@ -577,8 +582,7 @@ fn try_once(
 
     // Net sinks, dedup per (net, tile) for pin sinks.
     let mut sinks_of: HashMap<NetId, Vec<SinkKind>> = HashMap::new();
-    let mut pin_tiles: HashMap<NetId, std::collections::HashSet<(usize, usize)>> =
-        HashMap::new();
+    let mut pin_tiles: HashMap<NetId, std::collections::HashSet<(usize, usize)>> = HashMap::new();
     let mut add_pin_sink = |net: NetId, x: usize, y: usize| {
         if internal_chain_nets.contains(&net) {
             return; // hard-wired inside a block
@@ -680,10 +684,9 @@ fn try_once(
     let routing = router
         .route_all_budgeted(&requests, options.max_route_iterations, &options.budget)
         .map_err(|e| match e {
-            RouteError::Unroutable { net } => PnrError::Unroutable(format!(
-                "net `{}`",
-                mapped.net(net_ids[net]).name
-            )),
+            RouteError::Unroutable { net } => {
+                PnrError::Unroutable(format!("net `{}`", mapped.net(net_ids[net]).name))
+            }
             RouteError::Exhausted(why) => PnrError::Exhausted(format!("route: {why}")),
         })?;
 
@@ -792,8 +795,8 @@ fn try_once(
             let (base, width) = fabric.chain_data_field(x, y, j, pin);
             match net {
                 Some(net) if !internal_chain_nets.contains(net) => {
-                    let t = resolve_pin_track(mapped, &track_at, *net, (x, y))
-                        .ok_or_else(|| {
+                    let t =
+                        resolve_pin_track(mapped, &track_at, *net, (x, y)).ok_or_else(|| {
                             PnrError::DoesNotFit(format!(
                                 "chain data net `{}` missing at ({x},{y})",
                                 mapped.net(*net).name
@@ -833,13 +836,14 @@ fn try_once(
                         bs.set(val_bit, v);
                     }
                     None => {
-                        let t = resolve_pin_track(mapped, &track_at, *net, (x, y))
-                            .ok_or_else(|| {
+                        let t = resolve_pin_track(mapped, &track_at, *net, (x, y)).ok_or_else(
+                            || {
                                 PnrError::DoesNotFit(format!(
                                     "chain select net `{}` missing at ({x},{y})",
                                     mapped.net(*net).name
                                 ))
-                            })?;
+                            },
+                        )?;
                         let (cbase, cwidth) = fabric.chain_sel_conn_field(x, y, j, pin);
                         bs.set_field(cbase, cwidth, t as u64);
                         bs.set(mode_bit, true);
@@ -1022,9 +1026,7 @@ mod tests {
     fn xbar(words: usize, width: usize) -> Netlist {
         // One-hot chained crossbar column: out = g_{n-1} ? d_{n-1} : (... d0)
         let mut b = NetlistBuilder::new("xbar");
-        let grants: Vec<NetId> = (0..words - 1)
-            .map(|i| b.input(&format!("g{i}")))
-            .collect();
+        let grants: Vec<NetId> = (0..words - 1).map(|i| b.input(&format!("g{i}"))).collect();
         let data: Vec<Vec<NetId>> = (0..words)
             .map(|i| b.input_bus(&format!("d{i}"), width))
             .collect();
@@ -1050,8 +1052,7 @@ mod tests {
         // `verify: true` already proved equivalence against `mapped`;
         // double-check against the original RTL netlist too.
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_exhaustive(&n, &configured, &[], &[]).is_equivalent());
     }
 
@@ -1075,14 +1076,15 @@ mod tests {
         b.output("o", o);
         let n = b.finish();
         let mapped = lut_map(&n, 4).expect("acyclic").netlist;
-        let res = place_and_route(&mapped, FabricConfig::fabulous_style(false), &PnrOptions::default())
-            .expect("fits");
+        let res = place_and_route(
+            &mapped,
+            FabricConfig::fabulous_style(false),
+            &PnrOptions::default(),
+        )
+        .expect("fits");
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
-        assert!(
-            equiv_sequential_random(&n, &configured, &[], &[], 48, 3).is_equivalent()
-        );
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
+        assert!(equiv_sequential_random(&n, &configured, &[], &[], 48, 3).is_equivalent());
     }
 
     #[test]
@@ -1093,7 +1095,11 @@ mod tests {
         let f = n.add_cell("f", CellKind::Xor, vec![a, k]);
         n.add_output("f", f);
         assert!(matches!(
-            place_and_route(&n, FabricConfig::fabulous_style(false), &PnrOptions::default()),
+            place_and_route(
+                &n,
+                FabricConfig::fabulous_style(false),
+                &PnrOptions::default()
+            ),
             Err(PnrError::Unsupported(_))
         ));
     }
@@ -1106,7 +1112,11 @@ mod tests {
         let f = n.add_cell("f", CellKind::And, vec![a, b]);
         n.add_output("f", f);
         assert!(matches!(
-            place_and_route(&n, FabricConfig::fabulous_style(false), &PnrOptions::default()),
+            place_and_route(
+                &n,
+                FabricConfig::fabulous_style(false),
+                &PnrOptions::default()
+            ),
             Err(PnrError::Pack(_))
         ));
     }
@@ -1118,8 +1128,7 @@ mod tests {
         let res = place_and_route_with_chains(&n, cfg, &PnrOptions::default()).expect("fits");
         assert!(res.chain_elements_used > 0, "muxes mapped to chains");
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_exhaustive(&n, &configured, &[], &[]).is_equivalent());
     }
 
@@ -1129,8 +1138,12 @@ mod tests {
         let cfg = FabricConfig::fabulous_style(true);
         let chain_res =
             place_and_route_with_chains(&n, cfg.clone(), &PnrOptions::default()).expect("fits");
-        let lut_res = place_and_route(&lut_map(&n, 4).expect("acyclic").netlist, cfg, &PnrOptions::default())
-            .expect("fits");
+        let lut_res = place_and_route(
+            &lut_map(&n, 4).expect("acyclic").netlist,
+            cfg,
+            &PnrOptions::default(),
+        )
+        .expect("fits");
         assert!(
             chain_res.slots_used < lut_res.slots_used,
             "chains {} vs luts {}",
@@ -1158,12 +1171,15 @@ mod tests {
         // expansion (tight routing forces retries).
         let n = adder(5);
         let mapped = lut_map(&n, 4).expect("acyclic").netlist;
-        let res = place_and_route(&mapped, FabricConfig::fabulous_style(false), &PnrOptions::default())
-            .expect("fits eventually");
+        let res = place_and_route(
+            &mapped,
+            FabricConfig::fabulous_style(false),
+            &PnrOptions::default(),
+        )
+        .expect("fits eventually");
         assert!(res.fit_attempts >= 1);
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_random(&n, &configured, &[], &[], 400, 9).is_equivalent());
     }
 
@@ -1173,16 +1189,15 @@ mod tests {
         // must split into segments linked through tracks and still verify.
         let n = xbar(16, 1);
         let cfg = FabricConfig::fabulous_style(true);
-        let res = place_and_route_with_chains(&n, cfg, &PnrOptions::default())
-            .expect("long chain maps");
+        let res =
+            place_and_route_with_chains(&n, cfg, &PnrOptions::default()).expect("long chain maps");
         assert!(
             res.chain_elements_used >= 8,
             "chain elements {}",
             res.chain_elements_used
         );
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_random(&n, &configured, &[], &[], 600, 3).is_equivalent());
     }
 
@@ -1190,8 +1205,7 @@ mod tests {
     fn chain_flow_handles_mixed_logic() {
         // One-hot route + adder residue: chains AND CLBs used together.
         let mut b = NetlistBuilder::new("mixed");
-        let g: Vec<shell_netlist::NetId> =
-            (0..3).map(|i| b.input(&format!("g{i}"))).collect();
+        let g: Vec<shell_netlist::NetId> = (0..3).map(|i| b.input(&format!("g{i}"))).collect();
         let d: Vec<Vec<shell_netlist::NetId>> =
             (0..4).map(|i| b.input_bus(&format!("d{i}"), 3)).collect();
         let mut sel = d[0].clone();
@@ -1216,8 +1230,7 @@ mod tests {
         assert!(res.chain_elements_used > 0, "chains used");
         assert!(res.slots_used > 0, "CLBs used for the adder residue");
         let configured =
-            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map)
-                .unwrap();
+            shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_random(&n, &configured, &[], &[], 600, 4).is_equivalent());
     }
 
@@ -1225,8 +1238,12 @@ mod tests {
     fn utilization_reported() {
         let n = adder(2);
         let mapped = lut_map(&n, 4).expect("acyclic").netlist;
-        let res = place_and_route(&mapped, FabricConfig::fabulous_style(false), &PnrOptions::default())
-            .expect("fits");
+        let res = place_and_route(
+            &mapped,
+            FabricConfig::fabulous_style(false),
+            &PnrOptions::default(),
+        )
+        .expect("fits");
         assert!(res.tiles_used >= 1);
         assert!(res.wirelength > 0);
     }
@@ -1241,7 +1258,10 @@ mod tests {
         for id in n.topo_order().expect("acyclic") {
             let c = n.cell(id);
             let ins = c.inputs.iter().map(|i| map[i]).collect();
-            map.insert(c.output, out.add_cell(format!("{prefix}{}", c.name), c.kind, ins));
+            map.insert(
+                c.output,
+                out.add_cell(format!("{prefix}{}", c.name), c.kind, ins),
+            );
         }
         for (name, net) in n.outputs() {
             out.add_output(format!("{prefix}{name}"), map[net]);

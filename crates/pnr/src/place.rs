@@ -112,8 +112,7 @@ pub fn pack_filtered(
         let d = c.inputs[0];
         if let Some(drv) = netlist.net(d).driver {
             let dc = netlist.cell(drv);
-            let single_fanout =
-                fanout[d.index()].len() == 1 && !netlist.is_primary_output(d);
+            let single_fanout = fanout[d.index()].len() == 1 && !netlist.is_primary_output(d);
             if matches!(dc.kind, CellKind::Lut(_)) && single_fanout {
                 fused_dff.insert(drv, cid);
                 fused_luts.insert(cid, drv);
@@ -167,7 +166,10 @@ pub fn pack_filtered(
             }
             CellKind::Const(v) => {
                 slots.push(Slot {
-                    content: SlotContent::Const { cell: cid, value: v },
+                    content: SlotContent::Const {
+                        cell: cid,
+                        value: v,
+                    },
                     input_nets: Vec::new(),
                     mask: if v { u64::MAX } else { 0 },
                     registered: false,
@@ -882,7 +884,10 @@ mod tests {
         assert!(slots[0].registered);
         assert!(matches!(
             slots[0].content,
-            SlotContent::Lut { dff_cell: Some(_), .. }
+            SlotContent::Lut {
+                dff_cell: Some(_),
+                ..
+            }
         ));
     }
 

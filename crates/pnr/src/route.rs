@@ -248,9 +248,7 @@ impl<'f> Router<'f> {
             SourceKind::Slot { x, y, slot } => {
                 // Every track of the tile can select clb output `slot` at
                 // mux input position 4 + slot.
-                (0..self.tracks)
-                    .map(|t| ((x, y, t), 4 + slot))
-                    .collect()
+                (0..self.tracks).map(|t| ((x, y, t), 4 + slot)).collect()
             }
             SourceKind::ChainBlock { x, y } => {
                 let pos = 4 + self.fabric.config().luts_per_clb;
@@ -308,8 +306,7 @@ impl<'f> Router<'f> {
         let n_nodes = self.history.len();
         let mut routes: HashMap<usize, RoutedNet> = HashMap::new();
         let mut occupancy: Vec<u32> = vec![0; n_nodes];
-        let by_id: HashMap<usize, &RouteRequest> =
-            requests.iter().map(|r| (r.net, r)).collect();
+        let by_id: HashMap<usize, &RouteRequest> = requests.iter().map(|r| (r.net, r)).collect();
 
         // Initial pass, in two deterministic stages. Stage 1 computes a
         // candidate route per net in parallel against a *frozen* snapshot
@@ -651,7 +648,11 @@ mod tests {
         let mut r = Router::new(&f);
         let req = RouteRequest {
             net: 1,
-            source: SourceKind::Slot { x: 0, y: 0, slot: 2 },
+            source: SourceKind::Slot {
+                x: 0,
+                y: 0,
+                slot: 2,
+            },
             sinks: vec![SinkKind::AnyTrackAt { x: 1, y: 1 }],
         };
         let res = r.route_all(&[req], 8).expect("routable");
@@ -673,7 +674,11 @@ mod tests {
         let mut r = Router::new(&f);
         let req = RouteRequest {
             net: 5,
-            source: SourceKind::Slot { x: 0, y: 0, slot: 0 },
+            source: SourceKind::Slot {
+                x: 0,
+                y: 0,
+                slot: 0,
+            },
             sinks: vec![
                 SinkKind::AnyTrackAt { x: 2, y: 0 },
                 SinkKind::AnyTrackAt { x: 1, y: 0 },
@@ -701,7 +706,11 @@ mod tests {
             },
             RouteRequest {
                 net: 1,
-                source: SourceKind::Slot { x: 0, y: 0, slot: 1 },
+                source: SourceKind::Slot {
+                    x: 0,
+                    y: 0,
+                    slot: 1,
+                },
                 sinks: vec![SinkKind::AnyTrackAt { x: 2, y: 0 }],
             },
         ];
@@ -730,7 +739,11 @@ mod tests {
             },
             RouteRequest {
                 net: 1,
-                source: SourceKind::Slot { x: 0, y: 0, slot: 1 },
+                source: SourceKind::Slot {
+                    x: 0,
+                    y: 0,
+                    slot: 1,
+                },
                 sinks: vec![SinkKind::AnyTrackAt { x: 2, y: 0 }],
             },
         ];
@@ -975,7 +988,11 @@ mod tests {
                 // of the search is what decides most routes here.
                 let busy = rng.gen_bool(0.7);
                 for hist in &mut router.history {
-                    *hist = if busy { rng.gen_range(0..4) as f64 } else { 0.0 };
+                    *hist = if busy {
+                        rng.gen_range(0..4) as f64
+                    } else {
+                        0.0
+                    };
                 }
                 let occupancy: Vec<u32> = (0..router.history.len())
                     .map(|_| if busy { rng.gen_range(0..3) as u32 } else { 0 })

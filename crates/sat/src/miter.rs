@@ -119,7 +119,11 @@ fn constrain_differs(
     rhs_outputs: &[Var],
     gate: Option<Var>,
 ) -> Vec<Var> {
-    assert_eq!(lhs_outputs.len(), rhs_outputs.len(), "output width mismatch");
+    assert_eq!(
+        lhs_outputs.len(),
+        rhs_outputs.len(),
+        "output width mismatch"
+    );
     let mut diffs = Vec::with_capacity(lhs_outputs.len());
     let mut any: Vec<Lit> = Vec::with_capacity(lhs_outputs.len() + 1);
     if let Some(g) = gate {
@@ -210,10 +214,7 @@ mod tests {
         let m = encode_miter(&mut s, &n, &n);
         assert_eq!(s.solve(), SatResult::Sat);
         assert_ne!(s.value(m.lhs.keys[0]), s.value(m.rhs.keys[0]));
-        let same_keys = [
-            Lit::neg(m.lhs.keys[0]),
-            Lit::neg(m.rhs.keys[0]),
-        ];
+        let same_keys = [Lit::neg(m.lhs.keys[0]), Lit::neg(m.rhs.keys[0])];
         assert_eq!(s.solve_with_assumptions(&same_keys), SatResult::Unsat);
     }
 

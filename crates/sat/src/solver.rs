@@ -588,9 +588,7 @@ impl Solver {
                 debug_assert_eq!(self.arena[s + 1], false_lit);
                 let first = self.arena[s];
                 // If the other watch is true, clause is satisfied.
-                if self.assigns[first.var().index()]
-                    .map(|b| b == first.is_positive())
-                    == Some(true)
+                if self.assigns[first.var().index()].map(|b| b == first.is_positive()) == Some(true)
                 {
                     i += 1;
                     continue;
@@ -777,7 +775,11 @@ impl Solver {
             let s = h.start as usize;
             let start = arena.len() as u32;
             arena.extend_from_slice(&self.arena[s..s + h.len as usize]);
-            clauses.push(ClauseHeader { start, len: h.len, learnt: h.learnt });
+            clauses.push(ClauseHeader {
+                start,
+                len: h.len,
+                learnt: h.learnt,
+            });
         }
         self.arena = arena;
         self.clauses = clauses;
@@ -985,8 +987,7 @@ mod tests {
                 s.add_clause(&clause);
             }
             if s.solve() == SatResult::Sat {
-                let model: Vec<bool> =
-                    v.iter().map(|&x| s.value(x).unwrap_or(false)).collect();
+                let model: Vec<bool> = v.iter().map(|&x| s.value(x).unwrap_or(false)).collect();
                 for clause in &formula {
                     assert!(
                         clause
@@ -1162,7 +1163,11 @@ mod tests {
         let before = sat.stats().learnt_clauses;
         sat.reduce_learnts();
         assert!(sat.stats().learnt_clauses <= before);
-        assert_eq!(sat.solve(), SatResult::Sat, "reduction keeps satisfiability");
+        assert_eq!(
+            sat.solve(),
+            SatResult::Sat,
+            "reduction keeps satisfiability"
+        );
     }
 
     #[test]

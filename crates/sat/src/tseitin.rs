@@ -334,14 +334,8 @@ mod tests {
         let c1 = encode_netlist(&mut solver, &n, None, None);
         let c2 = encode_netlist(&mut solver, &n, Some(&c1.inputs), Some(&c1.keys));
         // Force outputs to differ: must be UNSAT.
-        solver.add_clause(&[
-            Lit::pos(c1.outputs[0]),
-            Lit::pos(c2.outputs[0]),
-        ]);
-        solver.add_clause(&[
-            Lit::neg(c1.outputs[0]),
-            Lit::neg(c2.outputs[0]),
-        ]);
+        solver.add_clause(&[Lit::pos(c1.outputs[0]), Lit::pos(c2.outputs[0])]);
+        solver.add_clause(&[Lit::neg(c1.outputs[0]), Lit::neg(c2.outputs[0])]);
         assert_eq!(solver.solve(), SatResult::Unsat);
     }
 
@@ -374,16 +368,10 @@ mod tests {
         assert_eq!(c.state.len(), 1);
         assert_eq!(c.next_state.len(), 1);
         // With state forced to 1, output must read 1 regardless of d.
-        let r = solver.solve_with_assumptions(&[
-            Lit::pos(c.state[0]),
-            Lit::neg(c.outputs[0]),
-        ]);
+        let r = solver.solve_with_assumptions(&[Lit::pos(c.state[0]), Lit::neg(c.outputs[0])]);
         assert_eq!(r, SatResult::Unsat);
         // next_state follows d.
-        let r = solver.solve_with_assumptions(&[
-            Lit::pos(c.inputs[0]),
-            Lit::neg(c.next_state[0]),
-        ]);
+        let r = solver.solve_with_assumptions(&[Lit::pos(c.inputs[0]), Lit::neg(c.next_state[0])]);
         assert_eq!(r, SatResult::Unsat);
     }
 

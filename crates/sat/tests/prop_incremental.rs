@@ -39,7 +39,9 @@ fn decode(tokens: &[u64]) -> (usize, Vec<Op>) {
             if i + width > tokens.len() {
                 break;
             }
-            ops.push(Op::Clause(tokens[i..i + width].iter().map(|&t| lit(t)).collect()));
+            ops.push(Op::Clause(
+                tokens[i..i + width].iter().map(|&t| lit(t)).collect(),
+            ));
             i += width;
         } else {
             // Solve under 0..=2 assumptions; tag bit 5 makes the second
@@ -49,8 +51,7 @@ fn decode(tokens: &[u64]) -> (usize, Vec<Op>) {
             if i + n > tokens.len() {
                 break;
             }
-            let mut assumptions: Vec<Lit> =
-                tokens[i..i + n].iter().map(|&t| lit(t)).collect();
+            let mut assumptions: Vec<Lit> = tokens[i..i + n].iter().map(|&t| lit(t)).collect();
             if n == 2 && (t >> 5) & 1 == 1 {
                 assumptions[1] = !assumptions[0];
             }
@@ -110,9 +111,7 @@ fn interleaved_solves_agree_with_fresh_oracle() {
                         if got == SatResult::Sat {
                             for (ci, c) in clauses.iter().enumerate() {
                                 if !model_satisfies(&persistent, c) {
-                                    return Err(format!(
-                                        "step {step}: model violates clause {ci}"
-                                    ));
+                                    return Err(format!("step {step}: model violates clause {ci}"));
                                 }
                             }
                             for (ai, &a) in assumptions.iter().enumerate() {

@@ -38,9 +38,7 @@ impl Args {
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
+                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 flags.push((name.to_string(), value.clone()));
             } else {
                 positional.push(arg.clone());
@@ -104,11 +102,9 @@ fn connect(args: &Args) -> Result<Client, String> {
     let addr = match args.flag("addr") {
         Some(a) => a.to_string(),
         None => {
-            let path = args
-                .flag("port-file")
-                .ok_or("need --addr or --port-file")?;
-            let port = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read port file: {e}"))?;
+            let path = args.flag("port-file").ok_or("need --addr or --port-file")?;
+            let port =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read port file: {e}"))?;
             format!("127.0.0.1:{}", port.trim())
         }
     };
@@ -123,9 +119,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
     let request = JobRequest::from_json(
         &Json::parse(text).map_err(|e| format!("request is not valid JSON: {e}"))?,
     )?;
-    let submitted = connect(args)?
-        .submit(&request)
-        .map_err(|e| e.to_string())?;
+    let submitted = connect(args)?.submit(&request).map_err(|e| e.to_string())?;
     println!(
         "{}",
         Json::obj([

@@ -248,19 +248,14 @@ mod tests {
     use super::*;
 
     fn tmp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "shell_serve_cache_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("shell_serve_cache_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
     fn payload(n: u64) -> Json {
-        Json::obj([
-            ("bitstream", Json::from("deadbeef")),
-            ("n", Json::from(n)),
-        ])
+        Json::obj([("bitstream", Json::from("deadbeef")), ("n", Json::from(n))])
     }
 
     #[test]
@@ -321,12 +316,10 @@ mod tests {
         let key = ContentHash::of_bytes(b"req-4");
         cache.store(&key, &payload(4)).unwrap();
         let path = cache.path_for(&key);
-        let text = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace(
-                &format!("\"flow_version\": {FLOW_VERSION}"),
-                &format!("\"flow_version\": {}", FLOW_VERSION + 1),
-            );
+        let text = std::fs::read_to_string(&path).unwrap().replace(
+            &format!("\"flow_version\": {FLOW_VERSION}"),
+            &format!("\"flow_version\": {}", FLOW_VERSION + 1),
+        );
         std::fs::write(&path, text).unwrap();
         assert_eq!(cache.lookup(&key), None, "version mismatch must miss");
         let _ = std::fs::remove_dir_all(cache.root());
@@ -350,7 +343,10 @@ mod tests {
         assert_eq!(cache.evicted_startup(), evicted as u64);
         assert!(!bad_path.exists(), "corrupt envelope evicted at startup");
         assert!(!shard.join("stray.tmp").exists(), "temp litter swept");
-        assert!(!shard.join("not-a-key.json").exists(), "misnamed file evicted");
+        assert!(
+            !shard.join("not-a-key.json").exists(),
+            "misnamed file evicted"
+        );
         assert_eq!(cache.lookup(&good), Some(payload(1)), "good entry survives");
         // Second scan finds nothing left to evict.
         assert_eq!(cache.scan_startup(), 0);
@@ -366,13 +362,14 @@ mod tests {
         ArtifactCache::new(&root).store(&key, &payload(1)).unwrap();
         for crash_at in 0..10u64 {
             let chaos = std::sync::Arc::new(ChaosIo::new(ChaosConfig::crash_at(7, crash_at)));
-            let cache =
-                ArtifactCache::with_io(&root, chaos.clone() as std::sync::Arc<dyn Io>);
+            let cache = ArtifactCache::with_io(&root, chaos.clone() as std::sync::Arc<dyn Io>);
             let _ = cache.store(&key, &payload(2));
             // Restart: fresh cache on real IO, startup scan recovers.
             let recovered = ArtifactCache::new(&root);
             recovered.scan_startup();
-            let served = recovered.lookup(&key).expect("entry must survive the crash");
+            let served = recovered
+                .lookup(&key)
+                .expect("entry must survive the crash");
             assert!(
                 served == payload(1) || served == payload(2),
                 "crash at {crash_at} left a hybrid: {served:?}"

@@ -170,9 +170,7 @@ pub fn run_verify(job: &ResolvedJob, budget: &Budget) -> Result<JobOutput, Strin
     };
     let (verdict, detail) = match &result {
         EquivResult::Equivalent => ("equivalent", Json::Null),
-        EquivResult::Counterexample { inputs, .. } => {
-            ("counterexample", bools_json(inputs))
-        }
+        EquivResult::Counterexample { inputs, .. } => ("counterexample", bools_json(inputs)),
         EquivResult::Incomparable(reason) => ("incomparable", Json::from(reason.clone())),
     };
     let payload = Json::obj([
@@ -310,8 +308,24 @@ mod tests {
     fn lock_runs_are_deterministic_and_cacheable() {
         shell_verify::install();
         let job = resolved(JobRequest::default());
-        let a = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
-        let b = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
+        let a = run(
+            &job,
+            &Budget::unlimited(),
+            None,
+            None,
+            None,
+            shell_chaos::real(),
+        )
+        .unwrap();
+        let b = run(
+            &job,
+            &Budget::unlimited(),
+            None,
+            None,
+            None,
+            shell_chaos::real(),
+        )
+        .unwrap();
         assert!(a.cacheable);
         assert_eq!(
             a.payload.to_string_compact(),
@@ -329,7 +343,15 @@ mod tests {
             key_bits: 5,
             ..JobRequest::default()
         });
-        let out = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
+        let out = run(
+            &job,
+            &Budget::unlimited(),
+            None,
+            None,
+            None,
+            shell_chaos::real(),
+        )
+        .unwrap();
         assert!(out.cacheable);
         let report = out.payload.get("report").unwrap();
         assert_eq!(report.get("status").and_then(Json::as_str), Some("broken"));
@@ -381,7 +403,15 @@ mod tests {
             kind: crate::request::JobKind::Verify,
             ..JobRequest::default()
         });
-        let out = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
+        let out = run(
+            &job,
+            &Budget::unlimited(),
+            None,
+            None,
+            None,
+            shell_chaos::real(),
+        )
+        .unwrap();
         assert_eq!(
             out.payload.get("verdict").and_then(Json::as_str),
             Some("equivalent")
@@ -423,16 +453,30 @@ mod tests {
             ..JobRequest::default()
         });
         let budget = Budget::unlimited().with_quota(5_000);
-        let cold = run(&job, &budget, None, None, Some(dir.clone()), shell_chaos::real())
-            .unwrap();
+        let cold = run(
+            &job,
+            &budget,
+            None,
+            None,
+            Some(dir.clone()),
+            shell_chaos::real(),
+        )
+        .unwrap();
         assert!(
             std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0) > 0,
             "journal must contain per-point records"
         );
         // Second run with the same journal resumes every point and must
         // reproduce the artifact byte for byte.
-        let warm = run(&job, &budget.fresh(), None, None, Some(dir.clone()), shell_chaos::real())
-            .unwrap();
+        let warm = run(
+            &job,
+            &budget.fresh(),
+            None,
+            None,
+            Some(dir.clone()),
+            shell_chaos::real(),
+        )
+        .unwrap();
         assert_eq!(
             cold.payload.to_string_compact(),
             warm.payload.to_string_compact()
@@ -450,7 +494,15 @@ mod tests {
             seed: 7,
             ..JobRequest::default()
         });
-        let out = run(&job, &Budget::unlimited(), None, None, None, shell_chaos::real()).unwrap();
+        let out = run(
+            &job,
+            &Budget::unlimited(),
+            None,
+            None,
+            None,
+            shell_chaos::real(),
+        )
+        .unwrap();
         let report = out.payload.get("report").unwrap();
         assert_eq!(report.get("samples").and_then(Json::as_u64), Some(4));
     }

@@ -43,7 +43,12 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or_else(|| invalid(format!("frame of {} bytes exceeds the maximum", payload.len())))?;
+        .ok_or_else(|| {
+            invalid(format!(
+                "frame of {} bytes exceeds the maximum",
+                payload.len()
+            ))
+        })?;
     // One write per frame: a separate 4-byte header write would interact
     // with Nagle's algorithm + delayed ACKs and stall every message by tens
     // of milliseconds on a real TCP socket.
@@ -173,7 +178,9 @@ impl FrameReader {
             Err(e)
                 if matches!(
                     e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) =>
             {
                 self.check_stalled().map(|()| FrameStep::Idle)

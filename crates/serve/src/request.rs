@@ -215,7 +215,9 @@ impl CircuitSpec {
         };
         match gen {
             "c17" => Ok(CircuitSpec::C17),
-            "ripple_adder" => Ok(CircuitSpec::RippleAdder { width: field("width")? }),
+            "ripple_adder" => Ok(CircuitSpec::RippleAdder {
+                width: field("width")?,
+            }),
             "mux_tree" => Ok(CircuitSpec::MuxTree {
                 words: field("words")?,
                 width: field("width")?,
@@ -331,7 +333,10 @@ impl JobRequest {
         Ok(JobRequest {
             kind,
             circuit,
-            seed: json.get("seed").and_then(Json::as_u64).unwrap_or(defaults.seed),
+            seed: json
+                .get("seed")
+                .and_then(Json::as_u64)
+                .unwrap_or(defaults.seed),
             key_bits: json
                 .get("key_bits")
                 .and_then(Json::as_usize)
@@ -379,7 +384,10 @@ impl JobRequest {
             let grid = self.grid.clone().unwrap_or_else(SweepGrid::tiny);
             grid.validate().map_err(|e| format!("bad grid: {e}"))?;
             if grid.len() > 64 {
-                return Err(format!("grid expands to {} points (service max 64)", grid.len()));
+                return Err(format!(
+                    "grid expands to {} points (service max 64)",
+                    grid.len()
+                ));
             }
             Some(grid)
         } else {
@@ -484,10 +492,7 @@ pub fn canonical_netlist_json(netlist: &Netlist) -> Json {
     };
     Json::obj([
         ("name", Json::from(ident(n.name()))),
-        (
-            "inputs",
-            Json::arr(n.inputs().iter().map(|id| canon(*id))),
-        ),
+        ("inputs", Json::arr(n.inputs().iter().map(|id| canon(*id)))),
         (
             "key_inputs",
             Json::arr(n.key_inputs().iter().map(|id| canon(*id))),
@@ -559,20 +564,14 @@ mod tests {
             grid: None,
             ..JobRequest::default()
         };
-        assert_eq!(
-            req.resolve().unwrap().key,
-            omitted.resolve().unwrap().key
-        );
+        assert_eq!(req.resolve().unwrap().key, omitted.resolve().unwrap().key);
         // A different grid changes the key.
         let bigger = JobRequest {
             kind: JobKind::Explore,
             grid: Some(SweepGrid::default()),
             ..JobRequest::default()
         };
-        assert_ne!(
-            req.resolve().unwrap().key,
-            bigger.resolve().unwrap().key
-        );
+        assert_ne!(req.resolve().unwrap().key, bigger.resolve().unwrap().key);
         // An oversized grid is rejected server-side.
         let huge = JobRequest {
             kind: JobKind::Explore,
@@ -600,10 +599,7 @@ mod tests {
             }),
             ..JobRequest::default()
         };
-        assert_eq!(
-            by_gen.resolve().unwrap().key,
-            by_src.resolve().unwrap().key
-        );
+        assert_eq!(by_gen.resolve().unwrap().key, by_src.resolve().unwrap().key);
     }
 
     #[test]
@@ -618,10 +614,16 @@ mod tests {
         };
         assert_ne!(base_key, key(&other_circuit));
         // Different seed → different key.
-        let other_seed = JobRequest { seed: base.seed + 1, ..base.clone() };
+        let other_seed = JobRequest {
+            seed: base.seed + 1,
+            ..base.clone()
+        };
         assert_ne!(base_key, key(&other_seed));
         // Different kind → different key.
-        let other_kind = JobRequest { kind: JobKind::Verify, ..base.clone() };
+        let other_kind = JobRequest {
+            kind: JobKind::Verify,
+            ..base.clone()
+        };
         assert_ne!(base_key, key(&other_kind));
         // Different quota → different key (quota exhaustion is part of the
         // deterministic outcome).
@@ -645,7 +647,11 @@ mod tests {
                 .build()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
-        assert!(CircuitSpec::Bench { name: "nope".into() }.build().is_err());
+        assert!(CircuitSpec::Bench {
+            name: "nope".into()
+        }
+        .build()
+        .is_err());
     }
 
     #[test]

@@ -371,7 +371,9 @@ impl Inner {
     }
 
     fn checkpoint_path(&self, id: u64) -> PathBuf {
-        self.state_dir.join("checkpoints").join(format!("{id}.json"))
+        self.state_dir
+            .join("checkpoints")
+            .join(format!("{id}.json"))
     }
 
     /// Explore jobs journal per-point sweep progress in a directory next
@@ -421,17 +423,10 @@ impl Inner {
             ("status", Json::from(state.status.label())),
             ("request", state.request.to_json()),
             ("cached", Json::from(state.cached)),
-            (
-                "result",
-                state.result.clone().unwrap_or(Json::Null),
-            ),
+            ("result", state.result.clone().unwrap_or(Json::Null)),
             (
                 "error",
-                state
-                    .error
-                    .clone()
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
+                state.error.clone().map(Json::from).unwrap_or(Json::Null),
             ),
         ]);
         match self.commit(&self.result_path(id), doc.to_string_pretty().as_bytes()) {
@@ -467,7 +462,10 @@ impl Inner {
             shell_chaos::sweep_tmp(&*self.io, &self.state_dir.join(sub));
         }
         let read_docs = |dir: &str| -> Vec<(u64, Option<Json>, PathBuf)> {
-            let entries = self.io.list_dir(&self.state_dir.join(dir)).unwrap_or_default();
+            let entries = self
+                .io
+                .list_dir(&self.state_dir.join(dir))
+                .unwrap_or_default();
             let mut docs: Vec<(u64, Option<Json>, PathBuf)> = entries
                 .into_iter()
                 .filter_map(|path| {
@@ -501,8 +499,8 @@ impl Inner {
                 shell_trace::counter_add("serve.evicted_results", 1);
                 continue;
             };
-            let request = JobRequest::from_json(doc.get("request").expect("validated"))
-                .expect("validated");
+            let request =
+                JobRequest::from_json(doc.get("request").expect("validated")).expect("validated");
             let status = match doc.get("status").and_then(Json::as_str) {
                 Some("done") => JobStatus::Done,
                 Some("cancelled") => JobStatus::Cancelled,
@@ -536,8 +534,8 @@ impl Inner {
                 shell_trace::counter_add("serve.evicted_jobs", 1);
                 continue;
             };
-            let request = JobRequest::from_json(doc.get("request").expect("validated"))
-                .expect("validated");
+            let request =
+                JobRequest::from_json(doc.get("request").expect("validated")).expect("validated");
             jobs.insert(
                 id,
                 JobState {
@@ -565,8 +563,7 @@ impl Inner {
             let id = {
                 let mut queue = self.queue.lock().unwrap();
                 loop {
-                    if self.shutdown.load(Ordering::SeqCst)
-                        || self.draining.load(Ordering::SeqCst)
+                    if self.shutdown.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst)
                     {
                         return;
                     }
@@ -589,7 +586,9 @@ impl Inner {
                 // the drain picks it up.
                 return;
             }
-            let Some(state) = jobs.get_mut(&id) else { return };
+            let Some(state) = jobs.get_mut(&id) else {
+                return;
+            };
             if state.status != JobStatus::Queued {
                 return;
             }
@@ -621,45 +620,47 @@ impl Inner {
 
         // Panics inside a flow (e.g. a selection precondition the request
         // violates) must fail the job, not kill the worker thread.
-        let run = || request.resolve().and_then(|resolved| {
-            // A second chance at the cache: an identical job submitted
-            // while this one sat in the queue may have already stored the
-            // artifact.
-            if let Some(payload) = self.cache.lookup(&resolved.key) {
-                return Ok((
-                    JobOutput {
-                        payload,
-                        cacheable: false, // already stored
-                    },
-                    true,
-                ));
-            }
-            let (checkpoint_path, resume) = self.attack_state(id, &resolved);
-            let journal_dir = self.explore_state(id, &resolved);
-            let output = job::run(
-                &resolved,
-                &budget,
-                checkpoint_path,
-                resume,
-                journal_dir,
-                self.io.clone(),
-            )?;
-            if let (Some(crash_at), JobKind::Attack) =
-                (self.crash_after_conflicts, resolved.request.kind)
-            {
-                let _ = crash_at;
-                // The checkpoint for the interrupted iteration set is on
-                // disk; die like a SIGKILL would, before any terminal
-                // bookkeeping runs.
-                std::process::abort();
-            }
-            if output.cacheable {
-                let _ = self.cache.store(&resolved.key, &output.payload);
-            }
-            Ok((output, false))
-        });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-            .unwrap_or_else(|panic| {
+        let run = || {
+            request.resolve().and_then(|resolved| {
+                // A second chance at the cache: an identical job submitted
+                // while this one sat in the queue may have already stored the
+                // artifact.
+                if let Some(payload) = self.cache.lookup(&resolved.key) {
+                    return Ok((
+                        JobOutput {
+                            payload,
+                            cacheable: false, // already stored
+                        },
+                        true,
+                    ));
+                }
+                let (checkpoint_path, resume) = self.attack_state(id, &resolved);
+                let journal_dir = self.explore_state(id, &resolved);
+                let output = job::run(
+                    &resolved,
+                    &budget,
+                    checkpoint_path,
+                    resume,
+                    journal_dir,
+                    self.io.clone(),
+                )?;
+                if let (Some(crash_at), JobKind::Attack) =
+                    (self.crash_after_conflicts, resolved.request.kind)
+                {
+                    let _ = crash_at;
+                    // The checkpoint for the interrupted iteration set is on
+                    // disk; die like a SIGKILL would, before any terminal
+                    // bookkeeping runs.
+                    std::process::abort();
+                }
+                if output.cacheable {
+                    let _ = self.cache.store(&resolved.key, &output.payload);
+                }
+                Ok((output, false))
+            })
+        };
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|panic| {
                 let message = panic
                     .downcast_ref::<String>()
                     .map(String::as_str)
@@ -669,7 +670,9 @@ impl Inner {
             });
 
         let mut jobs = self.jobs.lock().unwrap();
-        let Some(state) = jobs.get_mut(&id) else { return };
+        let Some(state) = jobs.get_mut(&id) else {
+            return;
+        };
         state.budget = None;
         match outcome {
             Ok((output, from_cache)) => {
@@ -715,8 +718,7 @@ impl Inner {
         }
         drop(jobs);
         self.jobs_cv.notify_all();
-        if self.running.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.draining.load(Ordering::SeqCst)
+        if self.running.fetch_sub(1, Ordering::SeqCst) == 1 && self.draining.load(Ordering::SeqCst)
         {
             // Last running job has checkpointed: the drain completes.
             self.begin_shutdown();
@@ -752,7 +754,12 @@ impl Inner {
             return None;
         }
         let dir = self.explore_journal_dir(id);
-        if self.io.list_dir(&dir).map(|e| !e.is_empty()).unwrap_or(false) {
+        if self
+            .io
+            .list_dir(&dir)
+            .map(|e| !e.is_empty())
+            .unwrap_or(false)
+        {
             shell_trace::counter_add("serve.explore_resumes", 1);
         }
         Some(dir)
@@ -1020,10 +1027,7 @@ impl Inner {
         };
         let mut fields = vec![
             ("id".to_string(), Json::from(id)),
-            (
-                "status".to_string(),
-                Json::from(state.status.label()),
-            ),
+            ("status".to_string(), Json::from(state.status.label())),
             ("kind".to_string(), Json::from(state.request.kind.label())),
             ("cached".to_string(), Json::from(state.cached)),
         ];
@@ -1081,17 +1085,10 @@ impl Inner {
                     ("id", Json::from(id)),
                     ("status", Json::from(state.status.label())),
                     ("cached", Json::from(state.cached)),
-                    (
-                        "result",
-                        state.result.clone().unwrap_or(Json::Null),
-                    ),
+                    ("result", state.result.clone().unwrap_or(Json::Null)),
                     (
                         "error",
-                        state
-                            .error
-                            .clone()
-                            .map(Json::from)
-                            .unwrap_or(Json::Null),
+                        state.error.clone().map(Json::from).unwrap_or(Json::Null),
                     ),
                 ]);
             }
@@ -1149,7 +1146,10 @@ impl Inner {
         }
         drop(jobs);
         ok_json([
-            ("requests", Json::from(self.requests.load(Ordering::Relaxed))),
+            (
+                "requests",
+                Json::from(self.requests.load(Ordering::Relaxed)),
+            ),
             ("queue_depth", Json::from(self.queue_depth())),
             ("max_queue", Json::from(self.max_queue)),
             ("draining", Json::from(self.draining.load(Ordering::SeqCst))),
@@ -1167,10 +1167,7 @@ impl Inner {
                     ("hits", Json::from(self.cache.hits())),
                     ("misses", Json::from(self.cache.misses())),
                     ("corrupt", Json::from(self.cache.corrupt())),
-                    (
-                        "evicted_startup",
-                        Json::from(self.cache.evicted_startup()),
-                    ),
+                    ("evicted_startup", Json::from(self.cache.evicted_startup())),
                 ]),
             ),
         ])
@@ -1185,8 +1182,7 @@ pub fn error_code(message: &str) -> Option<&str> {
     let rest = message.strip_prefix('[')?;
     let end = rest.find(']')?;
     let code = &rest[..end];
-    (!code.is_empty() && code.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
-        .then_some(code)
+    (!code.is_empty() && code.chars().all(|c| c.is_ascii_lowercase() || c == '_')).then_some(code)
 }
 
 fn ok_json<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {

@@ -65,9 +65,7 @@ fn decompose_impl(netlist: &Netlist, keep_mux4: bool) -> Result<Netlist, SynthEr
             .map(|&n| resolve(&mut out, &mut map, n))
             .collect();
         let result = match c.kind {
-            CellKind::And | CellKind::Or | CellKind::Xor => {
-                tree(&mut out, &c.name, c.kind, &ins)
-            }
+            CellKind::And | CellKind::Or | CellKind::Xor => tree(&mut out, &c.name, c.kind, &ins),
             CellKind::Nand => {
                 let t = tree(&mut out, &c.name, CellKind::And, &ins);
                 out.add_cell(format!("{}_inv", c.name), CellKind::Not, vec![t])
@@ -128,11 +126,7 @@ fn tree(out: &mut Netlist, base: &str, kind: CellKind, ins: &[NetId]) -> NetId {
         for pair in layer.chunks(2) {
             if pair.len() == 2 {
                 counter += 1;
-                next.push(out.add_cell(
-                    format!("{base}_t{counter}"),
-                    kind,
-                    vec![pair[0], pair[1]],
-                ));
+                next.push(out.add_cell(format!("{base}_t{counter}"), kind, vec![pair[0], pair[1]]));
             } else {
                 next.push(pair[0]);
             }

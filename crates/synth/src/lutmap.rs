@@ -109,9 +109,7 @@ fn lut_map_impl(netlist: &Netlist, k: usize, keep_muxes: bool) -> Result<LutMapp
     } else {
         decompose_to_two_input(&cleaned)?
     };
-    let is_kept = |kind: CellKind| -> bool {
-        keep_muxes && kind.is_mux()
-    };
+    let is_kept = |kind: CellKind| -> bool { keep_muxes && kind.is_mux() };
 
     // --- Phase 1: cut enumeration --------------------------------------
     let n_nets = prepared.net_count();
@@ -226,15 +224,11 @@ fn lut_map_impl(netlist: &Netlist, k: usize, keep_muxes: bool) -> Result<LutMapp
     for (_, c) in prepared.cells() {
         match c.kind {
             kind if kind.is_sequential() => {
-                map[c.output.index()] =
-                    Some(out.add_net(prepared.net(c.output).name.clone()));
+                map[c.output.index()] = Some(out.add_net(prepared.net(c.output).name.clone()));
             }
             CellKind::Const(v) => {
-                map[c.output.index()] = Some(out.add_cell(
-                    c.name.clone(),
-                    CellKind::Const(v),
-                    vec![],
-                ));
+                map[c.output.index()] =
+                    Some(out.add_cell(c.name.clone(), CellKind::Const(v), vec![]));
             }
             _ => {}
         }
@@ -243,8 +237,7 @@ fn lut_map_impl(netlist: &Netlist, k: usize, keep_muxes: bool) -> Result<LutMapp
     // selected cuts — simulate them all in parallel before the (inherently
     // sequential) netlist construction below consumes them in topo order.
     let masks: HashMap<NetId, u64> = {
-        let pos: HashMap<CellId, usize> =
-            order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let pos: HashMap<CellId, usize> = order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let roots: Vec<(NetId, &Cut)> = order
             .iter()
             .filter_map(|cid| {
@@ -519,7 +512,10 @@ mod tests {
         // Every combinational cell must be a LUT or constant.
         for (_, c) in m.netlist.cells() {
             assert!(
-                matches!(c.kind, CellKind::Lut(_) | CellKind::Const(_) | CellKind::Dff),
+                matches!(
+                    c.kind,
+                    CellKind::Lut(_) | CellKind::Const(_) | CellKind::Dff
+                ),
                 "unexpected {:?}",
                 c.kind
             );
@@ -538,7 +534,12 @@ mod tests {
             counts.push(m.lut_count);
         }
         // Widest LUTs need no more cells than the narrowest.
-        assert!(counts[4] <= counts[0], "k=6 {} vs k=2 {}", counts[4], counts[0]);
+        assert!(
+            counts[4] <= counts[0],
+            "k=6 {} vs k=2 {}",
+            counts[4],
+            counts[0]
+        );
     }
 
     #[test]
@@ -553,8 +554,7 @@ mod tests {
     fn map_mux_network() {
         let mut b = NetlistBuilder::new("muxnet");
         let sel = b.input_bus("sel", 2);
-        let words: Vec<Vec<NetId>> =
-            (0..4).map(|i| b.input_bus(&format!("w{i}"), 2)).collect();
+        let words: Vec<Vec<NetId>> = (0..4).map(|i| b.input_bus(&format!("w{i}"), 2)).collect();
         let o = b.mux_tree(&sel, &words);
         b.output_bus("o", &o);
         let n = b.finish();
@@ -635,7 +635,8 @@ mod tests {
         let a = n.add_input("a");
         let q = n.add_net("q");
         let x = n.add_cell("x", CellKind::And, vec![a, q]);
-        n.add_cell_driving("loop", CellKind::Or, vec![x, a], q).unwrap();
+        n.add_cell_driving("loop", CellKind::Or, vec![x, a], q)
+            .unwrap();
         n.add_output("f", q);
         assert_eq!(lut_map(&n, 4).err(), Some(SynthError::cyclic("ring")));
         assert_eq!(
@@ -662,11 +663,7 @@ mod tests {
         let n = b.finish();
         let m = lut_map_hybrid(&n, 4).unwrap();
         assert_equiv(&n, &m.netlist);
-        let mux_count = m
-            .netlist
-            .cells()
-            .filter(|(_, c)| c.kind.is_mux())
-            .count();
+        let mux_count = m.netlist.cells().filter(|(_, c)| c.kind.is_mux()).count();
         assert_eq!(mux_count, 2, "both muxes survive hybrid mapping");
         assert!(m.lut_count >= 1, "surrounding LGC became LUTs");
         for (_, c) in m.netlist.cells() {

@@ -82,10 +82,8 @@ pub fn mux_chain_map(netlist: &Netlist) -> Result<MuxChainMapping, SynthError> {
             break;
         }
     }
-    let pair_of_parent: std::collections::HashMap<usize, (usize, usize)> = pairs
-        .iter()
-        .map(|&(p, ch, pin)| (p, (ch, pin)))
-        .collect();
+    let pair_of_parent: std::collections::HashMap<usize, (usize, usize)> =
+        pairs.iter().map(|&(p, ch, pin)| (p, (ch, pin))).collect();
     let absorbed_children: std::collections::HashSet<usize> =
         pairs.iter().map(|&(_, ch, _)| ch).collect();
 
@@ -272,7 +270,10 @@ mod tests {
         let n = mux_tree_circuit(8, 2);
         let m = mux_chain_map(&n).unwrap();
         let total = m.m4_count + m.m2_count;
-        assert!(total <= 10, "8:1 x2 tree should need ≤10 elements, got {total}");
+        assert!(
+            total <= 10,
+            "8:1 x2 tree should need ≤10 elements, got {total}"
+        );
     }
 
     #[test]

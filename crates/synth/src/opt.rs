@@ -189,9 +189,9 @@ impl<'a> Builder<'a> {
                 if let Some(n) = self.const_nets[v as usize] {
                     n
                 } else {
-                    let n = self
-                        .out
-                        .add_cell(format!("const{}", v as u8), CellKind::Const(v), vec![]);
+                    let n =
+                        self.out
+                            .add_cell(format!("const{}", v as u8), CellKind::Const(v), vec![]);
                     self.const_nets[v as usize] = Some(n);
                     n
                 }
@@ -396,7 +396,11 @@ fn simplify_cell(b: &mut Builder<'_>, name: &str, kind: CellKind, ins: Vec<Sig>)
                     }
                 }
                 _ => {
-                    let k = if parity { CellKind::Xnor } else { CellKind::Xor };
+                    let k = if parity {
+                        CellKind::Xnor
+                    } else {
+                        CellKind::Xor
+                    };
                     b.emit(name, k, kept)
                 }
             }
@@ -442,11 +446,19 @@ fn simplify_cell(b: &mut Builder<'_>, name: &str, kind: CellKind, ins: Vec<Sig>)
             match (s1, s0) {
                 (Sig::Const(h), Sig::Const(l)) => data[((h as usize) << 1) | l as usize],
                 (Sig::Const(h), _) => {
-                    let (x, y) = if h { (data[2], data[3]) } else { (data[0], data[1]) };
+                    let (x, y) = if h {
+                        (data[2], data[3])
+                    } else {
+                        (data[0], data[1])
+                    };
                     simplify_cell(b, name, CellKind::Mux2, vec![s0, x, y])
                 }
                 (_, Sig::Const(l)) => {
-                    let (x, y) = if l { (data[1], data[3]) } else { (data[0], data[2]) };
+                    let (x, y) = if l {
+                        (data[1], data[3])
+                    } else {
+                        (data[0], data[2])
+                    };
                     simplify_cell(b, name, CellKind::Mux2, vec![s1, x, y])
                 }
                 _ => {
@@ -861,7 +873,8 @@ mod tests {
         let mut n = Netlist::new("ff");
         let q = n.add_net("q");
         let nq = n.add_cell("nq", CellKind::Not, vec![q]);
-        n.add_cell_driving("ff", CellKind::Dff, vec![nq], q).unwrap();
+        n.add_cell_driving("ff", CellKind::Dff, vec![nq], q)
+            .unwrap();
         n.add_output("q", q);
         let opt = dead_code_elimination(&n);
         assert_eq!(opt.cell_count(), 2);
@@ -989,14 +1002,13 @@ mod tests {
         let q = n.add_net("q");
         let buf = n.add_cell("buf", CellKind::Buf, vec![q]); // sweepable
         let nx = n.add_cell("nx", CellKind::Xor, vec![buf, en]);
-        n.add_cell_driving("ff", CellKind::Dff, vec![nx], q).unwrap();
+        n.add_cell_driving("ff", CellKind::Dff, vec![nx], q)
+            .unwrap();
         n.add_output("q", q);
         let opt = clean_netlist(&n);
         opt.validate().unwrap();
         use shell_netlist::equiv::equiv_sequential_random;
-        assert!(
-            equiv_sequential_random(&n, &opt, &[], &[], 32, 5).is_equivalent()
-        );
+        assert!(equiv_sequential_random(&n, &opt, &[], &[], 32, 5).is_equivalent());
         assert!(opt.cell_count() < n.cell_count());
     }
 }

@@ -48,10 +48,7 @@ pub fn chrome_trace(data: &TraceData) -> Json {
                 ("ts", Json::Num(g.at_ns as f64 / 1e3)),
                 ("pid", Json::Num(1.0)),
                 ("tid", Json::Num(tid)),
-                (
-                    "args",
-                    Json::obj([("value", Json::Num(g.value))]),
-                ),
+                ("args", Json::obj([("value", Json::Num(g.value))])),
             ]));
         }
     }

@@ -359,7 +359,9 @@ impl Drop for Span {
             if local.generation != active.generation {
                 return; // tracer swapped while the span was open: discard
             }
-            let Some(frame) = local.stack.pop() else { return };
+            let Some(frame) = local.stack.pop() else {
+                return;
+            };
             let end_ns = local.tracer.inner.epoch.elapsed().as_nanos() as u64;
             let dur_ns = end_ns.saturating_sub(active.start_ns);
             if let Some(parent) = local.stack.last_mut() {

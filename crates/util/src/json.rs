@@ -458,10 +458,7 @@ mod tests {
     #[test]
     fn string_escapes() {
         let v = Json::from("a\"b\\c\nd\te\u{1}");
-        assert_eq!(
-            v.to_string_compact(),
-            "\"a\\\"b\\\\c\\nd\\te\\u0001\""
-        );
+        assert_eq!(v.to_string_compact(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
     }
 
     #[test]
@@ -469,7 +466,10 @@ mod tests {
         let v = Json::obj([
             ("n", Json::Num(1.5)),
             ("s", Json::from("he\"llo\nworld")),
-            ("a", Json::arr([Json::Null, Json::from(false), Json::from(7u64)])),
+            (
+                "a",
+                Json::arr([Json::Null, Json::from(false), Json::from(7u64)]),
+            ),
             ("o", Json::obj([("inner", Json::from("v"))])),
         ]);
         for text in [v.to_string_compact(), v.to_string_pretty()] {
@@ -535,7 +535,10 @@ mod tests {
         assert_eq!(v.get("k").and_then(Json::as_usize), Some(3));
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);

@@ -193,7 +193,13 @@ mod tests {
             1,
             128,
             |rng| rng.next_u64(),
-            |&v| if v ^ 0 == v { Ok(()) } else { Err("xor".into()) },
+            |&v| {
+                if v ^ 0 == v {
+                    Ok(())
+                } else {
+                    Err("xor".into())
+                }
+            },
         );
     }
 
@@ -236,7 +242,9 @@ mod tests {
                 64,
                 |rng| {
                     let len = rng.gen_range(0..20);
-                    (0..len).map(|_| rng.gen_range(0..100) as u64).collect::<Vec<u64>>()
+                    (0..len)
+                        .map(|_| rng.gen_range(0..100) as u64)
+                        .collect::<Vec<u64>>()
                 },
                 |v| {
                     if v.iter().all(|&x| x < 5) {

@@ -82,9 +82,9 @@ pub fn equiv_sat(a: &Netlist, b: &Netlist, lhs_key: &[bool], rhs_key: &[bool]) -
     let assumptions = key_assumptions(&miter.lhs.keys, lhs_key, &miter.rhs.keys, rhs_key);
     match solver.solve_with_assumptions(&assumptions) {
         SatResult::Unsat => EquivResult::Equivalent,
-        SatResult::Unknown => EquivResult::Incomparable(format!(
-            "SAT conflict budget ({CONFLICT_BUDGET}) exhausted"
-        )),
+        SatResult::Unknown => {
+            EquivResult::Incomparable(format!("SAT conflict budget ({CONFLICT_BUDGET}) exhausted"))
+        }
         SatResult::Sat => {
             let inputs: Vec<bool> = miter
                 .lhs
@@ -227,7 +227,11 @@ fn replay_sequential(
         let lhs = sim_a.step(cycle, lhs_key);
         let rhs = sim_b.step(cycle, rhs_key);
         if lhs != rhs {
-            return EquivResult::Counterexample { inputs: flat, lhs, rhs };
+            return EquivResult::Counterexample {
+                inputs: flat,
+                lhs,
+                rhs,
+            };
         }
     }
     EquivResult::Incomparable(

@@ -187,7 +187,10 @@ impl FaultCampaignReport {
             ("detected", Json::from(self.count(FaultOutcome::Detected))),
             ("masked", Json::from(self.count(FaultOutcome::Masked))),
             ("corrected", Json::from(self.count(FaultOutcome::Corrected))),
-            ("undetected", Json::from(self.count(FaultOutcome::Undetected))),
+            (
+                "undetected",
+                Json::from(self.count(FaultOutcome::Undetected)),
+            ),
             ("panics", Json::from(self.count(FaultOutcome::Panicked))),
             ("records", Json::Arr(records)),
         ])
@@ -326,7 +329,14 @@ fn classify(
     let outcome = if exhaustive {
         equiv_exhaustive(reference, &configured, &[], &[])
     } else if reference.is_combinational() && configured.is_combinational() {
-        equiv_random(reference, &configured, &[], &[], SAMPLE_VECTORS, seed_of(fault))
+        equiv_random(
+            reference,
+            &configured,
+            &[],
+            &[],
+            SAMPLE_VECTORS,
+            seed_of(fault),
+        )
     } else {
         // A fault that flips the sequential/combinational character of the
         // design is a detected structural change.
@@ -460,7 +470,13 @@ mod tests {
         // Every single flip anywhere in the codeword space is corrected.
         for bit in [0usize, 1, 46, 47, code_space - 1] {
             assert_eq!(
-                classify_frame(&framed, Fault { kind: FaultKind::FrameFlip, bit }),
+                classify_frame(
+                    &framed,
+                    Fault {
+                        kind: FaultKind::FrameFlip,
+                        bit
+                    }
+                ),
                 FaultOutcome::Corrected,
                 "bit {bit}"
             );
@@ -468,7 +484,13 @@ mod tests {
         // Every double flip is detected, never silently accepted.
         for bit in [0usize, 13, 46, code_space / 2, code_space - 1] {
             assert_eq!(
-                classify_frame(&framed, Fault { kind: FaultKind::FrameDouble, bit }),
+                classify_frame(
+                    &framed,
+                    Fault {
+                        kind: FaultKind::FrameDouble,
+                        bit
+                    }
+                ),
                 FaultOutcome::Detected,
                 "bit {bit}"
             );
@@ -487,7 +509,13 @@ mod tests {
             FaultOutcome::Masked
         );
         assert_eq!(
-            classify_frame(&framed, Fault { kind: other, bit: 3 }),
+            classify_frame(
+                &framed,
+                Fault {
+                    kind: other,
+                    bit: 3
+                }
+            ),
             FaultOutcome::Corrected
         );
     }

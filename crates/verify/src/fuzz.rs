@@ -137,7 +137,10 @@ impl Shrink for FuzzSpec {
             .gates
             .shrink()
             .into_iter()
-            .map(|gates| FuzzSpec { inputs: self.inputs, gates })
+            .map(|gates| FuzzSpec {
+                inputs: self.inputs,
+                gates,
+            })
             .collect();
         if self.inputs > 1 {
             out.push(FuzzSpec {
@@ -531,10 +534,14 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
     let tasks: Vec<(usize, u64)> = (0..config.samples)
         .map(|i| (i, split_mix64(&mut root)))
         .collect();
-    let results: Vec<SampleReport> =
-        parallel_map(&tasks, |&(index, sub_seed)| run_sample(index, sub_seed, config));
+    let results: Vec<SampleReport> = parallel_map(&tasks, |&(index, sub_seed)| {
+        run_sample(index, sub_seed, config)
+    });
 
-    let ok = results.iter().filter(|r| r.status == SampleStatus::Ok).count();
+    let ok = results
+        .iter()
+        .filter(|r| r.status == SampleStatus::Ok)
+        .count();
     let mismatches = results.iter().filter(|r| r.status.is_mismatch()).count();
     let skipped = results.len() - ok - mismatches;
 
@@ -690,7 +697,8 @@ mod tests {
                 status: SampleStatus::Ok,
             }),
         };
-        let dir = std::env::temp_dir().join(format!("shell_verify_artifact_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("shell_verify_artifact_{}", std::process::id()));
         let path = write_artifact(&dir, 7, &report).expect("artifact writes");
         assert_eq!(path.file_name().unwrap(), "fuzz_0000000000000007_0003.json");
         let text = std::fs::read_to_string(&path).unwrap();

@@ -33,9 +33,7 @@ pub mod fault;
 pub mod fuzz;
 
 pub use equiv_sat::{equiv_sat, equiv_sat_bounded};
-pub use fault::{
-    fault_campaign, Fault, FaultCampaignReport, FaultKind, FaultOutcome, FaultRecord,
-};
+pub use fault::{fault_campaign, Fault, FaultCampaignReport, FaultKind, FaultOutcome, FaultRecord};
 pub use fuzz::{
     replay_artifact, run_pipeline, FuzzConfig, FuzzReport, FuzzSpec, SampleReport, SampleStatus,
 };

@@ -6,9 +6,7 @@
 //! cargo run -p shell-examples --example attack_evaluation
 //! ```
 
-use shell_attacks::{
-    cyclic_reduction, sat_attack, scan_frame, SatAttackOptions, SatAttackOutcome,
-};
+use shell_attacks::{cyclic_reduction, sat_attack, scan_frame, SatAttackOptions, SatAttackOutcome};
 use shell_circuits::axi_xbar;
 use shell_fabric::shrink::combinational_cycle_count;
 use shell_lock::{shell_lock, ShellOptions};
@@ -35,8 +33,10 @@ fn main() {
         );
         r.netlist
     };
-    println!("combinational cycles before/after: {cycles_before}/{}",
-        combinational_cycle_count(&reduced));
+    println!(
+        "combinational cycles before/after: {cycles_before}/{}",
+        combinational_cycle_count(&reduced)
+    );
 
     // Step 2 — full-scan frames (the threat model gives complete scan access).
     let locked_frame = scan_frame(&reduced);
@@ -67,13 +67,20 @@ fn main() {
         ..Default::default()
     };
     match sat_attack(&locked_frame, &oracle_frame, &options) {
-        SatAttackOutcome::Broken { key, iterations, conflicts } => {
+        SatAttackOutcome::Broken {
+            key,
+            iterations,
+            conflicts,
+        } => {
             println!(
                 "BROKEN: key of {} bits recovered in {iterations} DIPs / {conflicts} conflicts",
                 key.len()
             );
         }
-        SatAttackOutcome::Resilient { iterations, conflicts } => {
+        SatAttackOutcome::Resilient {
+            iterations,
+            conflicts,
+        } => {
             println!(
                 "RESILIENT within budget: {iterations} DIPs, {conflicts} conflicts spent \
                  (paper: 48 h timeout, none broken)"

@@ -7,9 +7,7 @@
 //! ```
 
 use shell_circuits::{generate, Benchmark, Scale};
-use shell_lock::{
-    evaluate_overhead, shell_lock, Coefficients, SelectionOptions, ShellOptions,
-};
+use shell_lock::{evaluate_overhead, shell_lock, Coefficients, SelectionOptions, ShellOptions};
 
 fn main() {
     let design = generate(Benchmark::Spmv, Scale::small());

@@ -45,14 +45,15 @@ fn main() {
     for bit in wrong.iter_mut().take(8) {
         *bit = !*bit;
     }
-    let corrupted = propagate_constants_cyclic(&shell_fabric::shrink::bind_keys(
-        &outcome.locked,
-        &wrong,
-    ));
+    let corrupted =
+        propagate_constants_cyclic(&shell_fabric::shrink::bind_keys(&outcome.locked, &wrong));
     let still_equal = corrupted.topo_order().is_ok()
         && equiv_random(&design, &corrupted, &[], &[], 512, 2).is_equivalent();
     println!("a wrong key still works: {still_equal}");
     assert!(!still_equal);
 
-    println!("\nThe secret of the design is now the {}-bit bitstream.", outcome.key_bits());
+    println!(
+        "\nThe secret of the design is now the {}-bit bitstream.",
+        outcome.key_bits()
+    );
 }

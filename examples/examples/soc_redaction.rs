@@ -31,8 +31,7 @@ fn main() {
     cells.extend(cells_of_block(&soc, targets.shell_lgc));
     cells.sort_unstable();
     cells.dedup();
-    let outcome =
-        shell_lock_cells(&soc, &cells, &ShellOptions::default()).expect("SheLL flow");
+    let outcome = shell_lock_cells(&soc, &cells, &ShellOptions::default()).expect("SheLL flow");
     println!(
         "redacted {} cells ({} ROUTE) onto a {}x{} fabric; secret = {} bits",
         outcome.partition_cells,

@@ -27,7 +27,10 @@ fn assert_sat_breaks(lock: &LockedDesign, oracle: &shell_netlist::Netlist) {
                 lock.scheme
             );
         }
-        other => panic!("{}: expected the SAT attack to win, got {other:?}", lock.scheme),
+        other => panic!(
+            "{}: expected the SAT attack to win, got {other:?}",
+            lock.scheme
+        ),
     }
 }
 
@@ -86,7 +89,11 @@ fn structural_leak_depends_on_locality() {
         let a = sym.add_input(format!("a{i}"));
         let b = sym.add_input(format!("b{i}"));
         let k = sym.add_key_input(format!("k{i}"));
-        let m = sym.add_cell(format!("m{i}"), shell_netlist::CellKind::Mux2, vec![k, a, b]);
+        let m = sym.add_cell(
+            format!("m{i}"),
+            shell_netlist::CellKind::Mux2,
+            vec![k, a, b],
+        );
         sym.add_output(format!("o{i}"), m);
         key.push(i % 2 == 0);
     }

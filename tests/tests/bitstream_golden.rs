@@ -15,9 +15,7 @@
 //! Regenerate after an intentional format change with
 //! `UPDATE_GOLDEN=1 cargo test -p xtests --test bitstream_golden`.
 
-use shell_fabric::{
-    Bitstream, Fabric, FabricConfig, FrameGeometry, FramedBitstream,
-};
+use shell_fabric::{Bitstream, Fabric, FabricConfig, FrameGeometry, FramedBitstream};
 use shell_util::{Json, Rng};
 use std::path::PathBuf;
 
@@ -41,8 +39,7 @@ fn check_golden(name: &str, actual: &str) {
         )
     });
     assert_eq!(
-        expected,
-        actual,
+        expected, actual,
         "`{name}` drifted from its fixture — if the format change is \
          intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
     );
@@ -114,9 +111,11 @@ fn framed_json_matches_golden_and_round_trips() {
 #[test]
 fn frames_text_matches_golden() {
     let fabric = Fabric::generate(FabricConfig::fabulous_style(true), 2, 2);
-    let framed =
-        FramedBitstream::from_flat(&fabric, &demo_flat(&fabric, 0xBEEF)).unwrap();
-    check_golden("bitstream/fabulous_2x2.frames.txt", &framed.to_frames_text());
+    let framed = FramedBitstream::from_flat(&fabric, &demo_flat(&fabric, 0xBEEF)).unwrap();
+    check_golden(
+        "bitstream/fabulous_2x2.frames.txt",
+        &framed.to_frames_text(),
+    );
 }
 
 #[test]
@@ -141,11 +140,9 @@ fn frozen_flat_v1_bridge_round_trips() {
 #[test]
 fn golden_artifact_corrects_single_bit_upsets() {
     for (name, fabric) in fixture_fabrics() {
-        let text =
-            std::fs::read_to_string(golden_path(&format!("bitstream/{name}.frames.json")))
-                .expect("fixture exists (regenerate with UPDATE_GOLDEN=1)");
-        let mut framed =
-            FramedBitstream::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = std::fs::read_to_string(golden_path(&format!("bitstream/{name}.frames.json")))
+            .expect("fixture exists (regenerate with UPDATE_GOLDEN=1)");
+        let mut framed = FramedBitstream::from_json(&Json::parse(&text).unwrap()).unwrap();
         let addr = framed.geometry().address_at(framed.frame_count() / 2);
         let pristine = framed.readback(addr).expect("golden frame reads clean");
         assert_eq!(pristine.corrected, None);
@@ -164,11 +161,9 @@ fn golden_artifact_corrects_single_bit_upsets() {
 #[test]
 fn golden_artifact_detects_double_bit_upsets() {
     for (name, fabric) in fixture_fabrics() {
-        let text =
-            std::fs::read_to_string(golden_path(&format!("bitstream/{name}.frames.json")))
-                .expect("fixture exists (regenerate with UPDATE_GOLDEN=1)");
-        let mut framed =
-            FramedBitstream::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = std::fs::read_to_string(golden_path(&format!("bitstream/{name}.frames.json")))
+            .expect("fixture exists (regenerate with UPDATE_GOLDEN=1)");
+        let mut framed = FramedBitstream::from_json(&Json::parse(&text).unwrap()).unwrap();
         let addr = framed.geometry().address_at(0);
         for (a, b) in [(0u32, 46u32), (3, 4), (11, 29)] {
             framed.flip_code_bit(addr, a).unwrap();

@@ -21,7 +21,9 @@ use std::collections::{HashMap, HashSet};
 /// `shell_pnr::place`; different seed ⇒ a different annealing trajectory.
 #[test]
 fn placement_identical_for_same_seed() {
-    let mapped = lut_map(&generate(Benchmark::Fir, Scale::small()), 4).expect("acyclic").netlist;
+    let mapped = lut_map(&generate(Benchmark::Fir, Scale::small()), 4)
+        .expect("acyclic")
+        .netlist;
     let slots = pack(&mapped, 4).expect("packs");
     let tiles = slots.len().div_ceil(4).max(2);
     let side = (tiles as f64).sqrt().ceil() as usize + 1;
@@ -46,7 +48,11 @@ fn placement_identical_for_same_seed() {
     assert_eq!(a.sites, b.sites);
     assert_eq!(a.input_pads, b.input_pads);
     assert_eq!(a.output_pads, b.output_pads);
-    assert_eq!(a.hpwl.to_bits(), b.hpwl.to_bits(), "cost must match bitwise");
+    assert_eq!(
+        a.hpwl.to_bits(),
+        b.hpwl.to_bits(),
+        "cost must match bitwise"
+    );
 
     let c = place_seeded(0xB0B);
     assert_ne!(

@@ -16,10 +16,14 @@ use shell_synth::{lut_map, propagate_constants_cyclic};
 fn synth_pnr_emulation_roundtrip() {
     let design = shell_circuits::ripple_adder(4);
     let mapped = lut_map(&design, 4).expect("acyclic").netlist;
-    let result = place_and_route(&mapped, FabricConfig::fabulous_style(false), &PnrOptions::default())
-        .expect("fits");
-    let configured =
-        to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map).expect("configures");
+    let result = place_and_route(
+        &mapped,
+        FabricConfig::fabulous_style(false),
+        &PnrOptions::default(),
+    )
+    .expect("fits");
+    let configured = to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map)
+        .expect("configures");
     assert!(equiv_exhaustive(&design, &configured, &[], &[]).is_equivalent());
 }
 
@@ -35,8 +39,8 @@ fn chain_flow_roundtrip() {
     )
     .expect("fits");
     assert!(result.chain_elements_used > 0);
-    let configured =
-        to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map).expect("configures");
+    let configured = to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map)
+        .expect("configures");
     assert!(equiv_random(&design, &configured, &[], &[], 512, 77).is_equivalent());
 }
 

@@ -35,7 +35,8 @@ fn report_bytes(report: &SweepReport) -> (String, String) {
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("shell_xtest_explore_{tag}_{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("shell_xtest_explore_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -94,7 +95,10 @@ fn killed_sweep_resumes_to_identical_bytes() {
         },
     )
     .expect("resumed sweep");
-    assert_eq!(resumed.resumed, 2, "two points must restore from the journal");
+    assert_eq!(
+        resumed.resumed, 2,
+        "two points must restore from the journal"
+    );
     assert_eq!(report_bytes(&resumed), report_bytes(&reference));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -139,7 +143,10 @@ fn pick_fabric_returns_smallest_surviving_point() {
         })
         .expect("fixture must have a survivor");
     assert_eq!(pick.index, best.index);
-    assert_eq!(pick.to_json().to_string_compact(), best.to_json().to_string_compact());
+    assert_eq!(
+        pick.to_json().to_string_compact(),
+        best.to_json().to_string_compact()
+    );
     for p in report.points.iter().filter(|p| p.verdict.survived()) {
         assert!(
             p.area >= pick.area,

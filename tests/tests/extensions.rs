@@ -23,7 +23,10 @@ fn tuned_coefficients_flow_end_to_end() {
     let outcome = shell_lock(&design, &opts).expect("tuned flow maps");
     assert!(outcome.key_bits() > 0);
     let rate = corruption_rate(&design, &outcome, 4, 16);
-    assert!(rate > 0.0, "tuned selection still corrupts under wrong keys");
+    assert!(
+        rate > 0.0,
+        "tuned selection still corrupts under wrong keys"
+    );
 }
 
 /// The LGC-twisting defense: stripping the folded-in logic from a guess of
@@ -62,10 +65,9 @@ fn lgc_twist_defeats_removal_on_all_benchmarks() {
         }
         match removal_attack(&design, &guess, 96) {
             RemovalOutcome::Failed { .. } => {}
-            RemovalOutcome::Succeeded => panic!(
-                "{}: the twisted LGC must be load-bearing",
-                bench.name()
-            ),
+            RemovalOutcome::Succeeded => {
+                panic!("{}: the twisted LGC must be load-bearing", bench.name())
+            }
             RemovalOutcome::Incompatible(w) => {
                 panic!("{}: unexpected incomparability: {w}", bench.name())
             }

@@ -31,7 +31,12 @@ fn bit_offsets_match_layout() {
         32,
         |rng| {
             (
-                (rng.bounded(4), rng.bounded(4), rng.bounded(9), rng.gen_bool(0.5)),
+                (
+                    rng.bounded(4),
+                    rng.bounded(4),
+                    rng.bounded(9),
+                    rng.gen_bool(0.5),
+                ),
                 (rng.bounded(3), rng.bounded(3)),
             )
         },
@@ -78,7 +83,14 @@ fn bitstream_fields_roundtrip() {
         "bitstream fields roundtrip",
         0xFAB_0002,
         64,
-        |rng| (rng.bounded(504), rng.bounded(480), rng.bounded(7), rng.next_u64()),
+        |rng| {
+            (
+                rng.bounded(504),
+                rng.bounded(480),
+                rng.bounded(7),
+                rng.next_u64(),
+            )
+        },
         |&(len_raw, base_raw, width_raw, value)| {
             let len = 8 + len_raw as usize; // 8..512
             let width = 1 + width_raw as usize; // 1..8

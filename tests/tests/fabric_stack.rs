@@ -3,10 +3,8 @@
 
 use shell_attacks::{cyclic_reduction, sat_attack, SatAttackOptions, SatAttackOutcome};
 use shell_circuits::{mux_tree_circuit, ripple_adder};
-use shell_fabric::{
-    shrink_locked_netlist, to_configured_netlist, to_locked_netlist, FabricConfig,
-};
 use shell_fabric::shrink::{bind_keys, combinational_cycle_count};
+use shell_fabric::{shrink_locked_netlist, to_configured_netlist, to_locked_netlist, FabricConfig};
 use shell_netlist::equiv::{equiv_exhaustive, equiv_random};
 use shell_pnr::{place_and_route, place_and_route_with_chains, PnrOptions};
 use shell_synth::{lut_map, propagate_constants_cyclic};

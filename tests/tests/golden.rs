@@ -43,8 +43,7 @@ fn check_golden(name: &str, actual: &str) {
         )
     });
     assert_eq!(
-        expected,
-        actual,
+        expected, actual,
         "`{name}` drifted from its fixture — if the format change is \
          intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
     );

@@ -32,7 +32,10 @@ fn undersized_fabric_auto_upsizes_and_completes() {
          but the first size fit (attempts = {})",
         result.fit_attempts
     );
-    assert!(result.degraded.is_empty(), "unlimited budget never degrades");
+    assert!(
+        result.degraded.is_empty(),
+        "unlimited budget never degrades"
+    );
 }
 
 /// A design that cannot be routed within the configured attempt budget

@@ -13,8 +13,8 @@ fn benchmarks_roundtrip_through_verilog() {
     for bench in Benchmark::all() {
         let design = generate(bench, Scale::small());
         let text = write_verilog(&design);
-        let parsed = parse_verilog(&text)
-            .unwrap_or_else(|e| panic!("{}: parse failed: {e}", bench.name()));
+        let parsed =
+            parse_verilog(&text).unwrap_or_else(|e| panic!("{}: parse failed: {e}", bench.name()));
         assert!(
             equiv_sequential_random(&design, &parsed, &[], &[], 32, 0x1C).is_equivalent(),
             "{}: verilog roundtrip diverged",
@@ -41,8 +41,15 @@ fn locked_design_roundtrips_through_verilog() {
     );
     // Same function under the correct key.
     assert!(
-        equiv_random(&design_ref(&outcome), &bound(&parsed, &outcome.key), &[], &[], 256, 9)
-            .is_equivalent(),
+        equiv_random(
+            &design_ref(&outcome),
+            &bound(&parsed, &outcome.key),
+            &[],
+            &[],
+            256,
+            9
+        )
+        .is_equivalent(),
         "parsed locked design must activate identically"
     );
 }

@@ -236,8 +236,8 @@ fn verilog_roundtrip() {
         |(gates, bits)| {
             let n = build_netlist(4, gates);
             let text = shell_netlist::verilog::write_verilog(&n);
-            let parsed = shell_netlist::verilog::parse_verilog(&text)
-                .map_err(|e| format!("parse: {e}"))?;
+            let parsed =
+                shell_netlist::verilog::parse_verilog(&text).map_err(|e| format!("parse: {e}"))?;
             let pattern = to_bits(*bits, 4);
             expect_eq(n.eval_comb(&pattern), parsed.eval_comb(&pattern), "verilog")
         },

@@ -78,7 +78,10 @@ fn assert_matrix_converges(workers: usize, stride: usize) {
     let report = run_matrix(&root, &options).expect("matrix runs");
     assert!(report.points > 0, "no commit steps recorded");
     assert!(report.tested_points > 0);
-    assert_eq!(report.torn_states, 0, "torn state survived recovery: {report:?}");
+    assert_eq!(
+        report.torn_states, 0,
+        "torn state survived recovery: {report:?}"
+    );
     assert_eq!(
         report.report_mismatches, 0,
         "recovered artifacts diverged from the reference: {report:?}"
@@ -103,16 +106,25 @@ fn denser_matrix_and_warm_cache_lookup_under_1ms() {
 
     let dir = state_dir("warm_lookup");
     let (server, mut client) = start_with(&dir, |config| config.workers = 1);
-    let lock = JobRequest { seed: 0xBE7C4, ..JobRequest::default() };
+    let lock = JobRequest {
+        seed: 0xBE7C4,
+        ..JobRequest::default()
+    };
     let cold = client.submit(&lock).expect("submit");
     assert!(!cold.cached, "first request must miss the cache");
     finished_payload(&mut client, cold.id);
-    assert!(client.submit(&lock).expect("submit").cached, "repeat request must hit the cache");
+    assert!(
+        client.submit(&lock).expect("submit").cached,
+        "repeat request must hit the cache"
+    );
     let key = lock.resolve().expect("resolves").key;
     let mut samples: Vec<Duration> = (0..32)
         .map(|_| {
             let t0 = Instant::now();
-            assert!(server.cache().lookup(&key).is_some(), "artifact must be cached");
+            assert!(
+                server.cache().lookup(&key).is_some(),
+                "artifact must be cached"
+            );
             t0.elapsed()
         })
         .collect();
@@ -165,7 +177,9 @@ fn oversized_length_prefix_is_refused_before_allocation() {
     let mut bad = raw_conn(&server);
     bad.write_all(&(MAX_FRAME_BYTES + 1).to_be_bytes()).unwrap();
     bad.write_all(b"x").unwrap();
-    let response = read_frame(&mut bad).expect("typed error frame").expect("frame");
+    let response = read_frame(&mut bad)
+        .expect("typed error frame")
+        .expect("frame");
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
     let message = response.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(message.contains("exceeds the maximum"), "{message}");
@@ -191,7 +205,9 @@ fn stalled_client_is_cut_loose_without_pinning_a_worker() {
     loris
         .set_read_timeout(Some(Duration::from_millis(2_000)))
         .unwrap();
-    let response = read_frame(&mut loris).expect("stall error frame").expect("frame");
+    let response = read_frame(&mut loris)
+        .expect("stall error frame")
+        .expect("frame");
     let message = response.get("error").and_then(Json::as_str).unwrap_or("");
     assert_eq!(error_code(message), Some("stalled"), "{message}");
 
@@ -367,7 +383,10 @@ fn orphaned_and_torn_records_recover_without_double_runs() {
 #[test]
 fn startup_cache_scan_evicts_garbage_before_it_can_be_served() {
     let dir = state_dir("cachescan");
-    let shard = dir.join("cache").join(format!("v{FLOW_VERSION}")).join("ab");
+    let shard = dir
+        .join("cache")
+        .join(format!("v{FLOW_VERSION}"))
+        .join("ab");
     std::fs::create_dir_all(&shard).unwrap();
     std::fs::write(shard.join("abcd1234.json"), "not an envelope").unwrap();
 
@@ -378,7 +397,10 @@ fn startup_cache_scan_evicts_garbage_before_it_can_be_served() {
         .and_then(|c| c.get("evicted_startup"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
-    assert!(evicted >= 1, "startup scan missed the garbage entry: {stats:?}");
+    assert!(
+        evicted >= 1,
+        "startup scan missed the garbage entry: {stats:?}"
+    );
     assert!(
         !shard.join("abcd1234.json").exists(),
         "garbage cache entry must be evicted from disk"

@@ -78,7 +78,10 @@ fn cache_hit_serves_byte_identical_artifact() {
     let dir = state_dir("hit");
     let (server, mut client) = start(&dir);
 
-    let request = JobRequest { seed: 11, ..JobRequest::default() };
+    let request = JobRequest {
+        seed: 11,
+        ..JobRequest::default()
+    };
     let first = client.submit(&request).expect("submit");
     assert!(!first.cached, "a fresh request must miss");
     let first_payload = finished_payload(&mut client, first.id).to_string_compact();
@@ -109,7 +112,10 @@ fn corrupted_artifact_is_detected_and_recomputed() {
     let dir = state_dir("corrupt");
     let (server, mut client) = start(&dir);
 
-    let request = JobRequest { seed: 23, ..JobRequest::default() };
+    let request = JobRequest {
+        seed: 23,
+        ..JobRequest::default()
+    };
     let first = client.submit(&request).expect("submit");
     let reference = finished_payload(&mut client, first.id).to_string_compact();
 
@@ -126,7 +132,10 @@ fn corrupted_artifact_is_detected_and_recomputed() {
     let second = client.submit(&request).expect("submit");
     assert!(!second.cached, "corrupt entry must read as a miss");
     let recomputed = finished_payload(&mut client, second.id).to_string_compact();
-    assert_eq!(reference, recomputed, "recomputation must reproduce the artifact");
+    assert_eq!(
+        reference, recomputed,
+        "recomputation must reproduce the artifact"
+    );
     assert!(server.cache().corrupt() >= 1, "corruption must be counted");
 
     // The re-stored artifact serves hits again.
@@ -141,12 +150,17 @@ fn cache_key_tracks_content_not_deadline() {
     let dir = state_dir("keys");
     let (server, mut client) = start(&dir);
 
-    let base = JobRequest { seed: 5, ..JobRequest::default() };
-    let base_key = client.submit(&base).expect("submit").key;
-    let submit = |client: &mut Client, request: &JobRequest| {
-        client.submit(request).expect("submit").key
+    let base = JobRequest {
+        seed: 5,
+        ..JobRequest::default()
     };
-    let other_seed = JobRequest { seed: 6, ..base.clone() };
+    let base_key = client.submit(&base).expect("submit").key;
+    let submit =
+        |client: &mut Client, request: &JobRequest| client.submit(request).expect("submit").key;
+    let other_seed = JobRequest {
+        seed: 6,
+        ..base.clone()
+    };
     assert_ne!(base_key, submit(&mut client, &other_seed));
     let other_circuit = JobRequest {
         circuit: Some(CircuitSpec::RippleAdder { width: 4 }),
@@ -174,7 +188,10 @@ fn cancellation_reaches_queued_and_running_jobs() {
     // A job big enough that cancellation lands before completion.
     let slow = JobRequest {
         kind: JobKind::Attack,
-        circuit: Some(CircuitSpec::AxiXbar { channels: 6, width: 4 }),
+        circuit: Some(CircuitSpec::AxiXbar {
+            channels: 6,
+            width: 4,
+        }),
         key_bits: 40,
         ..JobRequest::default()
     };
@@ -205,7 +222,10 @@ fn cancellation_reaches_queued_and_running_jobs() {
 fn crashed_server_resumes_attack_with_identical_report() {
     let attack = |seed: u64| JobRequest {
         kind: JobKind::Attack,
-        circuit: Some(CircuitSpec::AxiXbar { channels: 6, width: 4 }),
+        circuit: Some(CircuitSpec::AxiXbar {
+            channels: 6,
+            width: 4,
+        }),
         key_bits: 40,
         seed,
         ..JobRequest::default()
@@ -269,7 +289,10 @@ fn corrupted_frame_in_cached_artifact_is_evicted_and_recomputed() {
     let dir = state_dir("frame_corrupt");
     let (server, mut client) = start(&dir);
 
-    let request = JobRequest { seed: 31, ..JobRequest::default() };
+    let request = JobRequest {
+        seed: 31,
+        ..JobRequest::default()
+    };
     let first = client.submit(&request).expect("submit");
     let reference = finished_payload(&mut client, first.id).to_string_compact();
 
@@ -277,7 +300,9 @@ fn corrupted_frame_in_cached_artifact_is_evicted_and_recomputed() {
     let key = shell_serve::ContentHash::from_hex(&first.key).expect("key parses");
     let path = server.cache().path_for(&key);
     let text = std::fs::read_to_string(&path).expect("artifact on disk");
-    let at = text.find("\"code\": \"").expect("envelope holds frame codewords")
+    let at = text
+        .find("\"code\": \"")
+        .expect("envelope holds frame codewords")
         + "\"code\": \"".len();
     let mut bytes = text.into_bytes();
     bytes[at] = if bytes[at] == b'0' { b'1' } else { b'0' };
@@ -286,8 +311,14 @@ fn corrupted_frame_in_cached_artifact_is_evicted_and_recomputed() {
     let second = client.submit(&request).expect("submit");
     assert!(!second.cached, "frame-tampered entry must read as a miss");
     let recomputed = finished_payload(&mut client, second.id).to_string_compact();
-    assert_eq!(reference, recomputed, "recomputation must reproduce the artifact");
-    assert!(server.cache().corrupt() >= 1, "frame tamper must count as corruption");
+    assert_eq!(
+        reference, recomputed,
+        "recomputation must reproduce the artifact"
+    );
+    assert!(
+        server.cache().corrupt() >= 1,
+        "frame tamper must count as corruption"
+    );
     assert!(!client.submit(&request).expect("submit").cached || server.cache().hits() >= 1);
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -302,8 +333,14 @@ fn partial_reconfig_delta_round_trips_over_the_wire() {
     let dir = state_dir("delta");
     let (server, mut client) = start(&dir);
 
-    let base_req = JobRequest { seed: 41, ..JobRequest::default() };
-    let target_req = JobRequest { seed: 42, ..JobRequest::default() };
+    let base_req = JobRequest {
+        seed: 41,
+        ..JobRequest::default()
+    };
+    let target_req = JobRequest {
+        seed: 42,
+        ..JobRequest::default()
+    };
 
     // The delta endpoint only serves cached artifacts: asking before the
     // jobs ran is a typed error, and the connection survives it.
@@ -316,11 +353,15 @@ fn partial_reconfig_delta_round_trips_over_the_wire() {
     let base_id = client.submit(&base_req).expect("submit").id;
     let target_id = client.submit(&target_req).expect("submit").id;
     let base_frames = FramedBitstream::from_json(
-        finished_payload(&mut client, base_id).get("bitstream").expect("bitstream"),
+        finished_payload(&mut client, base_id)
+            .get("bitstream")
+            .expect("bitstream"),
     )
     .expect("base frames parse");
     let target_frames = FramedBitstream::from_json(
-        finished_payload(&mut client, target_id).get("bitstream").expect("bitstream"),
+        finished_payload(&mut client, target_id)
+            .get("bitstream")
+            .expect("bitstream"),
     )
     .expect("target frames parse");
 
@@ -331,7 +372,11 @@ fn partial_reconfig_delta_round_trips_over_the_wire() {
     let written = answer.get("frames_written").and_then(Json::as_u64).unwrap();
     let skipped = answer.get("frames_skipped").and_then(Json::as_u64).unwrap();
     assert_eq!(total, base_frames.frame_count() as u64);
-    assert_eq!(written + skipped, total, "every frame is written or skipped");
+    assert_eq!(
+        written + skipped,
+        total,
+        "every frame is written or skipped"
+    );
     assert_eq!(written, delta.frames_written() as u64);
     assert!(
         written < total,
@@ -340,7 +385,9 @@ fn partial_reconfig_delta_round_trips_over_the_wire() {
     );
 
     let mut patched = base_frames;
-    delta.apply(&mut patched).expect("delta applies to its base");
+    delta
+        .apply(&mut patched)
+        .expect("delta applies to its base");
     assert_eq!(
         patched.to_flat().unwrap().as_bools(),
         target_frames.to_flat().unwrap().as_bools(),

@@ -31,7 +31,9 @@ fn traced_flow(jobs: usize) -> shell_trace::TraceData {
         place_and_route_with_chains(&design, FabricConfig::fabulous_style(true), &opts)
             .expect("maps");
     });
-    shell_trace::uninstall().expect("tracer installed").snapshot()
+    shell_trace::uninstall()
+        .expect("tracer installed")
+        .snapshot()
 }
 
 #[test]
@@ -62,7 +64,12 @@ fn flow_emits_expected_taxonomy() {
         );
     }
     let counter_names: Vec<&str> = summary.counters.iter().map(|(n, _)| n.as_str()).collect();
-    for expected in ["pnr.fit_attempts", "place.moves", "route.spfa_relaxations", "synth.cuts"] {
+    for expected in [
+        "pnr.fit_attempts",
+        "place.moves",
+        "route.spfa_relaxations",
+        "synth.cuts",
+    ] {
         assert!(
             counter_names.contains(&expected),
             "expected counter {expected} in {counter_names:?}"
@@ -115,8 +122,7 @@ fn disabled_tracing_emits_nothing_and_costs_no_events() {
     assert!(shell_trace::uninstall().is_none(), "no tracer leaked in");
     let design = axi_xbar(4, 2);
     let opts = PnrOptions::default();
-    place_and_route_with_chains(&design, FabricConfig::fabulous_style(true), &opts)
-        .expect("maps");
+    place_and_route_with_chains(&design, FabricConfig::fabulous_style(true), &opts).expect("maps");
     assert!(shell_trace::current().is_none());
     // A tracer installed *after* the run sees a clean slate.
     shell_trace::install(Tracer::new());
@@ -165,7 +171,9 @@ fn one_dirty_frame_counts_one_written_and_the_rest_skipped() {
         shell_trace::install(Tracer::new());
         let delta = PartialReconfig::diff(&device, &target).expect("diff");
         let written = delta.apply(&mut device).expect("apply");
-        let data = shell_trace::uninstall().expect("tracer installed").snapshot();
+        let data = shell_trace::uninstall()
+            .expect("tracer installed")
+            .snapshot();
 
         assert_eq!(written, 1, "{w}x{h}: one dirty frame");
         assert_eq!(counter(&data, "bitstream.frames_written"), 1, "{w}x{h}");
@@ -174,7 +182,10 @@ fn one_dirty_frame_counts_one_written_and_the_rest_skipped() {
             geometry.frame_count() as u64 - 1,
             "{w}x{h}"
         );
-        assert_eq!(device.to_flat().expect("decodes").as_bools(), target_flat.as_bools());
+        assert_eq!(
+            device.to_flat().expect("decodes").as_bools(),
+            target_flat.as_bools()
+        );
     }
 }
 

@@ -8,9 +8,7 @@
 //! the miter alone carries the negative tests.
 
 use shell_circuits::{c17, mux_tree_circuit, ripple_adder};
-use shell_lock::{
-    activate, activate_with_key, shell_lock_cells, RedactionOutcome, ShellOptions,
-};
+use shell_lock::{activate, activate_with_key, shell_lock_cells, RedactionOutcome, ShellOptions};
 use shell_netlist::{equiv, equiv_exhaustive, EquivResult, Method, Netlist};
 use shell_synth::propagate_constants_cyclic;
 use shell_util::Rng;
@@ -27,10 +25,10 @@ fn lock_whole(design: &Netlist) -> RedactionOutcome {
 /// the SAT miter on every claim.
 fn small_benchmarks() -> Vec<(&'static str, Netlist)> {
     vec![
-        ("c17", c17()),                          // 5 inputs
-        ("adder4", ripple_adder(4)),             // 8 inputs
-        ("muxtree4x2", mux_tree_circuit(4, 2)),  // 10 inputs
-        ("adder6", ripple_adder(6)),             // 12 inputs
+        ("c17", c17()),                         // 5 inputs
+        ("adder4", ripple_adder(4)),            // 8 inputs
+        ("muxtree4x2", mux_tree_circuit(4, 2)), // 10 inputs
+        ("adder6", ripple_adder(6)),            // 12 inputs
     ]
 }
 
