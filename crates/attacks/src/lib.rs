@@ -17,7 +17,9 @@
 //!   verification step reports.
 //! * [`scan_frame`] — the full-scan threat model: flip-flops become
 //!   pseudo-ports so one combinational frame is attacked, exactly what a
-//!   fully scanned chip exposes.
+//!   fully scanned chip exposes. [`attack_scan_frames`] is the standard
+//!   pipeline the harnesses share: frame both designs, reduce a cyclic
+//!   lock, attack.
 //! * [`removal_attack`] — the Xbar-replacement attack SheLL's LGC twisting
 //!   defends against: the adversary replaces the whole redacted fabric with
 //!   a guessed plain implementation and checks the result against the
@@ -35,8 +37,8 @@ pub mod structural;
 pub use cyclic::{cyclic_reduction, cyclic_reduction_budgeted, CyclicReductionReport};
 pub use removal::{removal_attack, RemovalOutcome};
 pub use sat_attack::{
-    sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells, xor_lock_outputs,
-    AttackCheckpoint, AttackReport, SatAttackOptions, SatAttackOutcome, ScanError,
-    DEFAULT_CONFLICT_QUOTA,
+    attack_scan_frames, sat_attack, sat_attack_report, scan_frame, try_scan_frame, xor_lock_cells,
+    xor_lock_outputs, AttackCheckpoint, AttackReport, SatAttackOptions, SatAttackOutcome,
+    ScanError, DEFAULT_CONFLICT_QUOTA,
 };
 pub use structural::{structural_mux_attack, structural_mux_attack_budgeted, StructuralReport};

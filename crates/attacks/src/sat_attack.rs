@@ -28,10 +28,11 @@
 //! and data pins pseudo-outputs, so a single combinational frame carries the
 //! whole secret.
 
+use crate::cyclic::cyclic_reduction;
 use shell_chaos::Io;
 use shell_guard::{Budget, Exhausted};
 use shell_netlist::equiv::{equiv_exhaustive, equiv_random, EquivResult};
-use shell_netlist::{CellId, CellKind, NetId, Netlist};
+use shell_netlist::{CellId, CellKind, NetId, Netlist, Simulator};
 use shell_sat::{encode_cell, encode_miter_gated, Lit, SatResult, Solver, Var};
 use shell_synth::{resolve, resolve_cell, Resolution};
 use shell_util::Json;
@@ -462,6 +463,41 @@ pub fn scan_frame(netlist: &Netlist) -> Netlist {
     try_scan_frame(netlist).unwrap_or_else(|e| panic!("scan_frame: {e}"))
 }
 
+/// The standard oracle-guided attack on a locked design: full-scan frames
+/// of the oracle (`original`) and of `locked`, after [`cyclic_reduction`]
+/// when `locked` is combinationally cyclic, then [`sat_attack`] under
+/// `options`.
+///
+/// Returns `None` when no comparable frame exists: the locked frame cannot
+/// be formed (a latch, a residual cycle, a dangling DFF data pin) or its
+/// ports differ from the oracle frame's (the register count changed), so
+/// the attack has no move to make.
+///
+/// # Panics
+///
+/// As [`scan_frame`] on `original`.
+pub fn attack_scan_frames(
+    original: &Netlist,
+    locked: &Netlist,
+    options: &SatAttackOptions,
+) -> Option<SatAttackOutcome> {
+    let oracle_frame = scan_frame(original);
+    let reduced;
+    let locked = if locked.topo_order().is_ok() {
+        locked
+    } else {
+        reduced = cyclic_reduction(locked).netlist;
+        &reduced
+    };
+    let locked_frame = try_scan_frame(locked).ok()?;
+    if oracle_frame.inputs().len() != locked_frame.inputs().len()
+        || oracle_frame.outputs().len() != locked_frame.outputs().len()
+    {
+        return None;
+    }
+    Some(sat_attack(&locked_frame, &oracle_frame, options))
+}
+
 /// XOR-locks `oracle` by inserting one key XOR per primary output, on the
 /// first `min(bits, outputs)` outputs (odd key bits are planted inverted so
 /// the correct key is not all-zeros).
@@ -608,7 +644,7 @@ pub fn sat_attack_report(
     let miter = encode_miter_gated(&mut solver, locked, locked);
     let act = miter.activation.expect("gated miter has an activation var");
     let mut pinner = DipPinner::new(&mut solver, locked);
-    let oracle_order = oracle.topo_order().expect("combinational cycle");
+    let mut oracle_sim = Simulator::new(oracle);
     solver.take_delta(); // encoding cost is not a DIP-solve cost
 
     let mut iterations = 0usize;
@@ -711,7 +747,7 @@ pub fn sat_attack_report(
                     );
                     recorded_response.clone()
                 } else {
-                    oracle.eval_comb_in_order(&oracle_order, &dip, &[])
+                    oracle_sim.settle(&dip, &[])
                 };
                 let stored = solver.num_clauses();
                 pinner.fold(&dip);
@@ -959,6 +995,45 @@ mod tests {
         }
         n.add_output("cout", carry);
         n
+    }
+
+    /// `q = DFF(d)`, output `q`: one register, so its scan frame has two
+    /// inputs and two outputs.
+    fn one_register() -> Netlist {
+        let mut n = Netlist::new("reg");
+        let d = n.add_input("d");
+        let q = n.add_cell("ff", CellKind::Dff, vec![d]);
+        n.add_output("q", q);
+        n
+    }
+
+    #[test]
+    fn attack_scan_frames_needs_a_comparable_frame() {
+        let original = one_register();
+        let options = SatAttackOptions::default();
+        // The register replaced by a keyed latch: no scan frame.
+        let mut latched = Netlist::new("latched");
+        let d = latched.add_input("d");
+        let k = latched.add_key_input("k");
+        let x = latched.add_cell("x", CellKind::Xor, vec![d, k]);
+        let l = latched.add_cell("l", CellKind::Latch, vec![k, x]);
+        latched.add_output("q", l);
+        assert_eq!(attack_scan_frames(&original, &latched, &options), None);
+        // One register more than the original: frames of different shape.
+        let mut extra = Netlist::new("extra");
+        let d = extra.add_input("d");
+        let k = extra.add_key_input("k");
+        let x = extra.add_cell("x", CellKind::Xor, vec![d, k]);
+        let q1 = extra.add_cell("ff", CellKind::Dff, vec![x]);
+        let q2 = extra.add_cell("ff2", CellKind::Dff, vec![q1]);
+        extra.add_output("q", q2);
+        assert_eq!(attack_scan_frames(&original, &extra, &options), None);
+        // The register behind a key XOR: comparable, and broken.
+        let (locked, _) = xor_lock_outputs(&original, 1);
+        assert!(matches!(
+            attack_scan_frames(&original, &locked, &options),
+            Some(SatAttackOutcome::Broken { .. })
+        ));
     }
 
     #[test]

@@ -53,10 +53,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    assert!(
-        shell_verify::install(),
-        "SAT equivalence backend already claimed by a different function"
-    );
     let report = run(&config);
     let rendered = report.to_json().to_string_pretty();
     match &out {

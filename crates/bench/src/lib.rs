@@ -6,9 +6,7 @@
 //! cyclic-reduction → budgeted SAT attack) and the evaluation-scale
 //! constants so every harness measures the same way.
 
-use shell_attacks::{
-    cyclic_reduction, sat_attack, scan_frame, try_scan_frame, SatAttackOptions, SatAttackOutcome,
-};
+use shell_attacks::{attack_scan_frames, SatAttackOptions, SatAttackOutcome};
 use shell_circuits::Scale;
 use shell_guard::Budget;
 use shell_lock::RedactionOutcome;
@@ -62,36 +60,18 @@ impl Resilience {
     }
 }
 
-/// Runs the standard oracle-guided attack pipeline against a redaction
-/// outcome: full-scan frames of oracle and locked design, cyclic reduction
-/// on the locked frame, then the budgeted SAT attack.
+/// Runs the standard oracle-guided attack pipeline
+/// ([`attack_scan_frames`]) against a redaction outcome under
+/// [`attack_budget`]. A locked design without a frame comparable to the
+/// oracle's is a conservative "resilient": the attack has no move to make.
 pub fn check_resilience(original: &Netlist, outcome: &RedactionOutcome) -> Resilience {
-    let oracle_frame = scan_frame(original);
-    let locked = if outcome.locked.topo_order().is_ok() {
-        outcome.locked.clone()
-    } else {
-        cyclic_reduction(&outcome.locked).netlist
-    };
-    // A locked frame the attack cannot even form (latch, residual cycle,
-    // dangling DFF data pin after aggressive reduction) is a conservative
-    // "resilient": the standard attack pipeline has no move to make.
-    let locked_frame = match try_scan_frame(&locked) {
-        Ok(frame) => frame,
-        Err(_) => return Resilience::Resilient { iterations: 0 },
-    };
-    // Frame shapes must match; redaction preserves ports and register count.
-    if oracle_frame.inputs().len() != locked_frame.inputs().len()
-        || oracle_frame.outputs().len() != locked_frame.outputs().len()
-    {
-        // Register count changed (fabric FFs) — attack the combinational
-        // cores only by trimming scan ports is not meaningful; report the
-        // conservative outcome.
-        return Resilience::Resilient { iterations: 0 };
-    }
-    match sat_attack(&locked_frame, &oracle_frame, &attack_budget()) {
-        SatAttackOutcome::Broken { iterations, .. } => Resilience::Broken { iterations },
-        SatAttackOutcome::Resilient { iterations, .. } => Resilience::Resilient { iterations },
-        SatAttackOutcome::WrongKey { .. } => Resilience::WrongKey,
+    match attack_scan_frames(original, &outcome.locked, &attack_budget()) {
+        None => Resilience::Resilient { iterations: 0 },
+        Some(SatAttackOutcome::Broken { iterations, .. }) => Resilience::Broken { iterations },
+        Some(SatAttackOutcome::Resilient { iterations, .. }) => {
+            Resilience::Resilient { iterations }
+        }
+        Some(SatAttackOutcome::WrongKey { .. }) => Resilience::WrongKey,
     }
 }
 

@@ -176,11 +176,6 @@ impl Scale {
     pub fn small() -> Self {
         Self { width: 4, units: 3 }
     }
-
-    /// Default evaluation scale.
-    pub fn default_eval() -> Self {
-        Self { width: 8, units: 4 }
-    }
 }
 
 impl Default for Scale {

@@ -96,14 +96,14 @@ pub fn redact_baseline(
                 .map_err(|e| PnrError::Unsupported(e.to_string()))?
                 .netlist;
             let pnr = place_and_route(&mapped, FabricConfig::openfpga_style(), &options.pnr)?;
-            finish(design, partition, pnr, true, Vec::new())
+            finish(partition, pnr, true, Vec::new())
         }
         BaselineCase::NoStrategyFabulous => {
             let mapped = lut_map(&partition.sub, 4)
                 .map_err(|e| PnrError::Unsupported(e.to_string()))?
                 .netlist;
             let pnr = place_and_route(&mapped, FabricConfig::fabulous_style(false), &options.pnr)?;
-            finish(design, partition, pnr, true, Vec::new())
+            finish(partition, pnr, true, Vec::new())
         }
         BaselineCase::Shell => {
             let pnr = place_and_route_with_chains(
@@ -111,7 +111,7 @@ pub fn redact_baseline(
                 FabricConfig::fabulous_style(true),
                 &options.pnr,
             )?;
-            finish(design, partition, pnr, options.skip_shrink, Vec::new())
+            finish(partition, pnr, options.skip_shrink, Vec::new())
         }
     }
 }

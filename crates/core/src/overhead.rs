@@ -15,7 +15,7 @@
 
 use crate::pipeline::RedactionOutcome;
 use shell_attacks::cyclic_reduction;
-use shell_fabric::{ApdReport, ConfigStorage, FabricStyle, TechLibrary};
+use shell_fabric::{ConfigStorage, FabricStyle, TechLibrary};
 use shell_netlist::{CellKind, Netlist};
 
 /// Normalized overhead triple (locked / original).
@@ -72,20 +72,6 @@ pub fn evaluate_overhead(original: &Netlist, outcome: &RedactionOutcome) -> Over
         power: norm.power,
         delay: norm.delay,
     }
-}
-
-/// Raw (non-normalized) implementation report, exposed for the benches.
-pub fn implementation_report(outcome: &RedactionOutcome) -> ApdReport {
-    let lib = match outcome.fabric.config().style {
-        FabricStyle::OpenFpga => TechLibrary::sky130(),
-        FabricStyle::Fabulous => TechLibrary::sky130_custom_cells(),
-    };
-    let impl_netlist = if outcome.locked.topo_order().is_ok() {
-        outcome.locked.clone()
-    } else {
-        cyclic_reduction(&outcome.locked).netlist
-    };
-    lib.evaluate(&impl_netlist)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use shell_pnr::{place_and_route, place_and_route_with_chains, PnrError, PnrOptio
 use shell_synth::lut_map;
 
 /// Options of the SheLL flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShellOptions {
     /// Selection knobs (coefficients, budgets, LGC depth).
     pub selection: SelectionOptions,
@@ -25,23 +25,13 @@ pub struct ShellOptions {
     pub pnr: PnrOptions,
     /// Skip step 8 (for the shrink ablation).
     pub skip_shrink: bool,
-    /// Rungs of the retry ladder wrapped around the mapping flow: when PnR
-    /// reports `DoesNotFit`/`Unroutable`, the flow retries with relaxed
-    /// knobs (wider channels → more fabric-expansion headroom → more
-    /// placement starts) instead of giving up. `1` disables retries.
-    pub max_ladder_attempts: usize,
 }
 
-impl Default for ShellOptions {
-    fn default() -> Self {
-        Self {
-            selection: SelectionOptions::default(),
-            pnr: PnrOptions::default(),
-            skip_shrink: false,
-            max_ladder_attempts: 4,
-        }
-    }
-}
+/// Rungs of the retry ladder wrapped around the mapping flow: when PnR
+/// reports `DoesNotFit`/`Unroutable`, the flow retries with relaxed knobs
+/// (wider channels → more fabric-expansion headroom → more placement
+/// starts) instead of giving up.
+const LADDER_RUNGS: usize = 4;
 
 /// One rung of the retry ladder: what was tried and how it ended. Serialized
 /// into results JSON so a report shows *how* a design fit, not only that it
@@ -175,7 +165,7 @@ pub fn shell_lock_cells_with_fabric(
         .map_err(|e| PnrError::Unsupported(format!("invalid fabric config: {e}")))?;
     let partition = partition_by_cells(design, cells);
     let (pnr, attempts) = map_with_ladder(&partition.sub, config, options)?;
-    finish(design, partition, pnr, options.skip_shrink, attempts)
+    finish(partition, pnr, options.skip_shrink, attempts)
 }
 
 /// One mapping attempt for the fit ladder: the chain flow for chain-enabled
@@ -208,8 +198,7 @@ fn map_with_ladder(
     let mut pnr_options = options.pnr.clone();
     let mut attempts = Vec::new();
     let mut action = String::from("baseline");
-    let rungs = options.max_ladder_attempts.max(1);
-    for attempt in 1..=rungs {
+    for attempt in 1..=LADDER_RUNGS {
         // One span per ladder rung — it brackets exactly the work the
         // matching `AttemptRecord` journals.
         let _rung_span = shell_trace::span!("lock.ladder_rung", attempt = attempt);
@@ -229,7 +218,7 @@ fn map_with_ladder(
                     action: std::mem::take(&mut action),
                     outcome: err.to_string(),
                 });
-                if attempt == rungs {
+                if attempt == LADDER_RUNGS {
                     return Err(err);
                 }
                 match attempt {
@@ -263,7 +252,6 @@ fn map_with_ladder(
 /// Shared tail of every redaction flow: emit the locked fabric netlist,
 /// optionally shrink, reassemble with the host, and extract the key.
 pub(crate) fn finish(
-    design: &Netlist,
     partition: RedactionPartition,
     pnr: shell_pnr::PnrResult,
     skip_shrink: bool,
@@ -286,7 +274,6 @@ pub(crate) fn finish(
     let locked = partition
         .reassemble(fabric_netlist)
         .map_err(|e| PnrError::VerificationFailed(format!("reassembly failed: {e}")))?;
-    let _ = design;
     let framed = FramedBitstream::from_flat(&pnr.fabric, &pnr.bitstream)
         .map_err(|e| PnrError::VerificationFailed(format!("frame packing failed: {e}")))?;
     Ok(RedactionOutcome {

@@ -2,9 +2,7 @@
 //! worker pool, journal each finished point, and survive interruption.
 
 use crate::grid::{FabricPoint, SweepGrid};
-use shell_attacks::{
-    cyclic_reduction, sat_attack, scan_frame, try_scan_frame, SatAttackOptions, SatAttackOutcome,
-};
+use shell_attacks::{attack_scan_frames, SatAttackOptions, SatAttackOutcome};
 use shell_chaos::{atomic_write, read_string, Io};
 use shell_guard::{Budget, Exhausted};
 use shell_lock::{evaluate_overhead, shell_lock_with_fabric, ShellOptions};
@@ -417,28 +415,14 @@ fn evaluate_point(
     })
 }
 
-/// The standard oracle-guided attack at budget *B*: full-scan frames,
-/// cyclic reduction on the locked side, then the quota-capped SAT attack.
-/// Mirrors the bench harness's resilience check, with the sweep's knobs.
+/// The standard oracle-guided attack ([`attack_scan_frames`]) at budget
+/// *B*, with the sweep's knobs. A locked design without a frame comparable
+/// to the oracle's survives structurally.
 fn attack_point(
     design: &Netlist,
     outcome: &shell_lock::RedactionOutcome,
     opts: &SweepOptions,
 ) -> PointVerdict {
-    let oracle_frame = scan_frame(design);
-    let locked = if outcome.locked.topo_order().is_ok() {
-        outcome.locked.clone()
-    } else {
-        cyclic_reduction(&outcome.locked).netlist
-    };
-    let Ok(locked_frame) = try_scan_frame(&locked) else {
-        return PointVerdict::SurvivedStructural { iterations: 0 };
-    };
-    if oracle_frame.inputs().len() != locked_frame.inputs().len()
-        || oracle_frame.outputs().len() != locked_frame.outputs().len()
-    {
-        return PointVerdict::SurvivedStructural { iterations: 0 };
-    }
     let attack_opts = SatAttackOptions {
         max_iterations: opts.max_attack_iterations,
         budget: Budget::unlimited().with_quota(opts.attack_quota),
@@ -446,23 +430,24 @@ fn attack_point(
         verify_vectors: 128,
         ..SatAttackOptions::default()
     };
-    match sat_attack(&locked_frame, &oracle_frame, &attack_opts) {
-        SatAttackOutcome::Broken {
+    match attack_scan_frames(design, &outcome.locked, &attack_opts) {
+        None => PointVerdict::SurvivedStructural { iterations: 0 },
+        Some(SatAttackOutcome::Broken {
             iterations,
             conflicts,
             ..
-        } => PointVerdict::Broken {
+        }) => PointVerdict::Broken {
             iterations,
             conflicts,
         },
-        SatAttackOutcome::Resilient {
+        Some(SatAttackOutcome::Resilient {
             iterations,
             conflicts,
-        } => PointVerdict::Survived {
+        }) => PointVerdict::Survived {
             iterations,
             conflicts,
         },
-        SatAttackOutcome::WrongKey { iterations, .. } => {
+        Some(SatAttackOutcome::WrongKey { iterations, .. }) => {
             PointVerdict::SurvivedStructural { iterations }
         }
     }

@@ -15,7 +15,6 @@
 //!   and dynamically-selected chain muxes. This is the oracle of the threat
 //!   model.
 
-use crate::arch::FabricConfig;
 use crate::bitstream::Bitstream;
 use crate::fabric::{Fabric, SignalRef};
 use shell_netlist::{CellKind, LutMask, NetId, Netlist};
@@ -574,12 +573,6 @@ pub fn to_configured_netlist(
         ));
     }
     Ok(n)
-}
-
-/// Helper shared by tests and PnR: returns the width of the select field for
-/// a mux over `n` inputs (re-export of [`FabricConfig::mux_select_bits`]).
-pub fn select_width(n: usize) -> usize {
-    FabricConfig::mux_select_bits(n)
 }
 
 /// Restriction of a LUT mask to `input = 0`, removing that input.

@@ -96,41 +96,26 @@ pub fn closeness_to_targets<T>(g: &DiGraph<T>, targets: &[NodeId]) -> Vec<f64> {
         .collect()
 }
 
-/// Betweenness centrality over all node pairs (Brandes' algorithm),
-/// normalized by `(n - 1)(n - 2)` for directed graphs.
-pub fn betweenness_centrality<T>(g: &DiGraph<T>) -> Vec<f64> {
-    let all: Vec<NodeId> = g.nodes().collect();
-    brandes(g, &all, None)
-}
-
 /// Betweenness restricted to shortest paths between `sources` and `sinks`
 /// (Table II's `BtwC`: "node occurrence in the shortest paths between
-/// observable/controllable nodes").
+/// observable/controllable nodes"), normalized by `(n - 1)(n - 2)`.
 ///
-/// Only paths that start at a source and end at a sink contribute.
+/// Brandes' accumulation from every source, with dependencies seeded only
+/// at sink nodes, so only paths that start at a source and end at a sink
+/// contribute.
 pub fn betweenness_centrality_between<T>(
     g: &DiGraph<T>,
     sources: &[NodeId],
     sinks: &[NodeId],
 ) -> Vec<f64> {
-    brandes(g, sources, Some(sinks))
-}
-
-/// Brandes' betweenness accumulation from the given source set. When `sinks`
-/// is `Some`, dependency accumulation is seeded only at sink nodes, which
-/// restricts counting to source→sink shortest paths.
-fn brandes<T>(g: &DiGraph<T>, sources: &[NodeId], sinks: Option<&[NodeId]>) -> Vec<f64> {
     let n = g.node_count();
     let mut bc = vec![0.0f64; n];
     if n < 3 {
         return bc;
     }
-    let mut is_sink = vec![true; n];
-    if let Some(sinks) = sinks {
-        is_sink = vec![false; n];
-        for &s in sinks {
-            is_sink[s.index()] = true;
-        }
+    let mut is_sink = vec![false; n];
+    for &s in sinks {
+        is_sink[s.index()] = true;
     }
     let mut sigma = vec![0.0f64; n];
     let mut dist = vec![usize::MAX; n];
@@ -302,8 +287,9 @@ mod tests {
     #[test]
     fn betweenness_path_middle_highest() {
         let g = path5();
-        let bc = betweenness_centrality(&g);
-        // Middle node 2 lies on 1*... directed paths: pairs (0,3),(0,4),(1,3),(1,4),(1? ...)
+        // All pairs: every node is a source and a sink.
+        let all: Vec<NodeId> = g.nodes().collect();
+        let bc = betweenness_centrality_between(&g, &all, &all);
         // For a directed path of 5 nodes, node 2 is interior to paths
         // 0->3, 0->4, 1->3, 1->4 → raw 4, normalized by (4)(3)=12.
         assert!((bc[2] - 4.0 / 12.0).abs() < 1e-9, "bc[2]={}", bc[2]);

@@ -10,13 +10,13 @@ use std::collections::VecDeque;
 
 /// All nodes reachable from `sources` by following edges forward
 /// (the sources themselves are included).
-pub fn reachable_from<T>(g: &DiGraph<T>, sources: &[NodeId]) -> Vec<bool> {
+fn reachable_from<T>(g: &DiGraph<T>, sources: &[NodeId]) -> Vec<bool> {
     sweep(g, sources, false)
 }
 
 /// All nodes that can reach one of `sinks` by following edges forward
 /// (i.e. reachability in the reversed graph; sinks included).
-pub fn reaches_to<T>(g: &DiGraph<T>, sinks: &[NodeId]) -> Vec<bool> {
+fn reaches_to<T>(g: &DiGraph<T>, sinks: &[NodeId]) -> Vec<bool> {
     sweep(g, sinks, true)
 }
 
@@ -47,7 +47,7 @@ fn sweep<T>(g: &DiGraph<T>, seeds: &[NodeId], reverse: bool) -> Vec<bool> {
 
 /// Nodes covered by `selection`: anything in the forward or backward cone of
 /// any selected node (selection rule (ii)).
-pub fn covered_nodes<T>(g: &DiGraph<T>, selection: &[NodeId]) -> Vec<bool> {
+fn covered_nodes<T>(g: &DiGraph<T>, selection: &[NodeId]) -> Vec<bool> {
     let fwd = reachable_from(g, selection);
     let bwd = reaches_to(g, selection);
     fwd.iter().zip(&bwd).map(|(&a, &b)| a || b).collect()

@@ -113,11 +113,6 @@ impl<T> DiGraph<T> {
         &self.payloads[node.index()]
     }
 
-    /// Mutable payload of `node`.
-    pub fn payload_mut(&mut self, node: NodeId) -> &mut T {
-        &mut self.payloads[node.index()]
-    }
-
     /// Iterator over all node ids in insertion order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.payloads.len() as u32).map(NodeId)
@@ -141,11 +136,6 @@ impl<T> DiGraph<T> {
     /// In-degree of `node`, counting parallel edges.
     pub fn in_degree(&self, node: NodeId) -> usize {
         self.predecessors[node.index()].len()
-    }
-
-    /// Total degree (in + out).
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.in_degree(node) + self.out_degree(node)
     }
 
     /// Iterator over every edge.
@@ -217,12 +207,11 @@ mod tests {
 
     #[test]
     fn degrees() {
-        let (g, [a, b, _c, d]) = diamond();
+        let (g, [a, _b, _c, d]) = diamond();
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(a), 0);
         assert_eq!(g.in_degree(d), 2);
         assert_eq!(g.out_degree(d), 0);
-        assert_eq!(g.degree(b), 2);
     }
 
     #[test]
@@ -239,10 +228,8 @@ mod tests {
 
     #[test]
     fn payload_access() {
-        let (mut g, [a, ..]) = diamond();
+        let (g, [a, ..]) = diamond();
         assert_eq!(*g.payload(a), "a");
-        *g.payload_mut(a) = "z";
-        assert_eq!(*g.payload(a), "z");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! plus the structural analyses the redaction flow relies on: strongly
 //! connected components and combinational-cycle detection (the cyclic-reduction
 //! preprocessing of \[26\] rules out cyclical blocks before an attack), BFS/DFS,
-//! topological ordering, and reachability/coverage metrics (selection rule
-//! (ii): the chosen sub-circuit must cover ≥50 % of design nodes).
+//! topological ordering, and the coverage metric (selection rule (ii): the
+//! chosen sub-circuit must cover ≥50 % of design nodes).
 //!
 //! # Example
 //!
@@ -41,13 +41,12 @@ mod scc;
 mod traversal;
 
 pub use centrality::{
-    betweenness_centrality, betweenness_centrality_between, closeness_centrality,
-    closeness_to_targets, degree_centrality, eigenvector_centrality, DegreeCentrality,
+    betweenness_centrality_between, closeness_centrality, closeness_to_targets, degree_centrality,
+    eigenvector_centrality, DegreeCentrality,
 };
-pub use coverage::{coverage_fraction, covered_nodes, reachable_from, reaches_to};
+pub use coverage::coverage_fraction;
 pub use digraph::{DiGraph, EdgeRef, NodeId};
 pub use scc::{
-    condensation, for_each_scc, has_cycle, mark_dead_end, strongly_connected_components, CycleInfo,
-    SccBuffers,
+    condensation, for_each_scc, mark_dead_end, strongly_connected_components, CycleInfo, SccBuffers,
 };
 pub use traversal::{bfs_distances, bfs_order, dfs_postorder, longest_path_dag, topological_order};

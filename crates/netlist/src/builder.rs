@@ -53,11 +53,6 @@ impl NetlistBuilder {
         &self.netlist
     }
 
-    /// Mutable access for operations the builder does not wrap.
-    pub fn netlist_mut(&mut self) -> &mut Netlist {
-        &mut self.netlist
-    }
-
     fn fresh_name(&mut self, prefix: &str) -> String {
         self.fresh += 1;
         format!("{prefix}_{}", self.fresh)
@@ -78,11 +73,6 @@ impl NetlistBuilder {
         (0..width)
             .map(|i| self.netlist.add_input(format!("{name}[{i}]")))
             .collect()
-    }
-
-    /// Declares a 1-bit key input.
-    pub fn key_input(&mut self, name: &str) -> NetId {
-        self.netlist.add_key_input(name)
     }
 
     /// Declares a `width`-bit key input bus.
@@ -111,11 +101,6 @@ impl NetlistBuilder {
     /// Adds a gate with a fresh name.
     pub fn gate(&mut self, kind: CellKind, inputs: Vec<NetId>) -> NetId {
         let name = self.fresh_name(kind.mnemonic());
-        self.netlist.add_cell(name, kind, inputs)
-    }
-
-    /// Adds a named gate.
-    pub fn named_gate(&mut self, name: &str, kind: CellKind, inputs: Vec<NetId>) -> NetId {
         self.netlist.add_cell(name, kind, inputs)
     }
 
@@ -176,19 +161,9 @@ impl NetlistBuilder {
         self.bitwise(CellKind::And, a, b)
     }
 
-    /// Bitwise OR of two buses.
-    pub fn or_word(&mut self, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
-        self.bitwise(CellKind::Or, a, b)
-    }
-
     /// Bitwise XOR of two buses.
     pub fn xor_word(&mut self, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
         self.bitwise(CellKind::Xor, a, b)
-    }
-
-    /// Bitwise NOT of a bus.
-    pub fn not_word(&mut self, a: &[NetId]) -> Vec<NetId> {
-        a.iter().map(|&x| self.not1(x)).collect()
     }
 
     /// Word-wide 2:1 mux: `sel ? b : a` per bit.

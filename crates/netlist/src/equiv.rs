@@ -1,6 +1,6 @@
-//! Functional equivalence checking (the JasperGold stand-in).
+//! Functional equivalence checking by simulation (the JasperGold stand-in).
 //!
-//! Four strategies behind one entry point ([`equiv`] with a [`Method`]):
+//! Three strategies behind one entry point ([`equiv`] with a [`Method`]):
 //!
 //! * [`Method::Exhaustive`] — walks every input pattern; exact, for small
 //!   combinational cones (≤ 22 inputs).
@@ -8,11 +8,10 @@
 //!   designs; can only *find* counterexamples, never prove equivalence.
 //! * [`Method::SequentialRandom`] — lockstep random simulation from reset
 //!   for sequential designs.
-//! * [`Method::Sat`] — a SAT miter: exact for combinational designs of any
-//!   width. The CNF machinery lives in `shell-sat`/`shell-verify` (this
-//!   crate sits below both), so the backend is *installed* at startup via
-//!   [`install_sat_backend`] — `shell_verify::install()` does it — and
-//!   [`Method::Sat`] reports [`EquivResult::Incomparable`] until then.
+//!
+//! Every strategy evaluates through [`Simulator`]. The exact check for wide
+//! combinational designs is a SAT miter, `shell_sat::equiv_sat`, in the
+//! crate that holds the CNF encoding (this crate sits below it).
 //!
 //! All strategies share one shape-check ([`shape_check`]) and one
 //! counterexample report path, so a port-count or key-width mismatch is
@@ -25,7 +24,6 @@
 
 use crate::netlist::Netlist;
 use crate::sim::Simulator;
-use std::sync::OnceLock;
 
 /// Outcome of an equivalence check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +43,8 @@ pub enum EquivResult {
         rhs: Vec<bool>,
     },
     /// The designs are structurally incomparable (port count or key width
-    /// mismatch), or the requested method cannot run (no SAT backend, a
-    /// combinational cycle, a solver budget exhausted).
+    /// mismatch), or the requested check cannot run (a combinational
+    /// cycle, a latch the SAT encoder refuses, a solver budget exhausted).
     Incomparable(String),
 }
 
@@ -81,34 +79,13 @@ pub enum Method {
         /// PRNG seed.
         seed: u64,
     },
-    /// SAT miter through the installed backend ([`install_sat_backend`]).
-    Sat,
-}
-
-/// Signature of a pluggable SAT equivalence backend:
-/// `(lhs, rhs, lhs_key, rhs_key) → result`.
-pub type SatBackend = fn(&Netlist, &Netlist, &[bool], &[bool]) -> EquivResult;
-
-static SAT_BACKEND: OnceLock<SatBackend> = OnceLock::new();
-
-/// Installs the process-wide SAT equivalence backend used by
-/// [`Method::Sat`]. The first installation wins (subsequent calls return
-/// `false` and keep the original); installing the same function twice is
-/// reported as success.
-pub fn install_sat_backend(backend: SatBackend) -> bool {
-    SAT_BACKEND.set(backend).is_ok() || SAT_BACKEND.get() == Some(&backend)
-}
-
-/// `true` when a SAT backend has been installed.
-pub fn sat_backend_installed() -> bool {
-    SAT_BACKEND.get().is_some()
 }
 
 /// Checks that `a` and `b` are comparable: equal primary-input and output
 /// counts, and key vectors matching each design's key-input count. Returns
 /// the [`EquivResult::Incomparable`] to report, or `None` when the shapes
-/// line up. Every equivalence strategy — including the SAT backend in
-/// `shell-verify` — runs this exact check first.
+/// line up. Every equivalence strategy — including the SAT miter in
+/// `shell-sat` — runs this exact check first.
 pub fn shape_check(
     a: &Netlist,
     b: &Netlist,
@@ -155,9 +132,10 @@ fn report(inputs: Vec<bool>, lhs: Vec<bool>, rhs: Vec<bool>) -> EquivResult {
 }
 
 /// Compares the designs on each combinational pattern in turn, reporting
-/// the first mismatch through the shared path. Each netlist's topological
-/// order is computed once, before the first pattern; with no patterns
-/// nothing is evaluated. Returns the outcome and the patterns compared.
+/// the first mismatch through the shared path. One [`Simulator`] per side
+/// is built before the first pattern and kept for the rest; with no
+/// patterns nothing is built. Returns the outcome and the patterns
+/// compared.
 ///
 /// # Panics
 ///
@@ -169,18 +147,13 @@ fn compare_patterns(
     rhs_key: &[bool],
     patterns: impl Iterator<Item = Vec<bool>>,
 ) -> (EquivResult, usize) {
-    let mut orders = None;
+    let mut sims = None;
     let mut compared = 0;
     for pattern in patterns {
-        let (order_a, order_b) = orders.get_or_insert_with(|| {
-            (
-                a.topo_order().expect("combinational cycle"),
-                b.topo_order().expect("combinational cycle"),
-            )
-        });
+        let (sim_a, sim_b) = sims.get_or_insert_with(|| (Simulator::new(a), Simulator::new(b)));
         compared += 1;
-        let lhs = a.eval_comb_in_order(order_a, &pattern, lhs_key);
-        let rhs = b.eval_comb_in_order(order_b, &pattern, rhs_key);
+        let lhs = sim_a.settle(&pattern, lhs_key);
+        let rhs = sim_b.settle(&pattern, rhs_key);
         if lhs != rhs {
             return (report(pattern, lhs, rhs), compared);
         }
@@ -198,8 +171,8 @@ fn compare_patterns(
 ///
 /// Propagates the per-method limits: [`Method::Exhaustive`] panics on more
 /// than 22 inputs, and the combinational methods panic on sequential
-/// designs (use [`Method::SequentialRandom`] or the bounded unroller in
-/// `shell-verify`).
+/// designs (use [`Method::SequentialRandom`] or the bounded unroller
+/// `shell_sat::equiv_sat_bounded`).
 pub fn equiv(
     a: &Netlist,
     b: &Netlist,
@@ -212,9 +185,8 @@ pub fn equiv(
 
 /// [`equiv`], also returning how much it compared: input patterns for the
 /// combinational methods, clock cycles for [`Method::SequentialRandom`],
-/// and 0 for [`Method::Sat`] and for an incomparable pair. A mismatch ends
-/// the check, so a counterexample counts up to the pattern or cycle that
-/// produced it.
+/// and 0 for an incomparable pair. A mismatch ends the check, so a
+/// counterexample counts up to the pattern or cycle that produced it.
 ///
 /// # Panics
 ///
@@ -262,15 +234,6 @@ pub fn equiv_counted(
             }
             (EquivResult::Equivalent, cycles)
         }
-        Method::Sat => match SAT_BACKEND.get() {
-            Some(backend) => (backend(a, b, lhs_key, rhs_key), 0),
-            None => (
-                EquivResult::Incomparable(
-                    "no SAT backend installed (call shell_verify::install first)".into(),
-                ),
-                0,
-            ),
-        },
     }
 }
 
@@ -280,7 +243,7 @@ pub fn equiv_counted(
 /// # Panics
 ///
 /// Panics if either design is sequential or has more than 22 primary inputs
-/// (use [`equiv_random`] or [`Method::Sat`] instead).
+/// (use [`equiv_random`] or the SAT miter `shell_sat::equiv_sat` instead).
 pub fn equiv_exhaustive(
     a: &Netlist,
     b: &Netlist,
@@ -538,24 +501,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sat_method_without_backend_is_incomparable() {
-        // The backend registry is process-global; this test only asserts
-        // the uninstalled message shape when nothing was installed yet, and
-        // otherwise that Sat dispatches somewhere.
-        match equiv(&and2(), &and2_via_nand(), &[], &[], Method::Sat) {
-            EquivResult::Equivalent => assert!(sat_backend_installed()),
-            EquivResult::Incomparable(msg) => {
-                assert!(!sat_backend_installed());
-                assert!(msg.contains("SAT backend"), "{msg}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
     /// The per-pattern loop, kept as the oracle of [`compare_patterns`]:
     /// every pattern evaluates both sides with
-    /// [`Netlist::eval_comb_with_key`], which orders each netlist again.
+    /// [`Netlist::eval_comb_with_key`], which builds a fresh simulator.
     fn oracle(
         a: &Netlist,
         b: &Netlist,
@@ -666,8 +614,8 @@ mod tests {
 
     #[test]
     fn zero_vectors_evaluate_nothing() {
-        // Ordering a cyclic netlist panics, so a check that orders it
-        // without a pattern to compare would fail here.
+        // Simulating a cyclic netlist panics, so a check that builds its
+        // simulator without a pattern to compare would fail here.
         let mut cyclic = Netlist::new("cyclic");
         let x = cyclic.add_input("x");
         let loop_net = cyclic.add_net("loop");

@@ -137,11 +137,6 @@ impl Design {
         self.modules.get(name)
     }
 
-    /// Mutable module lookup.
-    pub fn module_mut(&mut self, name: &str) -> Option<&mut ModuleDef> {
-        self.modules.get_mut(name)
-    }
-
     /// Names of all modules.
     pub fn module_names(&self) -> impl Iterator<Item = &str> {
         self.modules.keys().map(String::as_str)

@@ -49,8 +49,8 @@ pub mod verilog;
 pub use builder::NetlistBuilder;
 pub use cell::{CellKind, LutMask};
 pub use equiv::{
-    equiv, equiv_exhaustive, equiv_random, equiv_sequential_random, install_sat_backend,
-    sat_backend_installed, shape_check, EquivResult, Method, SatBackend,
+    equiv, equiv_exhaustive, equiv_random, equiv_sequential_random, shape_check, EquivResult,
+    Method,
 };
 pub use hierarchy::{Design, Instance, ModuleDef, PortBinding};
 pub use netlist::{Cell, CellId, Net, NetId, Netlist, NetlistError};

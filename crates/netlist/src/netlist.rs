@@ -1,6 +1,7 @@
 //! The flat gate-level netlist container.
 
 use crate::cell::CellKind;
+use crate::sim::Simulator;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -377,11 +378,6 @@ impl Netlist {
             .map(|(i, n)| (NetId(i as u32), n))
     }
 
-    /// `true` if `net` is a primary input.
-    pub fn is_primary_input(&self, net: NetId) -> bool {
-        self.inputs.contains(&net)
-    }
-
     /// `true` if `net` is a key input.
     pub fn is_key_input(&self, net: NetId) -> bool {
         self.key_inputs.contains(&net)
@@ -544,46 +540,16 @@ impl Netlist {
         self.eval_comb_with_key(pi, &[])
     }
 
-    /// Evaluates a combinational netlist with explicit key bits.
+    /// Evaluates a combinational netlist with explicit key bits, through a
+    /// fresh [`Simulator`]. A caller that evaluates one netlist many times
+    /// keeps a simulator instead.
     ///
     /// # Panics
     ///
     /// Panics on sequential cells, cycles, or arity mismatches.
     pub fn eval_comb_with_key(&self, pi: &[bool], key: &[bool]) -> Vec<bool> {
         assert!(self.is_combinational(), "netlist has sequential cells");
-        let order = self.topo_order().expect("combinational cycle");
-        self.eval_comb_in_order(&order, pi, key)
-    }
-
-    /// [`Netlist::eval_comb_with_key`] with the cell order given: `order`
-    /// must be this netlist's [`Netlist::topo_order`]. A caller that
-    /// evaluates one combinational netlist many times computes the order
-    /// once and passes it here.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatches.
-    pub fn eval_comb_in_order(&self, order: &[CellId], pi: &[bool], key: &[bool]) -> Vec<bool> {
-        assert_eq!(pi.len(), self.inputs.len(), "primary input width mismatch");
-        assert_eq!(key.len(), self.key_inputs.len(), "key width mismatch");
-        let mut values = vec![false; self.nets.len()];
-        for (i, &net) in self.inputs.iter().enumerate() {
-            values[net.index()] = pi[i];
-        }
-        for (i, &net) in self.key_inputs.iter().enumerate() {
-            values[net.index()] = key[i];
-        }
-        let mut scratch: Vec<bool> = Vec::with_capacity(8);
-        for id in order {
-            let c = &self.cells[id.index()];
-            scratch.clear();
-            scratch.extend(c.inputs.iter().map(|n| values[n.index()]));
-            values[c.output.index()] = c.kind.eval_comb(&scratch);
-        }
-        self.outputs
-            .iter()
-            .map(|(_, n)| values[n.index()])
-            .collect()
+        Simulator::new(self).settle(pi, key)
     }
 }
 

@@ -32,13 +32,10 @@ impl<'a> Simulator<'a> {
     /// Panics if the netlist has a combinational cycle (validate first when
     /// handling untrusted input).
     pub fn new(netlist: &'a Netlist) -> Self {
-        let order = netlist
+        let mut order = netlist
             .topo_order()
             .expect("cannot simulate a combinationally cyclic netlist");
-        let order: Vec<CellId> = order
-            .into_iter()
-            .filter(|id| !netlist.cell(*id).kind.is_sequential())
-            .collect();
+        order.retain(|id| !netlist.cell(*id).kind.is_sequential());
         let seq_cells = netlist.sequential_cells();
         let state = vec![false; seq_cells.len()];
         let values = vec![false; netlist.net_count()];

@@ -6,7 +6,7 @@ use crate::place::{self, PlaceRequest, Shortage, Slot};
 use crate::route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};
 use shell_fabric::{Bitstream, Fabric, FabricConfig, FabricUsage, IoMap};
 use shell_guard::Budget;
-use shell_netlist::equiv::{equiv_counted, sat_backend_installed, EquivResult, Method};
+use shell_netlist::equiv::{equiv_counted, EquivResult, Method};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
 use shell_synth::lut_map_hybrid;
 use std::collections::HashMap;
@@ -26,8 +26,6 @@ pub struct PnrOptions {
     /// available, so extra starts are close to free on multi-core machines;
     /// `1` reproduces the single-start flow.
     pub place_starts: usize,
-    /// Verify the configured fabric against the input netlist.
-    pub verify: bool,
     /// Lower bound `(w, h)` on the fabric dimensions. The fit loop derives
     /// its starting size from demand and clamps it to this floor, so a
     /// sweep can ask for deliberately oversized arrays (more unused tiles →
@@ -48,7 +46,6 @@ impl Default for PnrOptions {
             max_route_iterations: 96,
             max_fit_attempts: 18,
             place_starts: 2,
-            verify: true,
             min_dims: (2, 2),
             budget: Budget::from_env(),
         }
@@ -140,7 +137,8 @@ pub fn place_and_route(
         ));
     }
     let slots = place::pack(netlist, config.lut_k).map_err(PnrError::Pack)?;
-    run_fit_loop(netlist, &slots, config, options)
+    let no_chains = ChainAssignment { chains: Vec::new() };
+    run_fit_loop(netlist, netlist, &slots, &no_chains, config, options)
 }
 
 /// A mux cell assigned to a chain element.
@@ -186,10 +184,10 @@ pub fn place_and_route_with_chains(
         .map(|(id, _)| id)
         .collect();
     let chains = link_chains(&hybrid, &mux_cells);
-    let slots = pack_non_mux(&hybrid, config.lut_k).map_err(PnrError::Pack)?;
+    let slots = place::pack_filtered(&hybrid, config.lut_k, |kind| !kind.is_mux())
+        .map_err(PnrError::Pack)?;
     let assignment = ChainAssignment { chains };
-    let result = run_fit_loop_hybrid(&hybrid, netlist, &slots, &assignment, config, options)?;
-    Ok(result)
+    run_fit_loop(&hybrid, netlist, &slots, &assignment, config, options)
 }
 
 /// Groups mux cells into linear chains: a cell's `d0`-side input that is a
@@ -244,16 +242,6 @@ fn link_chains(netlist: &Netlist, mux_cells: &[CellId]) -> Vec<Vec<CellId>> {
     chains
 }
 
-/// Packs every non-mux cell (LUT/DFF/Const) of a hybrid netlist.
-fn pack_non_mux(netlist: &Netlist, k: usize) -> Result<Vec<Slot>, String> {
-    // Reuse place::pack on a filtered view: pack() walks cells directly, so
-    // emulate by checking kinds here and calling the slot constructor logic
-    // through a temporary netlist is overkill — instead, duplicate the loop
-    // via place::pack on the full netlist minus muxes. Easiest correct
-    // route: error from pack() on mux cells is avoided by a pre-filter.
-    place::pack_filtered(netlist, k, |kind| !kind.is_mux())
-}
-
 // ----------------------------------------------------------------------
 // Shared fit loop
 // ----------------------------------------------------------------------
@@ -285,20 +273,10 @@ fn initial_dims(
     (w, h)
 }
 
-fn run_fit_loop(
-    netlist: &Netlist,
-    slots: &[Slot],
-    config: FabricConfig,
-    options: &PnrOptions,
-) -> Result<PnrResult, PnrError> {
-    let empty = ChainAssignment { chains: Vec::new() };
-    run_fit_loop_hybrid(netlist, netlist, slots, &empty, config, options)
-}
-
 /// The shared engine: `mapped` is the netlist whose cells are being placed
 /// (slots + chains); `reference` is the netlist to verify against (the
 /// original design in the chain flow, `mapped` itself otherwise).
-fn run_fit_loop_hybrid(
+fn run_fit_loop(
     mapped: &Netlist,
     reference: &Netlist,
     slots: &[Slot],
@@ -327,9 +305,7 @@ fn run_fit_loop_hybrid(
         let step = 1 + attempt / 6;
         match try_once(mapped, slots, assignment, &fabric, options, attempt) {
             Ok(mut result) => {
-                if options.verify {
-                    verify(reference, &result)?;
-                }
+                verify(reference, &result)?;
                 result.fit_attempts = attempt;
                 return Ok(result);
             }
@@ -720,7 +696,7 @@ fn try_once(
         let (x, y, s) = placement.sites[si];
         let mut first_used_track = None;
         for (pin, &net) in slot.input_nets.iter().enumerate() {
-            let t = resolve_pin_track(mapped, &track_at, net, (x, y)).ok_or_else(|| {
+            let t = track_at.get(&(net, (x, y))).copied().ok_or_else(|| {
                 PnrError::DoesNotFit(format!(
                     "pin net `{}` missing at tile ({x},{y})",
                     mapped.net(net).name
@@ -795,13 +771,12 @@ fn try_once(
             let (base, width) = fabric.chain_data_field(x, y, j, pin);
             match net {
                 Some(net) if !internal_chain_nets.contains(net) => {
-                    let t =
-                        resolve_pin_track(mapped, &track_at, *net, (x, y)).ok_or_else(|| {
-                            PnrError::DoesNotFit(format!(
-                                "chain data net `{}` missing at ({x},{y})",
-                                mapped.net(*net).name
-                            ))
-                        })?;
+                    let t = track_at.get(&(*net, (x, y))).copied().ok_or_else(|| {
+                        PnrError::DoesNotFit(format!(
+                            "chain data net `{}` missing at ({x},{y})",
+                            mapped.net(*net).name
+                        ))
+                    })?;
                     first_data_track.get_or_insert(t);
                     bs.set_field(base, width, t as u64);
                 }
@@ -836,14 +811,12 @@ fn try_once(
                         bs.set(val_bit, v);
                     }
                     None => {
-                        let t = resolve_pin_track(mapped, &track_at, *net, (x, y)).ok_or_else(
-                            || {
-                                PnrError::DoesNotFit(format!(
-                                    "chain select net `{}` missing at ({x},{y})",
-                                    mapped.net(*net).name
-                                ))
-                            },
-                        )?;
+                        let t = track_at.get(&(*net, (x, y))).copied().ok_or_else(|| {
+                            PnrError::DoesNotFit(format!(
+                                "chain select net `{}` missing at ({x},{y})",
+                                mapped.net(*net).name
+                            ))
+                        })?;
                         let (cbase, cwidth) = fabric.chain_sel_conn_field(x, y, j, pin);
                         bs.set_field(cbase, cwidth, t as u64);
                         bs.set(mode_bit, true);
@@ -954,50 +927,35 @@ fn net_constant(netlist: &Netlist, net: NetId) -> Option<bool> {
     }
 }
 
-/// Track carrying `net` at `tile`; constant nets fall back to their
-/// generating slot's route.
-fn resolve_pin_track(
-    _netlist: &Netlist,
-    track_at: &HashMap<(NetId, (usize, usize)), usize>,
-    net: NetId,
-    tile: (usize, usize),
-) -> Option<usize> {
-    track_at.get(&(net, tile)).copied()
-}
-
-/// The post-route check: the configured fabric against `reference`,
-/// exhaustively up to 12 inputs, by a SAT miter above that when a backend
-/// is installed, else on 512 random patterns; sequential designs run 64
-/// cycles from reset.
+/// The post-route check: the configured fabric against `reference`. A
+/// sequential design runs 64 random cycles from reset; a combinational one
+/// is checked exhaustively up to 12 inputs and proved by a SAT miter above
+/// that, falling back to 512 random patterns when the miter cannot decide
+/// (a structure it cannot encode, or its conflict budget spent).
 fn verify(reference: &Netlist, result: &PnrResult) -> Result<(), PnrError> {
     let _span = shell_trace::span!("pnr.verify");
     let configured =
         shell_fabric::to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map)
             .map_err(|e| PnrError::VerificationFailed(e.to_string()))?;
-    let sampled = Method::Random {
-        vectors: 512,
-        seed: 0xE0,
-    };
-    let method = if !reference.is_combinational() {
-        Method::SequentialRandom {
+    let check = |method| equiv_counted(reference, &configured, &[], &[], method);
+    let (outcome, patterns) = if !reference.is_combinational() {
+        check(Method::SequentialRandom {
             cycles: 64,
             seed: 0xE0,
-        }
+        })
     } else if reference.inputs().len() <= 12 {
-        Method::Exhaustive
-    } else if sat_backend_installed() {
-        // Wide combinational cone and a SAT backend is registered (see
-        // `shell_verify::install`): a miter proof replaces sampling.
-        Method::Sat
+        check(Method::Exhaustive)
     } else {
-        sampled
-    };
-    let check = |method| equiv_counted(reference, &configured, &[], &[], method);
-    let (outcome, patterns) = match check(method) {
-        // Budget exhaustion or unsupported structure: fall back to Monte
-        // Carlo rather than failing the flow.
-        (EquivResult::Incomparable(_), _) if method == Method::Sat => check(sampled),
-        decided => decided,
+        match shell_sat::equiv_sat(reference, &configured, &[], &[]) {
+            EquivResult::Incomparable(_) => check(Method::Random {
+                vectors: 512,
+                seed: 0xE0,
+            }),
+            decided => {
+                shell_trace::counter_add("pnr.verify_proofs", 1);
+                (decided, 0)
+            }
+        }
     };
     shell_trace::counter_add("pnr.verify_patterns", patterns as u64);
     match outcome {
@@ -1049,7 +1007,7 @@ mod tests {
         assert!(res.slots_used > 0);
         assert!(res.utilization > 0.0 && res.utilization <= 1.0);
         assert!(res.bitstream.used_count() > 0);
-        // `verify: true` already proved equivalence against `mapped`;
+        // The post-route check already compared the fabric with `mapped`;
         // double-check against the original RTL netlist too.
         let configured =
             shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();

@@ -1,12 +1,13 @@
-//! SAT miter equivalence checking — the exact backend behind
-//! [`Method::Sat`](shell_netlist::Method).
+//! SAT miter equivalence checking: the exact side of the verification
+//! stack, next to the [`encode_miter`] it builds on.
 //!
 //! [`equiv_sat`] proves or refutes combinational equivalence of two designs
-//! under pinned key vectors: it builds one [`shell_sat::encode_miter`] (the
-//! same CNF the oracle-guided SAT attack uses), binds both key vectors via
+//! under pinned key vectors: it builds one [`encode_miter`] (the same CNF
+//! the oracle-guided SAT attack uses), binds both key vectors via
 //! assumptions, and reads UNSAT as a proof. A model is replayed through
 //! `eval_comb_with_key` on both sides before it is reported, so a
 //! counterexample from this module is always concrete and self-checking.
+//! The PnR flow's post-route check calls it for wide combinational designs.
 //!
 //! [`equiv_sat_bounded`] extends the proof to sequential designs by
 //! time-frame expansion: `depth` copies of each circuit are chained through
@@ -15,10 +16,11 @@
 //! sides and per-side keys across frames. UNSAT means no input sequence of
 //! up to `depth` cycles from reset distinguishes the designs.
 
+use crate::cnf::{Lit, Var};
+use crate::miter::{constrain_some_output_differs, encode_miter};
+use crate::solver::{SatResult, Solver};
+use crate::tseitin::encode_netlist;
 use shell_netlist::{shape_check, CellKind, EquivResult, Netlist, Simulator};
-use shell_sat::{
-    constrain_some_output_differs, encode_miter, encode_netlist, Lit, SatResult, Solver, Var,
-};
 
 /// Conflict budget per solver call. Fabric-mapped fuzz samples and the
 /// ≤16-input acceptance benchmarks decide within a few hundred conflicts;
@@ -54,9 +56,7 @@ fn key_assumptions(
 }
 
 /// Exact combinational equivalence of `a` under `lhs_key` vs `b` under
-/// `rhs_key`, by SAT miter. This function has the
-/// [`shell_netlist::SatBackend`] signature and is what
-/// [`crate::install`] registers for [`Method::Sat`](shell_netlist::Method).
+/// `rhs_key`, by SAT miter.
 ///
 /// Returns [`EquivResult::Incomparable`] (never panics) for shape
 /// mismatches, sequential designs (use [`equiv_sat_bounded`]),

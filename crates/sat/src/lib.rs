@@ -13,8 +13,12 @@
 //!   [`shell_netlist::Netlist`] to CNF, with variable maps for primary
 //!   inputs, key inputs and outputs (the raw material of the attack miter),
 //! * [`miter`] — the shared miter construction over two encoded copies:
-//!   the SAT attack's DIP mining and `shell-verify`'s equivalence proofs
-//!   both build on [`encode_miter`].
+//!   the SAT attack's DIP mining and the equivalence proofs both build on
+//!   [`encode_miter`],
+//! * [`mod@equiv_sat`] — the equivalence proofs: [`fn@equiv_sat`]
+//!   (combinational, any width; what the PnR flow's post-route check runs
+//!   on wide designs) and [`equiv_sat_bounded`] (sequential, by unrolling
+//!   from reset).
 //!
 //! # Example
 //!
@@ -34,11 +38,13 @@
 //! ```
 
 pub mod cnf;
+pub mod equiv_sat;
 pub mod miter;
 pub mod solver;
 pub mod tseitin;
 
 pub use cnf::{Cnf, Lit, Var};
+pub use equiv_sat::{equiv_sat, equiv_sat_bounded};
 pub use miter::{constrain_some_output_differs, encode_miter, encode_miter_gated, Miter};
 pub use solver::{SatResult, Solver, SolverStats};
 pub use tseitin::{encode_cell, encode_netlist, CircuitCnf};

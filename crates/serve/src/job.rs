@@ -306,7 +306,6 @@ mod tests {
 
     #[test]
     fn lock_runs_are_deterministic_and_cacheable() {
-        shell_verify::install();
         let job = resolved(JobRequest::default());
         let a = run(
             &job,
@@ -336,7 +335,6 @@ mod tests {
 
     #[test]
     fn attack_run_breaks_the_xor_lock_and_reports_the_key() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Attack,
             circuit: Some(CircuitSpec::RippleAdder { width: 3 }),
@@ -383,7 +381,6 @@ mod tests {
 
     #[test]
     fn cancelled_runs_are_not_cacheable() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Attack,
             circuit: Some(CircuitSpec::RippleAdder { width: 3 }),
@@ -398,7 +395,6 @@ mod tests {
 
     #[test]
     fn verify_job_proves_the_default_roundtrip() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Verify,
             ..JobRequest::default()
@@ -420,7 +416,6 @@ mod tests {
 
     #[test]
     fn explore_job_reports_pareto_and_pick() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Explore,
             conflict_quota: Some(5_000),
@@ -441,7 +436,6 @@ mod tests {
 
     #[test]
     fn explore_job_resumes_from_journal() {
-        shell_verify::install();
         let dir = std::env::temp_dir().join(format!(
             "shell_serve_explore_journal_{}",
             std::process::id()
@@ -486,7 +480,6 @@ mod tests {
 
     #[test]
     fn fuzz_job_reports_sample_counts() {
-        shell_verify::install();
         let job = resolved(JobRequest {
             kind: crate::request::JobKind::Fuzz,
             circuit: None,

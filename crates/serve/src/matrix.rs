@@ -290,7 +290,6 @@ mod tests {
 
     #[test]
     fn fuzz_only_matrix_is_consistent_at_a_stride() {
-        shell_verify::install();
         let root = temp_root("fuzz");
         let options = MatrixOptions {
             workers: 1,

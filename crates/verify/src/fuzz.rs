@@ -19,12 +19,12 @@
 //! byte-identical at any `SHELL_JOBS` setting (and deliberately carries no
 //! job count or timestamp).
 
-use crate::equiv_sat::equiv_sat;
 use shell_exec::parallel_map;
 use shell_fabric::{bind_keys, to_configured_netlist, to_locked_netlist, FabricConfig};
 use shell_lock::{activate, shell_lock, ShellOptions};
 use shell_netlist::{equiv_exhaustive, CellKind, EquivResult, Netlist};
 use shell_pnr::{place_and_route_with_chains, PnrOptions};
+use shell_sat::equiv_sat;
 use shell_synth::{lut_map_hybrid, propagate_constants_cyclic};
 use shell_util::{shrink_to_minimal, split_mix64, Json, Rng, Shrink};
 use std::path::{Path, PathBuf};

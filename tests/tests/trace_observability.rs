@@ -2,16 +2,18 @@
 //! workload identically at any `SHELL_JOBS` setting — the normalized
 //! summary (timings stripped) is compared byte for byte — and the Chrome
 //! trace export must round-trip through the in-tree JSON parser. Also:
-//! the bitstream counters of a partial reconfiguration, and (release only)
-//! what the compiled-in probes cost while tracing is off.
+//! the bitstream counters of a partial reconfiguration, the post-route
+//! check's counters, and (release only) what the compiled-in probes cost
+//! while tracing is off.
 
-use shell_circuits::axi_xbar;
+use shell_circuits::{axi_xbar, ripple_adder};
 use shell_fabric::{
     Bitstream, Fabric, FabricConfig, FrameGeometry, FramedBitstream, PartialReconfig,
 };
 use shell_guard::Budget;
-use shell_pnr::{place_and_route_with_chains, PnrOptions};
+use shell_pnr::{place_and_route, place_and_route_with_chains, PnrOptions};
 use shell_sat::{Lit, SatResult, Solver};
+use shell_synth::lut_map;
 use shell_trace::{Summary, SummaryMode, TraceData, Tracer};
 use shell_util::Rng;
 use std::sync::Mutex;
@@ -136,6 +138,28 @@ fn counter(data: &TraceData, name: &str) -> u64 {
         .iter()
         .find(|(k, _)| k == name)
         .map_or(0, |&(_, v)| v)
+}
+
+/// The post-route check decides by the design alone: a combinational design
+/// wider than 12 inputs is proved by the SAT miter, in a process that set
+/// nothing up for it, and compares no sampled patterns.
+#[test]
+fn wide_combinational_post_route_check_is_one_proof() {
+    let _lock = GLOBAL_TRACER.lock().unwrap();
+    let mapped = lut_map(&ripple_adder(8), 4).expect("acyclic").netlist;
+    assert!(mapped.is_combinational() && mapped.inputs().len() > 12);
+    shell_trace::install(Tracer::new());
+    let fitted = place_and_route(
+        &mapped,
+        FabricConfig::fabulous_style(false),
+        &PnrOptions::default(),
+    );
+    let data = shell_trace::uninstall()
+        .expect("tracer installed")
+        .snapshot();
+    fitted.expect("fits");
+    assert_eq!(counter(&data, "pnr.verify_proofs"), 1);
+    assert_eq!(counter(&data, "pnr.verify_patterns"), 0);
 }
 
 /// A random flat bitstream with a random used mask.

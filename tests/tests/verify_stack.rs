@@ -1,4 +1,4 @@
-//! Acceptance tests for the SAT-based verification stack (`shell-verify`).
+//! Acceptance tests for the SAT miter equivalence proofs (`shell-sat`).
 //!
 //! The contract under test: on every small (≤ 12-input) benchmark, the SAT
 //! miter and the exhaustive simulator are interchangeable oracles —
@@ -9,10 +9,10 @@
 
 use shell_circuits::{c17, mux_tree_circuit, ripple_adder};
 use shell_lock::{activate, activate_with_key, shell_lock_cells, RedactionOutcome, ShellOptions};
-use shell_netlist::{equiv, equiv_exhaustive, EquivResult, Method, Netlist};
+use shell_netlist::{equiv_exhaustive, EquivResult, Netlist};
+use shell_sat::{equiv_sat, equiv_sat_bounded};
 use shell_synth::propagate_constants_cyclic;
 use shell_util::Rng;
-use shell_verify::{equiv_sat, equiv_sat_bounded};
 
 /// Redacts the *whole* benchmark onto a FABulous-style fabric (explicit
 /// full-cell selection, so mux-free circuits like c17 lock too).
@@ -117,15 +117,6 @@ fn wide_design_negative_test_by_sat_miter() {
             "8 flipped bits went unnoticed: {verdict:?}"
         );
     }
-}
-
-#[test]
-fn method_sat_dispatches_through_installed_backend() {
-    assert!(shell_verify::install());
-    let design = ripple_adder(4);
-    let outcome = lock_whole(&design);
-    let activated = propagate_constants_cyclic(&activate(&outcome));
-    assert!(equiv(&design, &activated, &[], &[], Method::Sat).is_equivalent());
 }
 
 #[test]
