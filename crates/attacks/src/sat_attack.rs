@@ -195,20 +195,15 @@ impl AttackCheckpoint {
         })
     }
 
-    /// Writes the checkpoint (pretty JSON), creating parent directories.
-    /// Atomic (temp file + fsync + rename): a crash mid-save leaves the
-    /// previous checkpoint intact, never a torn one.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.save_with(&shell_chaos::RealIo, path)
-    }
-
-    /// [`AttackCheckpoint::save`] through an explicit [`Io`] seam, so fault
-    /// injection can enumerate the checkpoint commit's crash points.
+    /// Writes the checkpoint (pretty JSON) through `io`, creating parent
+    /// directories. Atomic (temp file + fsync + rename): a crash mid-save
+    /// leaves the previous checkpoint intact, never a torn one. The [`Io`]
+    /// seam lets fault injection enumerate the commit's crash points.
     pub fn save_with(&self, io: &dyn Io, path: &Path) -> std::io::Result<()> {
         shell_chaos::atomic_write(io, path, self.to_json().to_string_pretty().as_bytes())
     }
 
-    /// Loads a checkpoint written by [`AttackCheckpoint::save`].
+    /// Loads a checkpoint written by [`AttackCheckpoint::save_with`].
     pub fn load(path: &Path) -> Result<Self, String> {
         Self::load_with(&shell_chaos::RealIo, path)
     }
@@ -1076,27 +1071,8 @@ mod tests {
     #[test]
     fn key_verification_detects_wrong_function() {
         // A "locked" design that is NOT the oracle under any key: the
-        // attack must not claim Broken.
-        let oracle = small_oracle();
-        let mut locked = oracle.clone();
-        let k = locked.add_key_input("k");
-        // Corrupt one output irrecoverably: new_out0 = old_out0 XOR (a0 AND !k ... )
-        let a0 = locked.inputs()[0];
-        let nk = locked.add_cell("nk", CellKind::Not, vec![k]);
-        let taint = locked.add_cell("taint", CellKind::And, vec![a0, nk]);
-        let old = locked.outputs()[0].1;
-        let bad = locked.add_cell("bad", CellKind::Xor, vec![old, taint, k]);
-        // Replace output 0.
-        let mut outs: Vec<(String, NetId)> = locked.outputs().to_vec();
-        outs[0].1 = bad;
-        let rebuilt = Netlist::new("locked_bad");
-        // Rebuild quickly via clone trick: easier—construct fresh netlist by
-        // copying locked and re-adding outputs is involved; instead assert on
-        // the simpler property: attack on (locked-with-extra-output).
-        let _ = outs;
-        let _ = rebuilt;
-        // Simpler scenario: oracle = AND, locked = OR with key XOR on output
-        // (no key makes OR equal AND on all inputs).
+        // attack must not claim Broken. Oracle = AND, locked = OR with key
+        // XOR on output (no key makes OR equal AND on all inputs).
         let mut oracle2 = Netlist::new("and");
         let x = oracle2.add_input("x");
         let y = oracle2.add_input("y");

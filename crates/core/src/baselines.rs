@@ -13,13 +13,12 @@
 //! * **Case 4** — SheLL itself ([`crate::pipeline::shell_lock_cells`]).
 
 use crate::decouple::partition_by_cells;
-use crate::pipeline::{finish, RedactionOutcome, ShellOptions};
+use crate::pipeline::{finish, map_once, RedactionOutcome, ShellOptions};
 use shell_circuits::common::cells_of_block;
 use shell_circuits::Benchmark;
 use shell_fabric::FabricConfig;
 use shell_netlist::{CellId, Netlist};
-use shell_pnr::{place_and_route, place_and_route_with_chains, PnrError};
-use shell_synth::lut_map;
+use shell_pnr::PnrError;
 
 /// The four evaluation cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,40 +87,27 @@ pub fn redact_baseline(
     case: BaselineCase,
     options: &ShellOptions,
 ) -> Result<RedactionOutcome, PnrError> {
-    let partition = partition_by_cells(design, cells);
-    match case {
+    // The chainless cases LUT-map everything, ROUTE included, and never
+    // shrink.
+    let (config, skip_shrink) = match case {
         BaselineCase::NoStrategyOpenFpga | BaselineCase::FilteringOpenFpga => {
-            // Everything — ROUTE included — goes through LUT mapping.
-            let mapped = lut_map(&partition.sub, 4)
-                .map_err(|e| PnrError::Unsupported(e.to_string()))?
-                .netlist;
-            let pnr = place_and_route(&mapped, FabricConfig::openfpga_style(), &options.pnr)?;
-            finish(partition, pnr, true, Vec::new())
+            (FabricConfig::openfpga_style(), true)
         }
-        BaselineCase::NoStrategyFabulous => {
-            let mapped = lut_map(&partition.sub, 4)
-                .map_err(|e| PnrError::Unsupported(e.to_string()))?
-                .netlist;
-            let pnr = place_and_route(&mapped, FabricConfig::fabulous_style(false), &options.pnr)?;
-            finish(partition, pnr, true, Vec::new())
-        }
-        BaselineCase::Shell => {
-            let pnr = place_and_route_with_chains(
-                &partition.sub,
-                FabricConfig::fabulous_style(true),
-                &options.pnr,
-            )?;
-            finish(partition, pnr, options.skip_shrink, Vec::new())
-        }
-    }
+        BaselineCase::NoStrategyFabulous => (FabricConfig::fabulous_style(false), true),
+        BaselineCase::Shell => (FabricConfig::fabulous_style(true), options.skip_shrink),
+    };
+    let partition = partition_by_cells(design, cells);
+    let pnr = map_once(&partition.sub, config, &options.pnr)?;
+    finish(partition, pnr, skip_shrink, Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::activate;
+    use crate::pipeline::{activate, shell_lock_cells};
     use shell_circuits::{generate, Scale};
     use shell_netlist::equiv::equiv_sequential_random;
+    use shell_netlist::verilog::write_verilog;
     use shell_synth::propagate_constants_cyclic;
 
     #[test]
@@ -193,5 +179,23 @@ mod tests {
                 case.label()
             );
         }
+    }
+
+    #[test]
+    fn shell_case_is_the_shell_flow() {
+        // The SheLL column of Tables IV/V comes from `redact_baseline`; it
+        // must lock exactly as the SheLL flow does on the same cells.
+        let n = generate(Benchmark::Dla, Scale::small());
+        let cells = BaselineCase::Shell.target_cells(Benchmark::Dla, &n);
+        let options = ShellOptions::default();
+        let case4 =
+            redact_baseline(&n, &cells, BaselineCase::Shell, &options).expect("case 4 maps");
+        let flow = shell_lock_cells(&n, &cells, &options).expect("SheLL maps");
+        assert_eq!(case4.key, flow.key);
+        assert_eq!(
+            case4.framed.to_json().to_string_pretty(),
+            flow.framed.to_json().to_string_pretty()
+        );
+        assert_eq!(write_verilog(&case4.locked), write_verilog(&flow.locked));
     }
 }

@@ -168,9 +168,10 @@ pub fn shell_lock_cells_with_fabric(
     finish(partition, pnr, options.skip_shrink, attempts)
 }
 
-/// One mapping attempt for the fit ladder: the chain flow for chain-enabled
-/// fabrics, LUT-map-everything + plain PnR otherwise.
-fn map_once(
+/// One mapping attempt (a rung of the fit ladder, or a whole Table IV/V
+/// case): the chain flow for chain-enabled fabrics, LUT-map-everything +
+/// plain PnR otherwise.
+pub(crate) fn map_once(
     sub: &Netlist,
     config: FabricConfig,
     pnr_options: &PnrOptions,

@@ -13,7 +13,10 @@ use shell_graph::{
 };
 use shell_netlist::graph::to_graph;
 use shell_netlist::{CellId, Netlist};
-use shell_synth::LutEstimator;
+use shell_synth::estimate_luts_for_kind;
+
+/// LUT arity of the LuTR estimate: cells are priced in 4-LUTs.
+pub(crate) const LUTR_K: usize = 4;
 
 /// Coefficient vector of Eq. 1.
 ///
@@ -126,7 +129,8 @@ pub struct CellScore {
 /// * degrees / eigenvector — the connectivity graph,
 /// * closeness — multi-source distance to the PI/PO node set,
 /// * betweenness — Brandes restricted to PI→PO pairs,
-/// * LuTR — the offline estimate database of [`shell_synth::LutEstimator`].
+/// * LuTR — the offline estimate database of
+///   [`shell_synth::estimate_luts_for_kind`], in 4-LUTs.
 ///
 /// Attributes are min-max normalized over the netlist before weighting, so
 /// coefficients compare like-with-like.
@@ -137,11 +141,10 @@ pub fn score_cells(netlist: &Netlist, coefficients: &Coefficients) -> Vec<CellSc
     let cls = closeness_to_targets(g, &cg.io_nodes());
     let btw = betweenness_centrality_between(g, &cg.input_nodes, &cg.output_nodes);
     let eig = eigenvector_centrality(g, 100, 1e-9);
-    let est = LutEstimator::new(4);
 
     let mut raw: Vec<CellScore> = netlist
         .cells()
-        .map(|(cid, _)| {
+        .map(|(cid, c)| {
             let node = cg.cell_nodes[cid.index()];
             CellScore {
                 cell: cid,
@@ -150,7 +153,7 @@ pub fn score_cells(netlist: &Netlist, coefficients: &Coefficients) -> Vec<CellSc
                 closeness: cls[node.index()],
                 betweenness: btw[node.index()],
                 eigenvector: eig[node.index()],
-                lut_cost: est.cell(netlist, cid),
+                lut_cost: estimate_luts_for_kind(c.kind, c.inputs.len(), LUTR_K),
                 score: 0.0,
             }
         })

@@ -10,11 +10,14 @@
 //!      on depth 0, i.e. directly connected LGC).
 
 use crate::decouple::expand_selection;
-use crate::score::{score_cells, CellScore, Coefficients};
+use crate::score::{score_cells, CellScore, Coefficients, LUTR_K};
 use shell_graph::coverage_fraction;
 use shell_netlist::graph::to_graph;
 use shell_netlist::{CellId, Netlist};
-use shell_synth::LutEstimator;
+use shell_synth::estimate_luts_for_kind;
+
+/// Node-coverage fraction at which ROUTE seeding stops (rule ii).
+const MIN_COVERAGE: f64 = 0.5;
 
 /// Selection knobs.
 #[derive(Debug, Clone)]
@@ -23,8 +26,6 @@ pub struct SelectionOptions {
     pub coefficients: Coefficients,
     /// LUT budget for the LGC share (rule iii).
     pub max_lgc_luts: f64,
-    /// Required node-coverage fraction (rule ii).
-    pub min_coverage: f64,
     /// Node distance between ROUTE and the accompanying LGC (Table VII's
     /// depth; SheLL = 0).
     pub lgc_depth: usize,
@@ -37,7 +38,6 @@ impl Default for SelectionOptions {
         Self {
             coefficients: Coefficients::c5_shell(),
             max_lgc_luts: 16.0,
-            min_coverage: 0.5,
             lgc_depth: 0,
             max_cells: 96,
         }
@@ -65,7 +65,7 @@ pub struct SelectionResult {
 /// neighbors join greedily (chains must move together). LGC then grows from
 /// the routing at `lgc_depth` (0 = directly wired cells), ranked by score,
 /// until the LUT budget or the cell cap is hit; coverage is accumulated
-/// until `min_coverage` or the candidates run out.
+/// until it reaches 50 % (rule ii) or the candidates run out.
 ///
 /// # Panics
 ///
@@ -106,14 +106,13 @@ pub fn select_subcircuit(netlist: &Netlist, options: &SelectionOptions) -> Selec
         }
         if added {
             let nodes: Vec<_> = route.iter().map(|c| cg.cell_nodes[c.index()]).collect();
-            if coverage_fraction(&cg.graph, &nodes) >= options.min_coverage {
+            if coverage_fraction(&cg.graph, &nodes) >= MIN_COVERAGE {
                 break;
             }
         }
     }
 
     // --- LGC neighborhood at the configured depth ----------------------
-    let est = LutEstimator::new(4);
     let neighborhood = expand_selection(netlist, &route, options.lgc_depth + 1);
     let mut lgc_candidates: Vec<CellId> = neighborhood
         .into_iter()
@@ -126,7 +125,8 @@ pub fn select_subcircuit(netlist: &Netlist, options: &SelectionOptions) -> Selec
         if selected.len() >= options.max_cells {
             break;
         }
-        let cost = est.cell(netlist, cand);
+        let c = netlist.cell(cand);
+        let cost = estimate_luts_for_kind(c.kind, c.inputs.len(), LUTR_K);
         if lgc_luts + cost > options.max_lgc_luts {
             continue;
         }

@@ -8,7 +8,7 @@ static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// The worker count the pool entry points will use *right now*.
 ///
 /// Resolution order:
-/// 1. the in-process override ([`set_jobs_override`] / [`with_jobs`]),
+/// 1. the in-process override of [`with_jobs`],
 /// 2. the `SHELL_JOBS` environment variable (a positive integer; anything
 ///    else is ignored),
 /// 3. [`std::thread::available_parallelism`], falling back to 1 when the
@@ -31,17 +31,6 @@ fn env_or_available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Sets (`Some(n)`, clamped to ≥ 1) or clears (`None`) the process-wide
-/// worker-count override. The override outranks `SHELL_JOBS`.
-///
-/// Intended for harnesses and tests; concurrent callers race on a single
-/// global, which is harmless for correctness (results are identical at any
-/// worker count) but makes timing comparisons meaningless — serialize
-/// benchmark runs.
-pub fn set_jobs_override(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.map_or(0, |n| n.max(1)), Ordering::Release);
 }
 
 /// Runs `f` with the worker count pinned to `jobs`, restoring the previous

@@ -8,19 +8,15 @@
 //!   deterministic reduction**: results are merged in input order, so the
 //!   output `Vec` is byte-identical to `items.iter().map(f).collect()`
 //!   regardless of the worker count or the interleaving of the steals.
-//! * [`parallel_for_chunks`] — run a closure over disjoint mutable chunks of
-//!   a slice, each chunk visited exactly once.
-//! * [`join`] — run two closures, potentially on two threads, and return
-//!   both results.
 //!
 //! The worker count resolves through [`current_jobs`]: an in-process
-//! override ([`set_jobs_override`] / [`with_jobs`], used by tests and the
-//! bench harnesses) wins over the `SHELL_JOBS` environment variable, which
-//! wins over [`std::thread::available_parallelism`]. At `jobs = 1` every
-//! entry point degrades to a plain sequential loop on the calling thread —
-//! no threads are spawned at all — which is both the reproducibility story
-//! (CI pins `SHELL_JOBS=1`) and the proof obligation: parallel output must
-//! equal that sequential fallback bit for bit.
+//! override ([`with_jobs`], used by tests and the bench harnesses) wins over
+//! the `SHELL_JOBS` environment variable, which wins over
+//! [`std::thread::available_parallelism`]. At `jobs = 1` every entry point
+//! degrades to a plain sequential loop on the calling thread — no threads
+//! are spawned at all — which is both the reproducibility story (CI pins
+//! `SHELL_JOBS=1`) and the proof obligation: parallel output must equal that
+//! sequential fallback bit for bit.
 //!
 //! A panic on any worker is captured, the pool drains, and the first panic
 //! payload is re-raised on the calling thread, so `parallel_map(f)` panics
@@ -51,5 +47,5 @@
 mod jobs;
 mod pool;
 
-pub use jobs::{current_jobs, set_jobs_override, with_jobs};
-pub use pool::{join, parallel_for_chunks, parallel_map, parallel_map_grain};
+pub use jobs::{current_jobs, with_jobs};
+pub use pool::{parallel_map, parallel_map_grain};

@@ -64,95 +64,6 @@ where
     })
 }
 
-/// Visits disjoint `grain`-sized mutable chunks of `items` in parallel,
-/// each exactly once. `f` receives the chunk's start index in `items` and
-/// the chunk itself. Unlike [`parallel_map`] there is no result to merge,
-/// so chunks complete in arbitrary order — the slice contents afterwards
-/// are still deterministic for a pure-per-chunk `f` because chunks never
-/// overlap.
-///
-/// # Panics
-///
-/// Panics when `grain` is 0; re-raises the first panic `f` produced.
-pub fn parallel_for_chunks<T, F>(items: &mut [T], grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(grain > 0, "chunk grain must be positive");
-    let n = items.len();
-    let jobs = current_jobs().min(n.div_ceil(grain)).max(1);
-    if jobs <= 1 {
-        for (ci, chunk) in items.chunks_mut(grain).enumerate() {
-            f(ci * grain, chunk);
-        }
-        return;
-    }
-    // A single shared stack of chunks: &mut chunks are not splittable the
-    // way index ranges are, so the deque dance buys nothing here.
-    let queue: Mutex<Vec<(usize, &mut [T])>> = Mutex::new(
-        items
-            .chunks_mut(grain)
-            .enumerate()
-            .map(|(ci, chunk)| (ci * grain, chunk))
-            .collect(),
-    );
-    let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let f = &f;
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            let queue = &queue;
-            let panic_slot = &panic_slot;
-            s.spawn(move || loop {
-                if panic_slot.lock().unwrap().is_some() {
-                    break;
-                }
-                let Some((start, chunk)) = queue.lock().unwrap().pop() else {
-                    break;
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(start, chunk))) {
-                    let mut slot = panic_slot.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    break;
-                }
-            });
-        }
-    });
-    if let Some(payload) = panic_slot.into_inner().unwrap() {
-        resume_unwind(payload);
-    }
-}
-
-/// Runs `fa` and `fb`, on two threads when more than one worker is
-/// available, and returns `(fa(), fb())`. `fb` always runs on the calling
-/// thread.
-///
-/// # Panics
-///
-/// Re-raises a panic from either closure (`fa`'s first when both panic).
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B,
-{
-    if current_jobs() <= 1 {
-        return (fa(), fb());
-    }
-    std::thread::scope(|s| {
-        let ha = s.spawn(fa);
-        let b = catch_unwind(AssertUnwindSafe(fb));
-        match (ha.join(), b) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(payload), _) => resume_unwind(payload),
-            (_, Err(payload)) => resume_unwind(payload),
-        }
-    })
-}
-
 /// Task size: aim for ~4 tasks per worker so steals have something to take
 /// without shredding the input into per-element tasks.
 fn auto_grain(n: usize, jobs: usize, min_grain: usize) -> usize {
@@ -390,59 +301,6 @@ mod tests {
         for (i, &v) in got.iter().enumerate() {
             assert_eq!(v, i as u64 * 3 + 1);
         }
-    }
-
-    #[test]
-    fn for_chunks_visits_each_chunk_once() {
-        let _override = override_lock();
-        for jobs in [1, 4] {
-            with_jobs(jobs, || {
-                let mut data = vec![0u32; 103];
-                parallel_for_chunks(&mut data, 10, |start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = (start + i) as u32;
-                    }
-                });
-                for (i, &v) in data.iter().enumerate() {
-                    assert_eq!(v, i as u32, "jobs={jobs}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn for_chunks_panic_propagates() {
-        let _override = override_lock();
-        let caught = std::panic::catch_unwind(|| {
-            with_jobs(4, || {
-                let mut data = vec![0u8; 40];
-                parallel_for_chunks(&mut data, 4, |start, _| {
-                    if start == 20 {
-                        panic!("chunk at 20");
-                    }
-                });
-            })
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "grain must be positive")]
-    fn for_chunks_rejects_zero_grain() {
-        parallel_for_chunks(&mut [0u8; 4], 0, |_, _| {});
-    }
-
-    #[test]
-    fn join_returns_both_and_propagates_panics() {
-        let _override = override_lock();
-        for jobs in [1, 2] {
-            with_jobs(jobs, || {
-                let (a, b) = join(|| 6 * 7, || "ok");
-                assert_eq!((a, b), (42, "ok"));
-            });
-        }
-        let caught = std::panic::catch_unwind(|| with_jobs(2, || join(|| panic!("left"), || 1)));
-        assert!(caught.is_err());
     }
 
     #[test]

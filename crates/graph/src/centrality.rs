@@ -6,7 +6,6 @@
 //! estimation) is circuit-based and lives in `shell-synth`.
 
 use crate::digraph::{DiGraph, NodeId};
-use crate::traversal::bfs_distances;
 use std::collections::VecDeque;
 
 /// In- and out-degree centrality of every node, normalized by `n - 1`.
@@ -29,31 +28,6 @@ pub fn degree_centrality<T>(g: &DiGraph<T>) -> DegreeCentrality {
         in_degree: g.nodes().map(|u| g.in_degree(u) as f64 / norm).collect(),
         out_degree: g.nodes().map(|u| g.out_degree(u) as f64 / norm).collect(),
     }
-}
-
-/// Classic closeness centrality: `(reachable - 1) / Σ dist`, following the
-/// Wasserman–Faust normalization for disconnected graphs.
-///
-/// Distances are taken over *outgoing* edges. Nodes that reach nothing get 0.
-pub fn closeness_centrality<T>(g: &DiGraph<T>) -> Vec<f64> {
-    let n = g.node_count();
-    let mut out = vec![0.0; n];
-    for u in g.nodes() {
-        let dist = bfs_distances(g, u);
-        let mut sum = 0usize;
-        let mut reach = 0usize;
-        for (i, &d) in dist.iter().enumerate() {
-            if d != usize::MAX && i != u.index() {
-                sum += d;
-                reach += 1;
-            }
-        }
-        if sum > 0 {
-            // Wasserman–Faust: scale by the fraction of the graph reached.
-            out[u.index()] = (reach as f64 / (n - 1).max(1) as f64) * (reach as f64 / sum as f64);
-        }
-    }
-    out
 }
 
 /// Closeness of every node to a designated *target set* (the
@@ -252,16 +226,6 @@ mod tests {
         g.add_node(());
         let dc = degree_centrality(&g);
         assert_eq!(dc.in_degree, vec![0.0]);
-    }
-
-    #[test]
-    fn closeness_path_head() {
-        let g = path5();
-        let c = closeness_centrality(&g);
-        // Node 0 reaches all 4 others at total distance 1+2+3+4=10.
-        assert!((c[0] - (4.0 / 4.0) * (4.0 / 10.0)).abs() < 1e-12);
-        // Tail reaches nothing.
-        assert_eq!(c[4], 0.0);
     }
 
     #[test]

@@ -151,21 +151,6 @@ impl<T> DiGraph<T> {
         self.successors[from.index()].contains(&to)
     }
 
-    /// Builds the reversed graph (every edge flipped), cloning payloads.
-    pub fn reversed(&self) -> DiGraph<T>
-    where
-        T: Clone,
-    {
-        let mut g = DiGraph::with_capacity(self.node_count());
-        for p in &self.payloads {
-            g.add_node(p.clone());
-        }
-        for e in self.edges() {
-            g.add_edge(e.to, e.from);
-        }
-        g
-    }
-
     /// Maps payloads to a new type, preserving the structure.
     pub fn map<U>(&self, mut f: impl FnMut(NodeId, &T) -> U) -> DiGraph<U> {
         let mut g = DiGraph::with_capacity(self.node_count());
@@ -230,16 +215,6 @@ mod tests {
     fn payload_access() {
         let (g, [a, ..]) = diamond();
         assert_eq!(*g.payload(a), "a");
-    }
-
-    #[test]
-    fn reversed_flips_edges() {
-        let (g, [a, b, _, d]) = diamond();
-        let r = g.reversed();
-        assert!(r.has_edge(b, a));
-        assert!(!r.has_edge(a, b));
-        assert_eq!(r.in_degree(a), 2);
-        assert_eq!(r.out_degree(d), 2);
     }
 
     #[test]

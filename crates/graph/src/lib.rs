@@ -15,14 +15,14 @@
 //!
 //! plus the structural analyses the redaction flow relies on: strongly
 //! connected components and combinational-cycle detection (the cyclic-reduction
-//! preprocessing of \[26\] rules out cyclical blocks before an attack), BFS/DFS,
-//! topological ordering, and the coverage metric (selection rule (ii): the
+//! preprocessing of \[26\] rules out cyclical blocks before an attack),
+//! breadth-first distances, and the coverage metric (selection rule (ii): the
 //! chosen sub-circuit must cover ≥50 % of design nodes).
 //!
 //! # Example
 //!
 //! ```
-//! use shell_graph::{topological_order, DiGraph};
+//! use shell_graph::{bfs_distances, DiGraph};
 //!
 //! let mut g = DiGraph::new();
 //! let a = g.add_node("a");
@@ -31,7 +31,7 @@
 //! g.add_edge(a, b);
 //! g.add_edge(b, c);
 //! assert_eq!(g.out_degree(a), 1);
-//! assert!(topological_order(&g).is_some());
+//! assert_eq!(bfs_distances(&g, a), vec![0, 1, 2]);
 //! ```
 
 mod centrality;
@@ -41,7 +41,7 @@ mod scc;
 mod traversal;
 
 pub use centrality::{
-    betweenness_centrality_between, closeness_centrality, closeness_to_targets, degree_centrality,
+    betweenness_centrality_between, closeness_to_targets, degree_centrality,
     eigenvector_centrality, DegreeCentrality,
 };
 pub use coverage::coverage_fraction;
@@ -49,4 +49,4 @@ pub use digraph::{DiGraph, EdgeRef, NodeId};
 pub use scc::{
     condensation, for_each_scc, mark_dead_end, strongly_connected_components, CycleInfo, SccBuffers,
 };
-pub use traversal::{bfs_distances, bfs_order, dfs_postorder, longest_path_dag, topological_order};
+pub use traversal::bfs_distances;

@@ -1,4 +1,4 @@
-//! Breadth/depth-first traversal, topological ordering and DAG longest paths.
+//! Breadth-first distances.
 
 use crate::digraph::{DiGraph, NodeId};
 use std::collections::VecDeque;
@@ -23,108 +23,6 @@ pub fn bfs_distances<T>(g: &DiGraph<T>, source: NodeId) -> Vec<usize> {
     dist
 }
 
-/// Nodes in breadth-first order from `source` (reachable nodes only).
-pub fn bfs_order<T>(g: &DiGraph<T>, source: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in g.successors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Post-order of a depth-first traversal over the whole graph.
-///
-/// Every node appears exactly once; roots are visited in id order. Iterative
-/// implementation, safe for the deep combinational chains netlists produce.
-pub fn dfs_postorder<T>(g: &DiGraph<T>) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut order = Vec::with_capacity(n);
-    for root in g.nodes() {
-        if state[root.index()] != 0 {
-            continue;
-        }
-        // Stack of (node, next-successor-index).
-        let mut stack = vec![(root, 0usize)];
-        state[root.index()] = 1;
-        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-            let succs = g.successors(u);
-            if *next < succs.len() {
-                let v = succs[*next];
-                *next += 1;
-                if state[v.index()] == 0 {
-                    state[v.index()] = 1;
-                    stack.push((v, 0));
-                }
-            } else {
-                state[u.index()] = 2;
-                order.push(u);
-                stack.pop();
-            }
-        }
-    }
-    order
-}
-
-/// Topological order of the graph, or `None` when it contains a cycle.
-///
-/// Uses Kahn's algorithm; among ready nodes, lower ids come first, which makes
-/// the ordering deterministic — important for reproducible redaction results.
-pub fn topological_order<T>(g: &DiGraph<T>) -> Option<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut indeg: Vec<usize> = g.nodes().map(|u| g.in_degree(u)).collect();
-    // Binary-heap-free deterministic variant: scan queue as a sorted Vec is
-    // O(n^2) worst case; a VecDeque seeded in id order is deterministic enough
-    // because we push in discovery order.
-    let mut queue: VecDeque<NodeId> = g.nodes().filter(|u| indeg[u.index()] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in g.successors(u) {
-            indeg[v.index()] -= 1;
-            if indeg[v.index()] == 0 {
-                queue.push_back(v);
-            }
-        }
-    }
-    if order.len() == n {
-        Some(order)
-    } else {
-        None
-    }
-}
-
-/// Length (in edges) of the longest path in a DAG, or `None` when the graph
-/// has a cycle.
-///
-/// This is the logic-depth proxy used by the delay model: the critical path of
-/// a combinational netlist is its longest topological path.
-pub fn longest_path_dag<T>(g: &DiGraph<T>) -> Option<usize> {
-    let order = topological_order(g)?;
-    let mut depth = vec![0usize; g.node_count()];
-    let mut best = 0;
-    for u in order {
-        let du = depth[u.index()];
-        best = best.max(du);
-        for &v in g.successors(u) {
-            if depth[v.index()] < du + 1 {
-                depth[v.index()] = du + 1;
-            }
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,73 +44,5 @@ mod tests {
         let d2 = bfs_distances(&g, NodeId(4));
         assert_eq!(d2[0], usize::MAX);
         assert_eq!(d2[4], 0);
-    }
-
-    #[test]
-    fn bfs_order_visits_reachable_once() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b);
-        g.add_edge(a, b); // parallel
-        g.add_edge(b, c);
-        let order = bfs_order(&g, a);
-        assert_eq!(order, vec![a, b, c]);
-    }
-
-    #[test]
-    fn topo_order_of_dag() {
-        let g = chain(4);
-        let order = topological_order(&g).expect("chain is a DAG");
-        assert_eq!(order, (0..4).map(NodeId).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn topo_order_none_for_cycle() {
-        let mut g = chain(3);
-        g.add_edge(NodeId(2), NodeId(0));
-        assert!(topological_order(&g).is_none());
-        assert!(longest_path_dag(&g).is_none());
-    }
-
-    #[test]
-    fn dfs_postorder_children_before_parents() {
-        let g = chain(4);
-        let order = dfs_postorder(&g);
-        assert_eq!(order.len(), 4);
-        // In a chain 0->1->2->3 the deepest node (3) is emitted first.
-        assert_eq!(order[0], NodeId(3));
-        assert_eq!(order[3], NodeId(0));
-    }
-
-    #[test]
-    fn dfs_postorder_covers_disconnected_nodes() {
-        let mut g = chain(2);
-        g.add_node(99); // isolated
-        assert_eq!(dfs_postorder(&g).len(), 3);
-    }
-
-    #[test]
-    fn longest_path_diamond() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let d = g.add_node(());
-        let e = g.add_node(());
-        g.add_edge(a, b);
-        g.add_edge(b, c);
-        g.add_edge(c, e);
-        g.add_edge(a, d);
-        g.add_edge(d, e);
-        assert_eq!(longest_path_dag(&g), Some(3));
-    }
-
-    #[test]
-    fn longest_path_single_node() {
-        let mut g = DiGraph::new();
-        g.add_node(());
-        assert_eq!(longest_path_dag(&g), Some(0));
     }
 }

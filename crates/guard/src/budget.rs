@@ -193,24 +193,6 @@ impl Budget {
         Budget::build(quota, deadline)
     }
 
-    /// [`Budget::for_request`] with the maxima taken from the environment:
-    /// `SHELL_SERVE_MAX_DEADLINE_MS` and `SHELL_SERVE_MAX_CONFLICTS`
-    /// (unparsable values read as unset). This is the shell-serve per-job
-    /// entry point, the service-side sibling of [`Budget::from_env`].
-    pub fn from_request_env(deadline_ms: Option<u64>, quota: Option<u64>) -> Self {
-        let env_u64 = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        Budget::for_request(
-            deadline_ms,
-            quota,
-            env_u64("SHELL_SERVE_MAX_DEADLINE_MS"),
-            env_u64("SHELL_SERVE_MAX_CONFLICTS"),
-        )
-    }
-
     /// A new budget armed like this one was at construction: full quota,
     /// deadline re-armed from now, not cancelled. Used where an inner stage
     /// (e.g. key extraction after a resumed attack) must behave identically

@@ -1,9 +1,9 @@
 //! Word-level construction helpers on top of the bit-level [`Netlist`].
 //!
-//! The benchmark generators in `shell-circuits` compose datapaths out of
-//! multi-bit buses; this builder provides the standard word operators
-//! (bitwise logic, ripple adders, comparators, mux trees, registers,
-//! decoders) so generators read like RTL.
+//! The standard word operators over multi-bit buses (bitwise logic, ripple
+//! adders, comparators, mux trees, registers, decoders), so a test can build
+//! a small datapath that reads like RTL. The benchmark generators in
+//! `shell-circuits` use their own helpers (`shell_circuits::common`).
 
 use crate::cell::CellKind;
 use crate::netlist::{NetId, Netlist};

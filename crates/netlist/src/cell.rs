@@ -167,14 +167,9 @@ impl CellKind {
         }
     }
 
-    /// Combinational evaluation. For [`CellKind::Dff`] this returns the
-    /// *current state* which must be supplied as `inputs\[0\]` by the caller
-    /// (the simulator handles sequencing); for [`CellKind::Latch`] the caller
-    /// passes `[en, d, state]`? — no: latches are evaluated by the simulator,
-    /// and this function treats them as transparent (`en ? d : panic`).
-    ///
-    /// Use [`CellKind::eval_comb`] only for purely combinational kinds; the
-    /// simulator owns sequential semantics.
+    /// Combinational evaluation of a purely combinational kind. Sequential
+    /// kinds ([`CellKind::Dff`], [`CellKind::Latch`]) have no combinational
+    /// function: the simulator owns their semantics.
     ///
     /// # Panics
     ///

@@ -16,8 +16,8 @@
 //! * equivalence checking ([`equiv()`](equiv::equiv)) — exhaustive for small cones, Monte
 //!   Carlo for larger ones (the JasperGold stand-in),
 //! * a structural-Verilog subset writer and parser ([`verilog`]),
-//! * a word-level [`builder::NetlistBuilder`] used by the benchmark
-//!   generators, and
+//! * a word-level [`builder::NetlistBuilder`] that unit tests build small
+//!   datapaths with, and
 //! * conversion to the connectivity graph ([`graph::to_graph`]) consumed by
 //!   SheLL's selection pipeline.
 //!

@@ -1,4 +1,4 @@
-//! CNF formula types and DIMACS interchange.
+//! Variables, literals and a plain CNF formula.
 
 use std::fmt;
 
@@ -99,8 +99,8 @@ impl fmt::Display for Lit {
 
 /// A plain CNF formula: a clause list plus a variable count.
 ///
-/// Used for interchange and testing; the [`crate::Solver`] keeps its own
-/// internal clause database.
+/// [`crate::Solver::add_cnf`] loads one and [`Cnf::eval`] checks a model
+/// against it; the [`crate::Solver`] keeps its own internal clause database.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     /// Number of variables (`Var(0) .. Var(num_vars-1)`).
@@ -127,27 +127,6 @@ impl Cnf {
         self.clauses.push(lits.into());
     }
 
-    /// Clause count.
-    pub fn clause_count(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Literal occurrences over all clauses.
-    pub fn literal_count(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
-    }
-
-    /// The clause-to-variable ratio the paper's §II discusses as a SAT
-    /// hardness indicator (c2v ratio of \[3\]). Returns 0 for var-free
-    /// formulas.
-    pub fn clause_to_variable_ratio(&self) -> f64 {
-        if self.num_vars == 0 {
-            0.0
-        } else {
-            self.clauses.len() as f64 / self.num_vars as f64
-        }
-    }
-
     /// Evaluates the formula under a full assignment (`assignment[v]` is the
     /// value of `Var(v)`).
     ///
@@ -160,64 +139,6 @@ impl Cnf {
             c.iter()
                 .any(|l| assignment[l.var().index()] == l.is_positive())
         })
-    }
-
-    /// Serializes to DIMACS `cnf` format.
-    pub fn to_dimacs(&self) -> String {
-        let mut out = format!("p cnf {} {}\n", self.num_vars, self.clauses.len());
-        for c in &self.clauses {
-            for l in c {
-                let n = l.var().0 as i64 + 1;
-                let signed = if l.is_positive() { n } else { -n };
-                out.push_str(&signed.to_string());
-                out.push(' ');
-            }
-            out.push_str("0\n");
-        }
-        out
-    }
-
-    /// Parses DIMACS `cnf` format (comments and the problem line tolerated;
-    /// variable indices beyond the declared count grow the formula).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed token.
-    pub fn from_dimacs(src: &str) -> Result<Self, String> {
-        let mut cnf = Cnf::new();
-        let mut current: Vec<Lit> = Vec::new();
-        for line in src.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('c') {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("p ") {
-                let mut it = rest.split_whitespace();
-                if it.next() != Some("cnf") {
-                    return Err("expected `p cnf` header".into());
-                }
-                let vars: u32 = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("bad variable count")?;
-                cnf.num_vars = cnf.num_vars.max(vars);
-                continue;
-            }
-            for tok in line.split_whitespace() {
-                let n: i64 = tok.parse().map_err(|_| format!("bad literal `{tok}`"))?;
-                if n == 0 {
-                    cnf.clauses.push(std::mem::take(&mut current));
-                } else {
-                    let v = Var((n.unsigned_abs() - 1) as u32);
-                    cnf.num_vars = cnf.num_vars.max(v.0 + 1);
-                    current.push(Lit::new(v, n > 0));
-                }
-            }
-        }
-        if !current.is_empty() {
-            cnf.clauses.push(current);
-        }
-        Ok(cnf)
     }
 }
 
@@ -251,56 +172,5 @@ mod tests {
         assert!(cnf.eval(&[false, true]));
         assert!(!cnf.eval(&[false, false]));
         assert!(!cnf.eval(&[true, true]));
-    }
-
-    #[test]
-    fn dimacs_roundtrip() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        let c = cnf.new_var();
-        cnf.add_clause(vec![Lit::pos(a), Lit::neg(b)]);
-        cnf.add_clause(vec![Lit::pos(c)]);
-        cnf.add_clause(vec![Lit::neg(a), Lit::pos(b), Lit::neg(c)]);
-        let text = cnf.to_dimacs();
-        let parsed = Cnf::from_dimacs(&text).unwrap();
-        assert_eq!(parsed, cnf);
-    }
-
-    #[test]
-    fn dimacs_parse_with_comments() {
-        let src = "c a comment\np cnf 2 2\n1 -2 0\n2 0\n";
-        let cnf = Cnf::from_dimacs(src).unwrap();
-        assert_eq!(cnf.num_vars, 2);
-        assert_eq!(cnf.clause_count(), 2);
-        assert_eq!(cnf.clauses[0], vec![Lit::pos(Var(0)), Lit::neg(Var(1))]);
-    }
-
-    #[test]
-    fn dimacs_parse_error() {
-        assert!(Cnf::from_dimacs("p cnf x 2").is_err());
-        assert!(Cnf::from_dimacs("1 banana 0").is_err());
-    }
-
-    #[test]
-    fn c2v_ratio() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let _ = cnf.new_var();
-        for _ in 0..6 {
-            cnf.add_clause(vec![Lit::pos(a)]);
-        }
-        assert!((cnf.clause_to_variable_ratio() - 3.0).abs() < 1e-12);
-        assert_eq!(Cnf::new().clause_to_variable_ratio(), 0.0);
-    }
-
-    #[test]
-    fn counts() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        cnf.add_clause(vec![Lit::pos(a)]);
-        cnf.add_clause(vec![Lit::neg(a), Lit::pos(a)]);
-        assert_eq!(cnf.clause_count(), 2);
-        assert_eq!(cnf.literal_count(), 3);
     }
 }

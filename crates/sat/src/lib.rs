@@ -4,7 +4,8 @@
 //! \[6\] and its cyclic-reduction variant \[26\]; reproducing the evaluation
 //! therefore requires a SAT solver. This crate provides
 //!
-//! * [`Cnf`] — a clause container with DIMACS import/export,
+//! * [`Cnf`] — a plain clause list, the reference formula of the solver's
+//!   model checks,
 //! * [`Solver`] — an incremental CDCL solver (two-watched-literal scheme,
 //!   VSIDS branching, first-UIP clause learning, geometric restarts, phase
 //!   saving, solve-under-assumptions, and a conflict budget so attacks can

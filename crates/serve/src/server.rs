@@ -22,10 +22,10 @@
 //!
 //! ## Budgets and cancellation
 //!
-//! Each job runs under its own [`Budget`] built by
-//! [`Budget::from_request_env`]: the request's `deadline_ms` /
-//! `conflict_quota` clamped to the server's `SHELL_SERVE_MAX_DEADLINE_MS` /
-//! `SHELL_SERVE_MAX_CONFLICTS`. The `cancel` command cancels the budget of
+//! Each job runs under its own [`Budget`] built by [`Budget::for_request`]:
+//! the request's `deadline_ms` / `conflict_quota` clamped to the
+//! `SHELL_SERVE_MAX_DEADLINE_MS` / `SHELL_SERVE_MAX_CONFLICTS` maxima that
+//! [`Server::start`] read once. The `cancel` command cancels the budget of
 //! a running job cooperatively — the flow notices at its next checkpoint —
 //! and dequeues a queued one immediately. On restart a resumed job gets a
 //! *fresh* full budget: incremental resume replays the DIP prefix
@@ -642,10 +642,9 @@ impl Inner {
                     journal_dir,
                     self.io.clone(),
                 )?;
-                if let (Some(crash_at), JobKind::Attack) =
+                if let (Some(_), JobKind::Attack) =
                     (self.crash_after_conflicts, resolved.request.kind)
                 {
-                    let _ = crash_at;
                     // The checkpoint for the interrupted iteration set is on
                     // disk; die like a SIGKILL would, before any terminal
                     // bookkeeping runs.

@@ -8,7 +8,7 @@
 use crate::error::SynthError;
 use shell_netlist::{CellKind, NetId, Netlist};
 
-/// Rewrites `netlist` into an equivalent network where every combinational
+/// Converts `netlist` into an equivalent network where every combinational
 /// cell is one of NOT, BUF, CONST, MUX2, 2-input AND/OR/XOR, or a LUT.
 ///
 /// # Errors

@@ -3,13 +3,12 @@
 //! The paper footnotes that, instead of invoking a full LUT synthesis per
 //! candidate node, SheLL consults an *offline estimated database* of the
 //! LUT resources each gate/module type needs. This module is that database:
-//! a per-[`CellKind`] fractional LUT cost, plus aggregate estimators over
-//! netlists and node neighborhoods. Costs are in units of k-LUTs (k = 4 by
-//! default) and deliberately fractional — several small gates pack into one
-//! LUT, so charging a whole LUT per gate would bias selection away from
-//! logic-dense regions.
+//! a per-[`CellKind`] fractional LUT cost. Costs are in units of k-LUTs and
+//! deliberately fractional — several small gates pack into one LUT, so
+//! charging a whole LUT per gate would bias selection away from logic-dense
+//! regions.
 
-use shell_netlist::{CellId, CellKind, Netlist};
+use shell_netlist::CellKind;
 
 /// Fractional LUT cost of a single cell kind, assuming k-input LUTs.
 ///
@@ -40,76 +39,6 @@ pub fn estimate_luts_for_kind(kind: CellKind, fanin: usize, k: usize) -> f64 {
             (mask.arity() as f64 / k as f64).max(per_two_input)
         }
         CellKind::Dff | CellKind::Latch | CellKind::Const(_) => 0.0,
-    }
-}
-
-/// Estimated total k-LUTs for the whole netlist.
-pub fn estimate_luts_for_netlist(netlist: &Netlist, k: usize) -> f64 {
-    netlist
-        .cells()
-        .map(|(_, c)| estimate_luts_for_kind(c.kind, c.inputs.len(), k))
-        .sum()
-}
-
-/// Reusable estimator carrying the LUT arity.
-///
-/// # Example
-///
-/// ```
-/// use shell_synth::LutEstimator;
-/// use shell_netlist::{Netlist, CellKind};
-///
-/// let mut n = Netlist::new("d");
-/// let a = n.add_input("a");
-/// let b = n.add_input("b");
-/// let f = n.add_cell("f", CellKind::And, vec![a, b]);
-/// n.add_output("f", f);
-/// let est = LutEstimator::new(4);
-/// assert!(est.netlist(&n) > 0.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct LutEstimator {
-    k: usize,
-}
-
-impl LutEstimator {
-    /// Creates an estimator for k-input LUTs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k < 2`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 2, "LUT arity must be at least 2");
-        Self { k }
-    }
-
-    /// LUT arity this estimator assumes.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Cost of a single cell.
-    pub fn cell(&self, netlist: &Netlist, cell: CellId) -> f64 {
-        let c = netlist.cell(cell);
-        estimate_luts_for_kind(c.kind, c.inputs.len(), self.k)
-    }
-
-    /// Cost of a whole netlist.
-    pub fn netlist(&self, netlist: &Netlist) -> f64 {
-        estimate_luts_for_netlist(netlist, self.k)
-    }
-
-    /// Cost of a cell plus its immediate fanin cells — the "logic around the
-    /// routing" neighborhood SheLL prices during selection.
-    pub fn neighborhood(&self, netlist: &Netlist, cell: CellId) -> f64 {
-        let c = netlist.cell(cell);
-        let mut total = self.cell(netlist, cell);
-        for &inp in &c.inputs {
-            if let Some(drv) = netlist.net(inp).driver {
-                total += self.cell(netlist, drv);
-            }
-        }
-        total
     }
 }
 
@@ -155,41 +84,5 @@ mod tests {
         assert!((estimate_luts_for_kind(l4, 4, 4) - 1.0).abs() < 1e-12);
         let l2 = CellKind::Lut(LutMask::new(0b0110, 2));
         assert!(estimate_luts_for_kind(l2, 2, 4) < 1.0);
-    }
-
-    #[test]
-    fn estimator_neighborhood() {
-        let mut n = Netlist::new("d");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let g = n.add_cell("g", CellKind::And, vec![a, b]);
-        let h = n.add_cell("h", CellKind::Or, vec![g, a]);
-        n.add_output("h", h);
-        let est = LutEstimator::new(4);
-        let h_cell = n.find_cell("h").unwrap();
-        let g_cell = n.find_cell("g").unwrap();
-        assert!(est.neighborhood(&n, h_cell) > est.cell(&n, h_cell));
-        assert!((est.neighborhood(&n, g_cell) - est.cell(&n, g_cell)).abs() < 1e-12);
-        assert_eq!(est.k(), 4);
-    }
-
-    #[test]
-    fn netlist_total_is_sum() {
-        let mut n = Netlist::new("d");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let g = n.add_cell("g", CellKind::And, vec![a, b]);
-        let h = n.add_cell("h", CellKind::Xor, vec![g, b]);
-        n.add_output("h", h);
-        let total = estimate_luts_for_netlist(&n, 4);
-        let expected = estimate_luts_for_kind(CellKind::And, 2, 4)
-            + estimate_luts_for_kind(CellKind::Xor, 2, 4);
-        assert!((total - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2")]
-    fn estimator_rejects_k1() {
-        LutEstimator::new(1);
     }
 }

@@ -10,10 +10,9 @@
 //! * [`decompose`] — reduction of variadic gates to a two-input network
 //!   (the pre-mapping normal form),
 //! * [`lutmap`] — cut-based k-LUT technology mapping (FlowMap-style
-//!   depth-oriented cut selection, truth tables derived by cone simulation),
-//! * [`muxchain`] — MUX-chain extraction for ROUTE circuits: adjacent 2:1
-//!   muxes are packed into 4:1 chain elements matching the FABulous switch
-//!   architecture of \[21\],
+//!   depth-oriented cut selection, truth tables derived by cone simulation);
+//!   its hybrid mode keeps the ROUTE mux cascades as muxes, which
+//!   `shell_pnr` links into the fabric's MUX chains,
 //! * [`estimate`] — the per-node LUT-resource database behind Table II's
 //!   `LuTR` attribute.
 //!
@@ -24,16 +23,13 @@ pub mod decompose;
 pub mod error;
 pub mod estimate;
 pub mod lutmap;
-pub mod muxchain;
 pub mod opt;
 
 pub use decompose::{decompose_keeping_mux4, decompose_to_two_input};
 pub use error::SynthError;
-pub use estimate::{estimate_luts_for_kind, estimate_luts_for_netlist, LutEstimator};
+pub use estimate::estimate_luts_for_kind;
 pub use lutmap::{lut_map, lut_map_hybrid, LutMapping};
-pub use muxchain::{mux_chain_map, MuxChainMapping};
 pub use opt::{
-    clean_netlist, constant_propagation, dead_code_elimination, propagate_constants_cyclic,
-    rebuild_resolved, resolve, resolve_cell, structural_hash, sweep_buffers, Resolution,
-    CYCLIC_PROPAGATION_ROUNDS,
+    clean_netlist, dead_code_elimination, propagate_constants_cyclic, rebuild_resolved, resolve,
+    resolve_cell, Resolution, CYCLIC_PROPAGATION_ROUNDS,
 };

@@ -643,7 +643,6 @@ mod tests {
             lut_map_hybrid(&n, 4).err(),
             Some(SynthError::cyclic("ring"))
         );
-        assert!(crate::mux_chain_map(&n).is_err());
         assert!(crate::decompose_to_two_input(&n).is_err());
     }
 

@@ -1,15 +1,13 @@
 //! Technology-independent netlist optimization.
 //!
-//! Three cooperating rewrites share one rebuild engine:
+//! [`clean_netlist`] iterates a rebuild pass and [`dead_code_elimination`]
+//! to a fixpoint. The rebuild applies three rewrites together:
 //!
 //! * **constant propagation** — gates with constant inputs fold partially or
 //!   completely (the SheLL shrinking step relies on this to collapse fabric
 //!   logic once a bitstream pins the configuration),
 //! * **buffer sweeping** — `buf` cells become aliases,
 //! * **structural hashing** — syntactically identical cells merge.
-//!
-//! [`dead_code_elimination`] then removes logic outside any output cone, and
-//! [`clean_netlist`] iterates the pipeline to a fixpoint.
 
 use shell_netlist::{CellId, CellKind, LutMask, NetId, Netlist};
 use std::collections::HashMap;
@@ -22,55 +20,8 @@ enum Sig {
     Net(NetId),
 }
 
-/// Flags selecting which rewrites the shared engine applies.
-#[derive(Debug, Clone, Copy)]
-struct Rewrites {
-    constants: bool,
-    buffers: bool,
-    hashing: bool,
-}
-
-/// Applies constant propagation only.
-pub fn constant_propagation(netlist: &Netlist) -> Netlist {
-    rebuild(
-        netlist,
-        Rewrites {
-            constants: true,
-            buffers: false,
-            hashing: false,
-        },
-    )
-}
-
-/// Replaces every `buf` cell with a direct connection.
-pub fn sweep_buffers(netlist: &Netlist) -> Netlist {
-    rebuild(
-        netlist,
-        Rewrites {
-            constants: false,
-            buffers: true,
-            hashing: false,
-        },
-    )
-}
-
-/// Merges structurally identical cells (same kind, same input nets; inputs
-/// sorted first for commutative kinds).
-pub fn structural_hash(netlist: &Netlist) -> Netlist {
-    rebuild(
-        netlist,
-        Rewrites {
-            constants: false,
-            buffers: false,
-            hashing: true,
-        },
-    )
-}
-
 /// Removes every cell outside the transitive fanin of the primary outputs.
 pub fn dead_code_elimination(netlist: &Netlist) -> Netlist {
-    let fanout = netlist.fanout_table();
-    let _ = fanout; // fanout not needed; marking goes backward via drivers
     let mut live = vec![false; netlist.cell_count()];
     let mut stack: Vec<CellId> = Vec::new();
     for (_, out_net) in netlist.outputs() {
@@ -149,14 +100,7 @@ pub fn clean_netlist(netlist: &Netlist) -> Netlist {
     let mut current = netlist.clone();
     for _ in 0..8 {
         let before = current.cell_count();
-        current = rebuild(
-            &current,
-            Rewrites {
-                constants: true,
-                buffers: true,
-                hashing: true,
-            },
-        );
+        current = rebuild(&current);
         current = dead_code_elimination(&current);
         if current.cell_count() == before {
             break;
@@ -178,7 +122,6 @@ struct Builder<'a> {
     const_nets: [Option<NetId>; 2],
     /// Structural-hash table: (kind, inputs) → existing output net.
     hash: HashMap<(CellKind, Vec<NetId>), NetId>,
-    rules: Rewrites,
 }
 
 impl<'a> Builder<'a> {
@@ -214,21 +157,17 @@ impl<'a> Builder<'a> {
     /// Emits a cell (or reuses a hash-equal one) and returns the output sig.
     fn emit(&mut self, name: &str, kind: CellKind, ins: Vec<Sig>) -> Sig {
         let nets: Vec<NetId> = ins.into_iter().map(|s| self.materialize(s)).collect();
-        if self.rules.hashing {
-            let mut key_inputs = nets.clone();
-            if commutative(kind) {
-                key_inputs.sort_unstable();
-            }
-            let key = (kind, key_inputs);
-            if let Some(&existing) = self.hash.get(&key) {
-                return Sig::Net(existing);
-            }
-            let out = self.out.add_cell(name, kind, nets);
-            self.hash.insert(key, out);
-            Sig::Net(out)
-        } else {
-            Sig::Net(self.out.add_cell(name, kind, nets))
+        let mut key_inputs = nets.clone();
+        if commutative(kind) {
+            key_inputs.sort_unstable();
         }
+        let key = (kind, key_inputs);
+        if let Some(&existing) = self.hash.get(&key) {
+            return Sig::Net(existing);
+        }
+        let out = self.out.add_cell(name, kind, nets);
+        self.hash.insert(key, out);
+        Sig::Net(out)
     }
 }
 
@@ -244,14 +183,13 @@ fn commutative(kind: CellKind) -> bool {
     )
 }
 
-fn rebuild(netlist: &Netlist, rules: Rewrites) -> Netlist {
+fn rebuild(netlist: &Netlist) -> Netlist {
     let mut b = Builder {
         src: netlist,
         out: Netlist::new(netlist.name()),
         map: vec![None; netlist.net_count()],
         const_nets: [None, None],
         hash: HashMap::new(),
-        rules,
     };
     for &n in netlist.inputs() {
         let new = b.out.add_input(netlist.net(n).name.clone());
@@ -309,15 +247,6 @@ fn rebuild(netlist: &Netlist, rules: Rewrites) -> Netlist {
 
 /// Core per-cell rewriting. Returns the signal of the cell's output.
 fn simplify_cell(b: &mut Builder<'_>, name: &str, kind: CellKind, ins: Vec<Sig>) -> Sig {
-    if !b.rules.constants && !b.rules.buffers {
-        return b.emit(name, kind, ins);
-    }
-    if b.rules.buffers && kind == CellKind::Buf {
-        return ins[0];
-    }
-    if !b.rules.constants {
-        return b.emit(name, kind, ins);
-    }
     match kind {
         CellKind::And | CellKind::Nand | CellKind::Or | CellKind::Nor => {
             let invert_out = matches!(kind, CellKind::Nand | CellKind::Nor);
@@ -409,16 +338,7 @@ fn simplify_cell(b: &mut Builder<'_>, name: &str, kind: CellKind, ins: Vec<Sig>)
             Sig::Const(v) => Sig::Const(!v),
             _ => b.emit(name, CellKind::Not, ins),
         },
-        CellKind::Buf => match ins[0] {
-            Sig::Const(v) => Sig::Const(v),
-            other => {
-                if b.rules.buffers {
-                    other
-                } else {
-                    b.emit(name, CellKind::Buf, ins)
-                }
-            }
-        },
+        CellKind::Buf => ins[0],
         CellKind::Mux2 => {
             let (s, a, bb) = (ins[0], ins[1], ins[2]);
             match s {
@@ -833,7 +753,7 @@ mod tests {
         let b2 = n.add_cell("b2", CellKind::Buf, vec![b1]);
         let f = n.add_cell("f", CellKind::Not, vec![b2]);
         n.add_output("f", f);
-        let opt = sweep_buffers(&n);
+        let opt = clean_netlist(&n);
         assert_equiv(&n, &opt);
         assert_eq!(opt.cell_count(), 1);
     }

@@ -43,6 +43,12 @@ echo "ok"
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
+# Clippy over every target, tests included: deny-level lints (the
+# correctness group) fail the run; warn-level findings are printed only.
+echo "== cargo clippy --workspace --all-targets (deny-level lints gate) =="
+cargo clippy -q --offline --workspace --all-targets
+echo "ok"
+
 # The suite runs twice: once pinned sequential and once with a small worker
 # pool, so a scheduling-dependent result (the bug class shell-exec's ordered
 # merge exists to prevent) fails verification rather than landing.

@@ -184,22 +184,6 @@ fn build_cnf(vars: u32, clauses: &ClauseList) -> Cnf {
     cnf
 }
 
-/// DIMACS roundtrips arbitrary CNF formulas.
-#[test]
-fn dimacs_roundtrip() {
-    forall(
-        "dimacs roundtrip",
-        0x5EED_0006,
-        48,
-        |rng| gen_clauses(rng, 12, 19, 4),
-        |clauses| {
-            let cnf = build_cnf(12, clauses);
-            let parsed = Cnf::from_dimacs(&cnf.to_dimacs()).map_err(|e| e.to_string())?;
-            expect_eq(parsed, cnf, "dimacs")
-        },
-    );
-}
-
 /// The CDCL solver's SAT answers carry verifiable models.
 #[test]
 fn solver_models_verify() {
