@@ -7,7 +7,8 @@
 //! *exact bytes* are part of the contract, not just their parse result.
 //! Each format test renders a small deterministic artifact and compares it
 //! to a fixture under `tests/golden/`, then proves the round trip is
-//! lossless. The lock-corpus test pins the flow's output digests instead.
+//! lossless. The lock-corpus and baseline-case tests pin the flow's output
+//! digests instead.
 //!
 //! After an intentional change, regenerate with `UPDATE_GOLDEN=1 cargo
 //! test --release -p xtests --test golden -- --include-ignored` and review
@@ -15,7 +16,7 @@
 
 use shell_circuits::{axi_xbar, c17, generate, Benchmark, Scale};
 use shell_fabric::{Bitstream, Fabric, FabricConfig};
-use shell_lock::{shell_lock, ShellOptions};
+use shell_lock::{redact_baseline, shell_lock, BaselineCase, RedactionOutcome, ShellOptions};
 use shell_netlist::verilog::{parse_verilog, write_verilog};
 use shell_netlist::{equiv_exhaustive, Netlist};
 use shell_serve::ContentHash;
@@ -117,15 +118,41 @@ fn lock_corpus_matches_golden() {
     for design in &designs {
         let outcome =
             shell_lock(design, &options).unwrap_or_else(|e| panic!("{}: {e}", design.name()));
-        writeln!(
-            text,
-            "{} key_bits={} framed={} locked={}",
-            design.name(),
-            outcome.key_bits(),
-            ContentHash::of_json(&outcome.framed.to_json()).as_hex(),
-            ContentHash::of_bytes(write_verilog(&outcome.locked).as_bytes()).as_hex(),
-        )
-        .unwrap();
+        writeln!(text, "{} {}", design.name(), digest_line(&outcome)).unwrap();
     }
     check_golden("lock_corpus.txt", &text);
+}
+
+/// What place and route produce for the four redaction cases of Tables
+/// IV/V (square OpenFPGA, FABulous without chains, and the SheLL chain
+/// flow) on the five paper circuits at `Scale::small()`: per (circuit,
+/// case), the key width and the framed-bitstream and locked-netlist
+/// digests of [`redact_baseline`]. Release only, like the lock corpus.
+#[test]
+#[ignore = "release only"]
+fn baseline_cases_match_golden() {
+    let options = ShellOptions::default();
+    let mut text = String::new();
+    for bench in Benchmark::all() {
+        let design = generate(bench, Scale::small());
+        for (i, case) in BaselineCase::all().into_iter().enumerate() {
+            let cells = case.target_cells(bench, &design);
+            let outcome = redact_baseline(&design, &cells, case, &options)
+                .unwrap_or_else(|e| panic!("{} {}: {e}", design.name(), case.label()));
+            let line = digest_line(&outcome);
+            writeln!(text, "{} case{} {line}", design.name(), i + 1).unwrap();
+        }
+    }
+    check_golden("baseline_cases.txt", &text);
+}
+
+/// The key width and the SHA-256 of the framed bitstream's compact JSON
+/// and of the locked netlist's Verilog.
+fn digest_line(outcome: &RedactionOutcome) -> String {
+    format!(
+        "key_bits={} framed={} locked={}",
+        outcome.key_bits(),
+        ContentHash::of_json(&outcome.framed.to_json()).as_hex(),
+        ContentHash::of_bytes(write_verilog(&outcome.locked).as_bytes()).as_hex(),
+    )
 }
