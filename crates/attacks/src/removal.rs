@@ -78,8 +78,7 @@ mod tests {
         let m = n.add_cell("m", CellKind::Mux2, vec![sel, a, b]);
         let out = if extra_logic {
             // SheLL-style: neighbor LGC folded into the redacted region.
-            let t = n.add_cell("t", CellKind::Xor, vec![m, sel]);
-            t
+            n.add_cell("t", CellKind::Xor, vec![m, sel])
         } else {
             m
         };

@@ -16,10 +16,13 @@
 //! bench_explore [--grid tiny|default] [--out PATH] [--pareto-out PATH]
 //! ```
 
-use shell_bench::{f2, trace_finish, trace_init, write_invariant_results_json, Table};
+use shell_bench::{
+    f2, results_path, trace_finish, trace_init, write_invariant_results_json, write_json, Table,
+};
 use shell_circuits::axi_xbar;
 use shell_explore::{pareto_json, pick_from_report, run_sweep, SweepGrid, SweepOptions};
 use shell_util::Json;
+use std::path::PathBuf;
 
 fn flag(argv: &[String], name: &str) -> Option<String> {
     argv.iter()
@@ -112,41 +115,19 @@ fn main() {
         ),
     ]);
 
-    // The smoke run (`--out`) writes the identical wrapped payload to a
-    // scratch path so it never clobbers the committed artifact.
-    let wrapped = Json::obj([("jobs_invariant", Json::Bool(true)), ("data", doc.clone())]);
-    match flag(&argv, "--out") {
-        Some(path) => match std::fs::write(&path, wrapped.to_string_pretty()) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("bench_explore: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => match write_invariant_results_json("BENCH_explore", &doc) {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write results json: {e}"),
-        },
+    // The smoke run (`--out`, `--pareto-out`) writes to scratch paths so it
+    // never clobbers the committed artifacts.
+    let report_path =
+        flag(&argv, "--out").map_or_else(|| results_path("BENCH_explore"), PathBuf::from);
+    let pareto_path =
+        flag(&argv, "--pareto-out").map_or_else(|| results_path("explore/pareto"), PathBuf::from);
+    let written = write_invariant_results_json(&report_path, &doc)
+        .and_then(|_| write_json(&pareto_path, &pareto_json(&report)));
+    if let Err(e) = written {
+        eprintln!("bench_explore: cannot write results: {e}");
+        std::process::exit(1);
     }
-
-    let pareto = pareto_json(&report).to_string_pretty();
-    let pareto_path = match flag(&argv, "--pareto-out") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => {
-            let dir = shell_bench::results_root().join("explore");
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("bench_explore: cannot create {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-            dir.join("pareto.json")
-        }
-    };
-    match std::fs::write(&pareto_path, pareto) {
-        Ok(()) => println!("wrote {}", pareto_path.display()),
-        Err(e) => {
-            eprintln!("bench_explore: cannot write {}: {e}", pareto_path.display());
-            std::process::exit(1);
-        }
-    }
+    println!("wrote {}", report_path.display());
+    println!("wrote {}", pareto_path.display());
     trace_finish("bench_explore");
 }

@@ -68,13 +68,9 @@ fn main() {
     // Written without the usual `jobs` wrapper: the CI smoke diffs the
     // SHELL_JOBS=1 and SHELL_JOBS=4 outputs byte for byte, and the worker
     // count must not appear in the payload.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    std::fs::create_dir_all(&root).expect("results dir");
-    let path = root.join(format!("{out}.json"));
-    std::fs::write(&path, json.to_string_pretty()).expect("write results");
-    println!("wrote {}", path.display());
+    let path =
+        shell_bench::write_json(&shell_bench::results_path(&out), &json).expect("write results");
+    println!("wrote {path}");
     shell_bench::trace_finish("fault_campaign");
     if !report.all_accounted_for() {
         eprintln!("FAIL: unaccounted faults (undetected or panicked)");

@@ -51,7 +51,7 @@ fn main() {
                     label.into(),
                     format!("{}x{}", r.fabric.width(), r.fabric.height()),
                     r.fabric.tile_count().to_string(),
-                    r.tiles_used.to_string(),
+                    r.usage.tiles_used.to_string(),
                     f2(r.utilization),
                     r.bitstream.len().to_string(),
                     r.bitstream.used_count().to_string(),

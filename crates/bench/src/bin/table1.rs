@@ -67,7 +67,7 @@ fn main() {
             r.config_dffs.to_string(),
             r.control_ffs.to_string(),
             r.config_latches.to_string(),
-            result.tiles_used.to_string(),
+            result.usage.tiles_used.to_string(),
             f2(result.utilization),
         ]);
     }

@@ -12,6 +12,7 @@ use shell_guard::Budget;
 use shell_lock::RedactionOutcome;
 use shell_netlist::Netlist;
 use shell_util::Json;
+use std::path::{Path, PathBuf};
 
 /// Scale used by every table harness (keep modest: each table runs many
 /// full PnR flows and SAT attacks).
@@ -146,9 +147,7 @@ impl Table {
     }
 }
 
-/// Writes a JSON artifact to `results/<name>.json` at the workspace root
-/// (resolved relative to this crate, so it works from any CWD — cargo runs
-/// benches and binaries with different working directories).
+/// Writes a JSON artifact to [`results_path`]`(name)`.
 ///
 /// The payload is wrapped as `{"jobs": N, "data": <json>}` so every results
 /// artifact records the worker count (`SHELL_JOBS` / available parallelism)
@@ -165,37 +164,48 @@ pub fn write_results_json(name: &str, json: &Json) -> Result<String, String> {
         ("jobs", Json::from(shell_exec::current_jobs())),
         ("data", json.clone()),
     ]);
-    write_results_file(name, &payload)
+    write_json(&results_path(name), &payload)
 }
 
-/// Like [`write_results_json`] but **without** the `{"jobs": N, …}` wrapper,
-/// marked `"jobs_invariant": true` instead. Reserved for artifacts whose
-/// contract is byte-identity across `SHELL_JOBS` settings (the explore
-/// sweep): recording the worker count would defeat the invariance check
-/// `scripts/verify.sh` performs by diffing runs at different job counts.
+/// Like [`write_results_json`] but to any `path`, and **without** the
+/// `{"jobs": N, …}` wrapper, marked `"jobs_invariant": true` instead.
+/// Reserved for artifacts whose contract is byte-identity across
+/// `SHELL_JOBS` settings (the explore sweep): recording the worker count
+/// would defeat the invariance check `scripts/verify.sh` performs by
+/// diffing runs at different job counts.
 ///
 /// # Errors
 ///
 /// Returns the IO error text on failure.
-pub fn write_invariant_results_json(name: &str, json: &Json) -> Result<String, String> {
+pub fn write_invariant_results_json(path: &Path, json: &Json) -> Result<String, String> {
     let payload = Json::obj([("jobs_invariant", Json::Bool(true)), ("data", json.clone())]);
-    write_results_file(name, &payload)
+    write_json(path, &payload)
 }
 
-/// The workspace `results/` directory, resolved relative to this crate so
-/// it works from any CWD (cargo runs benches and binaries with different
-/// working directories).
-pub fn results_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// `results/<name>.json` at the workspace root, resolved relative to this
+/// crate so it works from any CWD (cargo runs benches and binaries with
+/// different working directories).
+pub fn results_path(name: &str) -> PathBuf {
+    results_root().join(format!("{name}.json"))
+}
+
+fn results_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
 }
 
-fn write_results_file(name: &str, payload: &Json) -> Result<String, String> {
-    let root = results_root();
-    std::fs::create_dir_all(&root).map_err(|e| e.to_string())?;
-    let path = root.join(format!("{name}.json"));
-    std::fs::write(&path, payload.to_string_pretty()).map_err(|e| e.to_string())?;
+/// Writes `payload` pretty-printed to `path`, creating its directory first.
+/// Returns the path written.
+///
+/// # Errors
+///
+/// Returns the IO error text on failure.
+pub fn write_json(path: &Path, payload: &Json) -> Result<String, String> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    }
+    std::fs::write(path, payload.to_string_pretty()).map_err(|e| e.to_string())?;
     Ok(path.display().to_string())
 }
 
@@ -214,10 +224,7 @@ pub fn trace_finish(name: &str) {
     let Some(tracer) = shell_trace::uninstall() else {
         return;
     };
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results")
-        .join("trace");
+    let dir = results_root().join("trace");
     match shell_trace::write_artifacts(&dir, name, &tracer.snapshot()) {
         Ok((json, summary)) => {
             eprintln!("trace: {}", json.display());

@@ -234,10 +234,8 @@ impl Journal {
             // target could possibly have been touched.
             return false;
         };
-        match self.io.read(&target) {
-            Ok(bytes) if bytes.len() == len && format!("{:016x}", fnv64(&bytes)) == fnv => true,
-            _ => false,
-        }
+        matches!(self.io.read(&target),
+            Ok(bytes) if bytes.len() == len && format!("{:016x}", fnv64(&bytes)) == fnv)
     }
 }
 

@@ -25,8 +25,7 @@
 //!   [`ErrorClass::Transient`] (interrupted, timeout, ENOSPC — worth
 //!   retrying, the condition can clear) and [`ErrorClass::Permanent`];
 //!   [`with_retry`] runs a bounded exponential-backoff ladder and journals
-//!   every attempt as an [`RetryAttempt`] — the same shape as shell-lock's
-//!   `AttemptRecord` ladder, so operators read one retry idiom everywhere.
+//!   every attempt as a [`RetryAttempt`].
 //!
 //! Everything is deterministic from a seed: the same `(seed, crash_at)`
 //! pair reproduces the same torn bytes and the same recovery, which is what

@@ -5,9 +5,7 @@
 //! syscall, a timeout, a disk that frees up) from faults that *cannot*
 //! (missing file, permission denied, corrupt data). Transient faults earn a
 //! short, bounded exponential-backoff ladder; permanent faults surface
-//! immediately. Every attempt is journaled as a [`RetryAttempt`] — the same
-//! shape as shell-lock's `AttemptRecord` ladder, so operators read one
-//! retry idiom across the whole workspace.
+//! immediately. Every attempt is journaled as a [`RetryAttempt`].
 
 use shell_util::Json;
 use std::io;
@@ -60,8 +58,7 @@ pub struct RetryAttempt {
 }
 
 impl RetryAttempt {
-    /// JSON shape mirroring shell-lock's `AttemptRecord`:
-    /// `{attempt, ok, error?, class?, backoff_us}`.
+    /// JSON shape: `{attempt, ok, error?, class?, backoff_us}`.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("attempt", Json::from(u64::from(self.attempt))),

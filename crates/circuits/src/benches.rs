@@ -224,17 +224,13 @@ fn picosoc(scale: Scale) -> Netlist {
     let rsel = &instr[2..2 + select_bits(regs).max(1)];
     let wr_hot = one_hot_decode(&mut n, "regs_wsel", wsel, regs);
     let mut reg_outs: Vec<Vec<NetId>> = Vec::new();
-    for r in 0..regs {
+    for (r, &en) in wr_hot.iter().enumerate() {
         let block = format!("regs.r{r}");
         // q' = en ? mem_rdata : q
         let mut qs = Vec::with_capacity(w);
-        for b in 0..w {
+        for (b, &d) in mem_rdata.iter().enumerate() {
             let q = n.add_net(format!("{block}.q{b}"));
-            let next = n.add_cell(
-                format!("{block}.sel{b}"),
-                CellKind::Mux2,
-                vec![wr_hot[r], q, mem_rdata[b]],
-            );
+            let next = n.add_cell(format!("{block}.sel{b}"), CellKind::Mux2, vec![en, q, d]);
             n.add_cell_driving(format!("{block}.ff{b}"), CellKind::Dff, vec![next], q)
                 .expect("fresh reg net");
             qs.push(q);

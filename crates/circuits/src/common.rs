@@ -156,8 +156,8 @@ pub fn one_hot_route(
     assert_eq!(grants.len() + 1, words.len(), "one grant per extra word");
     let width = words[0].len();
     let mut out = Vec::with_capacity(width);
-    for bit in 0..width {
-        let mut acc = words[0][bit];
+    for (bit, &first) in words[0].iter().enumerate() {
+        let mut acc = first;
         for (w, &g) in grants.iter().enumerate() {
             acc = gate(
                 n,
@@ -303,7 +303,7 @@ mod tests {
         // can cancel through the XOR mix, so sweep a few).
         let mut seen = std::collections::HashSet::new();
         for v in 0..16u64 {
-            let pattern: Vec<bool> = (0..8).map(|i| (v * 37 >> i) & 1 == 1).collect();
+            let pattern: Vec<bool> = (0..8).map(|i| ((v * 37) >> i) & 1 == 1).collect();
             seen.insert(n1.eval_comb(&pattern));
         }
         assert!(seen.len() > 1, "sbox output constant");

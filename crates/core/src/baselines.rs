@@ -98,7 +98,7 @@ pub fn redact_baseline(
     };
     let partition = partition_by_cells(design, cells);
     let pnr = map_once(&partition.sub, config, &options.pnr)?;
-    finish(partition, pnr, skip_shrink, Vec::new())
+    finish(partition, pnr, skip_shrink)
 }
 
 #[cfg(test)]

@@ -13,9 +13,10 @@
 //! 4. **Decoupling LGC and ROUTE** — partitioning the design into the
 //!    sub-circuit to redact and the host with a fabric-shaped hole
 //!    ([`decouple`]),
-//! 5.–7. **Dual synthesis, fabric creation/mapping, fit check** — delegated
-//!    to [`shell_pnr`]'s chain flow (MUX chains for ROUTE, LUTs for LGC)
-//!    with the expand-on-misfit loop,
+//! 5. **Dual synthesis** — MUX chains for ROUTE, LUTs for LGC,
+//! 6. **Fabric creation and mapping** — both delegated to [`shell_pnr`]'s
+//!    chain flow,
+//! 7. **Fit check** — its expand-on-misfit loop,
 //! 8. **Shrinking** — unused configuration hardened to constants
 //!    ([`shell_fabric::shrink`]).
 //!
@@ -41,7 +42,7 @@ pub use explore::{corruption_rate, optimize_coefficients};
 pub use overhead::{evaluate_overhead, Overhead};
 pub use pipeline::{
     activate, activate_with_key, shell_lock, shell_lock_cells, shell_lock_cells_with_fabric,
-    shell_lock_design, shell_lock_with_fabric, AttemptRecord, RedactionOutcome, ShellOptions,
+    shell_lock_design, shell_lock_with_fabric, RedactionOutcome, ShellOptions,
 };
 pub use score::{score_cells, CellScore, Coefficients};
 pub use select::{select_subcircuit, SelectionOptions, SelectionResult};

@@ -33,19 +33,6 @@ pub struct ShellOptions {
 /// starts) instead of giving up.
 const LADDER_RUNGS: usize = 4;
 
-/// One rung of the retry ladder: what was tried and how it ended. Serialized
-/// into results JSON so a report shows *how* a design fit, not only that it
-/// did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttemptRecord {
-    /// 1-based ladder rung.
-    pub attempt: usize,
-    /// The knob change this rung applied (`"baseline"` for the first).
-    pub action: String,
-    /// `"ok"` or the PnR error message.
-    pub outcome: String,
-}
-
 /// A finished redaction: any of the four cases produces this.
 #[derive(Debug, Clone)]
 pub struct RedactionOutcome {
@@ -72,8 +59,6 @@ pub struct RedactionOutcome {
     pub shrunk: bool,
     /// Key length before shrinking (all config bits).
     pub key_bits_before_shrink: usize,
-    /// The fit ladder's journal: one record per mapping attempt.
-    pub attempts: Vec<AttemptRecord>,
     /// Budget-degraded stages, propagated from [`shell_pnr::PnrResult`].
     pub degraded: Vec<String>,
 }
@@ -164,8 +149,8 @@ pub fn shell_lock_cells_with_fabric(
         .validate()
         .map_err(|e| PnrError::Unsupported(format!("invalid fabric config: {e}")))?;
     let partition = partition_by_cells(design, cells);
-    let (pnr, attempts) = map_with_ladder(&partition.sub, config, options)?;
-    finish(partition, pnr, options.skip_shrink, attempts)
+    let pnr = map_with_ladder(&partition.sub, config, options)?;
+    finish(partition, pnr, options.skip_shrink)
 }
 
 /// One mapping attempt (a rung of the fit ladder, or a whole Table IV/V
@@ -188,75 +173,38 @@ pub(crate) fn map_once(
 
 /// The retry ladder around the mapping flow. Fit failures escalate one knob
 /// per rung — wider routing channels, then more fabric-expansion headroom,
-/// then more placement starts — and every attempt lands in the journal.
-/// Budget exhaustion and structural errors abort immediately: no knob fixes
-/// a spent deadline or an unsupported netlist.
+/// then more placement starts. Budget exhaustion and structural errors
+/// abort immediately: no knob fixes a spent deadline or an unsupported
+/// netlist.
 fn map_with_ladder(
     sub: &Netlist,
     mut config: FabricConfig,
     options: &ShellOptions,
-) -> Result<(shell_pnr::PnrResult, Vec<AttemptRecord>), PnrError> {
+) -> Result<PnrResult, PnrError> {
     let mut pnr_options = options.pnr.clone();
-    let mut attempts = Vec::new();
-    let mut action = String::from("baseline");
     for attempt in 1..=LADDER_RUNGS {
-        // One span per ladder rung — it brackets exactly the work the
-        // matching `AttemptRecord` journals.
         let _rung_span = shell_trace::span!("lock.ladder_rung", attempt = attempt);
         shell_trace::counter_add("lock.ladder_attempts", 1);
         match map_once(sub, config.clone(), &pnr_options) {
-            Ok(result) => {
-                attempts.push(AttemptRecord {
-                    attempt,
-                    action,
-                    outcome: "ok".into(),
-                });
-                return Ok((result, attempts));
-            }
-            Err(err @ (PnrError::DoesNotFit(_) | PnrError::Unroutable(_))) => {
-                attempts.push(AttemptRecord {
-                    attempt,
-                    action: std::mem::take(&mut action),
-                    outcome: err.to_string(),
-                });
-                if attempt == LADDER_RUNGS {
-                    return Err(err);
-                }
+            Err(PnrError::DoesNotFit(_) | PnrError::Unroutable(_)) if attempt < LADDER_RUNGS => {
                 match attempt {
-                    1 => {
-                        config.channel_width += 4;
-                        action = format!("channel_width -> {}", config.channel_width);
-                    }
-                    2 => {
-                        pnr_options.max_fit_attempts += 8;
-                        action = format!("max_fit_attempts -> {}", pnr_options.max_fit_attempts);
-                    }
-                    _ => {
-                        pnr_options.place_starts += 2;
-                        action = format!("place_starts -> {}", pnr_options.place_starts);
-                    }
+                    1 => config.channel_width += 4,
+                    2 => pnr_options.max_fit_attempts += 8,
+                    _ => pnr_options.place_starts += 2,
                 }
             }
-            Err(err) => {
-                attempts.push(AttemptRecord {
-                    attempt,
-                    action,
-                    outcome: err.to_string(),
-                });
-                return Err(err);
-            }
+            outcome => return outcome,
         }
     }
-    unreachable!("ladder loop returns on its last rung")
+    unreachable!("the last rung returns")
 }
 
 /// Shared tail of every redaction flow: emit the locked fabric netlist,
 /// optionally shrink, reassemble with the host, and extract the key.
 pub(crate) fn finish(
     partition: RedactionPartition,
-    pnr: shell_pnr::PnrResult,
+    pnr: PnrResult,
     skip_shrink: bool,
-    attempts: Vec<AttemptRecord>,
 ) -> Result<RedactionOutcome, PnrError> {
     let locked_fabric = to_locked_netlist(&pnr.fabric, &pnr.io_map);
     let key_bits_before_shrink = locked_fabric.key_inputs().len();
@@ -288,7 +236,6 @@ pub(crate) fn finish(
         utilization: pnr.utilization,
         shrunk,
         key_bits_before_shrink,
-        attempts,
         degraded: pnr.degraded,
     })
 }

@@ -175,18 +175,27 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_params() {
-        let mut c = FabricConfig::default();
-        c.lut_k = 9;
-        assert!(c.validate().is_err());
-        let mut c = FabricConfig::default();
-        c.channel_width = 1;
-        assert!(c.validate().is_err());
-        let mut c = FabricConfig::fabulous_style(true);
-        c.chain_len = 0;
-        assert!(c.validate().is_err());
-        let mut c = FabricConfig::default();
-        c.custom_cell_factor = 0.0;
-        assert!(c.validate().is_err());
+        let bad = [
+            FabricConfig {
+                lut_k: 9,
+                ..FabricConfig::default()
+            },
+            FabricConfig {
+                channel_width: 1,
+                ..FabricConfig::default()
+            },
+            FabricConfig {
+                chain_len: 0,
+                ..FabricConfig::fabulous_style(true)
+            },
+            FabricConfig {
+                custom_cell_factor: 0.0,
+                ..FabricConfig::default()
+            },
+        ];
+        for c in bad {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]

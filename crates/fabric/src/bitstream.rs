@@ -208,7 +208,7 @@ impl Bitstream {
 
     fn check_field(&self, base: usize, width: usize) -> Result<(), BitstreamError> {
         let end = base.checked_add(width);
-        if end.map_or(true, |e| e > self.bits.len()) {
+        if end.is_none_or(|e| e > self.bits.len()) {
             return Err(BitstreamError::FieldOutOfRange {
                 base,
                 width,

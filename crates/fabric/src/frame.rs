@@ -446,7 +446,7 @@ pub fn decode_frame(code: u64, frame: usize) -> Result<FrameReadback, FrameError
             syndrome ^= p;
         }
     }
-    let parity_even = code.count_ones() % 2 == 0;
+    let parity_even = code.count_ones().is_multiple_of(2);
     let mut fixed = code;
     let corrected = match (syndrome, parity_even) {
         (0, true) => None,

@@ -270,8 +270,8 @@ mod tests {
         // on the unique shortest path.
         let bc = betweenness_centrality_between(&g, &[NodeId(0)], &[NodeId(4)]);
         let norm = 12.0;
-        for i in 1..4 {
-            assert!((bc[i] - 1.0 / norm).abs() < 1e-9, "bc[{i}]={}", bc[i]);
+        for (i, b) in bc.iter().enumerate().take(4).skip(1) {
+            assert!((b - 1.0 / norm).abs() < 1e-9, "bc[{i}]={b}");
         }
         assert_eq!(bc[0], 0.0);
         assert_eq!(bc[4], 0.0);

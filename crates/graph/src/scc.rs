@@ -468,7 +468,7 @@ mod tests {
         }
         g.add_edge(ids[5], ids[2]);
         let sccs = strongly_connected_components(&g);
-        let mut seen = vec![0; 8];
+        let mut seen = [0; 8];
         for c in &sccs {
             for n in c {
                 seen[n.index()] += 1;

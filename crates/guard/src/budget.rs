@@ -266,7 +266,7 @@ impl Budget {
                 return Err(Exhausted::Deadline);
             }
             let tick = self.inner.polls.fetch_add(1, Ordering::Relaxed);
-            if tick % DEADLINE_POLL_INTERVAL == 0 && Instant::now() >= deadline {
+            if tick.is_multiple_of(DEADLINE_POLL_INTERVAL) && Instant::now() >= deadline {
                 self.inner.expired.store(true, Ordering::Relaxed);
                 return Err(Exhausted::Deadline);
             }

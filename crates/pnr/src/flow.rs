@@ -2,14 +2,14 @@
 //! (steps 6–7 of the SheLL pipeline), bitstream emission and functional
 //! verification.
 
-use crate::place::{self, PlaceRequest, Shortage, Slot};
-use crate::route::{RouteError, RouteRequest, Router, SinkKind, SourceKind};
+use crate::place::{self, PlaceRequest, Placement, Shortage, Slot};
+use crate::route::{RouteError, RouteRequest, Router, RoutingResult, SinkKind, SourceKind};
 use shell_fabric::{Bitstream, Fabric, FabricConfig, FabricUsage, IoMap};
 use shell_guard::Budget;
 use shell_netlist::equiv::{equiv_counted, EquivResult, Method};
 use shell_netlist::{CellId, CellKind, NetId, Netlist};
 use shell_synth::lut_map_hybrid;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 /// Options of the PnR flows.
@@ -97,18 +97,11 @@ pub struct PnrResult {
     pub bitstream: Bitstream,
     /// Port-to-pad binding.
     pub io_map: IoMap,
-    /// CLB slots used.
-    pub slots_used: usize,
-    /// Chain elements carrying mapped muxes.
-    pub chain_elements_used: usize,
-    /// Tiles with at least one used slot, chain element or routed track.
-    pub tiles_used: usize,
-    /// `tiles_used / fabric.tile_count()` — the Fig. 2 utilization metric.
+    /// `usage.tiles_used / fabric.tile_count()` — the Fig. 2 utilization
+    /// metric.
     pub utilization: f64,
     /// Router iterations of the final attempt.
     pub route_iterations: usize,
-    /// Track nodes occupied.
-    pub wirelength: usize,
     /// Fit attempts consumed (1 = first size fit).
     pub fit_attempts: usize,
     /// Usage counters for Table I-style resource accounting.
@@ -137,16 +130,7 @@ pub fn place_and_route(
         ));
     }
     let slots = place::pack(netlist, config.lut_k).map_err(PnrError::Pack)?;
-    let no_chains = ChainAssignment { chains: Vec::new() };
-    run_fit_loop(netlist, netlist, &slots, &no_chains, config, options)
-}
-
-/// A mux cell assigned to a chain element.
-#[derive(Debug, Clone)]
-struct ChainAssignment {
-    /// Chains: each a list of mux cells, head (deepest) first. Every chain
-    /// occupies one or more whole chain blocks.
-    chains: Vec<Vec<CellId>>,
+    run_fit_loop(netlist, netlist, &slots, &[], config, options)
 }
 
 /// Maps a mixed ROUTE+LGC netlist: mux cascades go to the fabric's chain
@@ -186,8 +170,7 @@ pub fn place_and_route_with_chains(
     let chains = link_chains(&hybrid, &mux_cells);
     let slots = place::pack_filtered(&hybrid, config.lut_k, |kind| !kind.is_mux())
         .map_err(PnrError::Pack)?;
-    let assignment = ChainAssignment { chains };
-    run_fit_loop(&hybrid, netlist, &slots, &assignment, config, options)
+    run_fit_loop(&hybrid, netlist, &slots, &chains, config, options)
 }
 
 /// Groups mux cells into linear chains: a cell's `d0`-side input that is a
@@ -195,7 +178,7 @@ pub fn place_and_route_with_chains(
 /// (deepest element) first.
 fn link_chains(netlist: &Netlist, mux_cells: &[CellId]) -> Vec<Vec<CellId>> {
     let fanout = netlist.fanout_table();
-    let is_mux_cell: std::collections::HashSet<CellId> = mux_cells.iter().copied().collect();
+    let is_mux_cell: HashSet<CellId> = mux_cells.iter().copied().collect();
     // predecessor via the d0-position input: Mux4 pin 2, Mux2 pin 1.
     let link_pin = |kind: CellKind| match kind {
         CellKind::Mux4 => 2usize,
@@ -203,7 +186,7 @@ fn link_chains(netlist: &Netlist, mux_cells: &[CellId]) -> Vec<Vec<CellId>> {
         _ => unreachable!(),
     };
     let mut pred: HashMap<CellId, CellId> = HashMap::new();
-    let mut has_succ: std::collections::HashSet<CellId> = std::collections::HashSet::new();
+    let mut has_succ: HashSet<CellId> = HashSet::new();
     for &cid in mux_cells {
         let c = netlist.cell(cid);
         let d0 = c.inputs[link_pin(c.kind)];
@@ -274,19 +257,19 @@ fn initial_dims(
 }
 
 /// The shared engine: `mapped` is the netlist whose cells are being placed
-/// (slots + chains); `reference` is the netlist to verify against (the
+/// (`slots`, and `chains` of mux cells, each head first and on one or more
+/// whole chain blocks); `reference` is the netlist to verify against (the
 /// original design in the chain flow, `mapped` itself otherwise).
 fn run_fit_loop(
     mapped: &Netlist,
     reference: &Netlist,
     slots: &[Slot],
-    assignment: &ChainAssignment,
+    chains: &[Vec<CellId>],
     config: FabricConfig,
     options: &PnrOptions,
 ) -> Result<PnrResult, PnrError> {
     let _span = shell_trace::span!("pnr.fit");
-    let chain_blocks: usize = assignment
-        .chains
+    let chain_blocks: usize = chains
         .iter()
         .map(|c| c.len().div_ceil(config.chain_len.max(1)))
         .sum();
@@ -303,7 +286,7 @@ fn run_fit_loop(
         shell_trace::counter_add("pnr.fit_attempts", 1);
         let fabric = Fabric::generate(config.clone(), w, h);
         let step = 1 + attempt / 6;
-        match try_once(mapped, slots, assignment, &fabric, options, attempt) {
+        match try_once(mapped, slots, chains, &fabric, options, attempt) {
             Ok(mut result) => {
                 verify(reference, &result)?;
                 result.fit_attempts = attempt;
@@ -369,147 +352,31 @@ impl From<PnrError> for Misfit {
     }
 }
 
+/// One fit attempt on `fabric`, in three stages: the chains go on chain
+/// blocks ([`place_chains`]); the slots are placed around them and every
+/// net gets a route request ([`Layout::route_requests`]); the routed design
+/// becomes a bitstream ([`Layout::bitstream`]).
 fn try_once(
     mapped: &Netlist,
     slots: &[Slot],
-    assignment: &ChainAssignment,
+    chains: &[Vec<CellId>],
     fabric: &Fabric,
     options: &PnrOptions,
     attempt: usize,
 ) -> Result<PnrResult, Misfit> {
-    let config = fabric.config().clone();
-    // Chain block capacity check.
-    let blocks_needed: usize = assignment
-        .chains
-        .iter()
-        .map(|c| c.len().div_ceil(config.chain_len.max(1)))
-        .sum();
-    if blocks_needed > fabric.tile_count() && config.mux_chains {
-        return Err(Shortage::ChainBlocks(format!(
-            "{blocks_needed} chain blocks > {} tiles",
-            fabric.tile_count()
-        ))
-        .into());
-    }
-    // Chain segment assignment first (placement-independent): fill tiles
-    // row-major so pad assignment can aim at the chain pins.
-    #[derive(Debug, Clone)]
-    struct ElementSite {
-        x: usize,
-        y: usize,
-        j: usize,
-        /// Index of the segment-final element in this tile's block
-        /// (elements after it are transparent fill).
-        last_j: usize,
-    }
-    let mut element_sites: HashMap<CellId, ElementSite> = HashMap::new();
-    let mut used_blocks: Vec<(usize, usize)> = Vec::new(); // tiles hosting segments
-    {
-        // Demand-aware segmentation: a block's pins (data + dynamic selects)
-        // all arrive over the tile's tracks, so the distinct nets a segment
-        // pulls in must leave track headroom. Split segments greedily.
-        let track_budget = config.channel_width.saturating_sub(4).max(2);
-        let mut next_tile = 0usize;
-        for chain in &assignment.chains {
-            let mut segments: Vec<Vec<CellId>> = Vec::new();
-            let mut current: Vec<CellId> = Vec::new();
-            let mut demand: std::collections::HashSet<NetId> = std::collections::HashSet::new();
-            for &cell in chain {
-                let c = mapped.cell(cell);
-                let mut cell_nets: Vec<NetId> = Vec::new();
-                match c.kind {
-                    CellKind::Mux4 => {
-                        // d0 is hard-wired except at a segment start.
-                        if current.is_empty() {
-                            cell_nets.push(c.inputs[2]);
-                        }
-                        cell_nets.extend([c.inputs[3], c.inputs[4], c.inputs[5]]);
-                        for s in [c.inputs[0], c.inputs[1]] {
-                            if net_constant(mapped, s).is_none() {
-                                cell_nets.push(s);
-                            }
-                        }
-                    }
-                    CellKind::Mux2 => {
-                        if current.is_empty() {
-                            cell_nets.push(c.inputs[1]);
-                        }
-                        cell_nets.push(c.inputs[2]);
-                        if net_constant(mapped, c.inputs[0]).is_none() {
-                            cell_nets.push(c.inputs[0]);
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-                let mut trial = demand.clone();
-                trial.extend(cell_nets.iter().copied());
-                let over_budget = trial.len() > track_budget;
-                let over_length = current.len() >= config.chain_len.max(1);
-                if (over_budget || over_length) && !current.is_empty() {
-                    segments.push(std::mem::take(&mut current));
-                    demand.clear();
-                    // Re-account for this cell as a segment head (d0 now
-                    // arrives over a track).
-                    let c = mapped.cell(cell);
-                    match c.kind {
-                        CellKind::Mux4 => {
-                            demand.insert(c.inputs[2]);
-                            demand.extend([c.inputs[3], c.inputs[4], c.inputs[5]]);
-                            for s in [c.inputs[0], c.inputs[1]] {
-                                if net_constant(mapped, s).is_none() {
-                                    demand.insert(s);
-                                }
-                            }
-                        }
-                        CellKind::Mux2 => {
-                            demand.insert(c.inputs[1]);
-                            demand.insert(c.inputs[2]);
-                            if net_constant(mapped, c.inputs[0]).is_none() {
-                                demand.insert(c.inputs[0]);
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                } else {
-                    demand = trial;
-                }
-                current.push(cell);
-            }
-            if !current.is_empty() {
-                segments.push(current);
-            }
-            for seg in segments {
-                if next_tile >= fabric.tile_count() {
-                    return Err(Shortage::ChainBlocks("out of chain blocks".into()).into());
-                }
-                let (x, y) = (next_tile % fabric.width(), next_tile / fabric.width());
-                used_blocks.push((x, y));
-                let last_j = seg.len() - 1;
-                for (j, &cell) in seg.iter().enumerate() {
-                    element_sites.insert(cell, ElementSite { x, y, j, last_j });
-                }
-                next_tile += 1;
-            }
-        }
-    }
+    let elements = place_chains(mapped, chains, fabric)?;
     // Pin hints: every net a chain element reads or drives is anchored at
     // its tile, steering the pad assignment toward the chain blocks.
     let mut pin_hints: HashMap<NetId, Vec<(usize, usize)>> = HashMap::new();
-    for (&cell, site) in &element_sites {
-        let c = mapped.cell(cell);
-        for &n in &c.inputs {
-            pin_hints.entry(n).or_default().push((site.x, site.y));
+    for e in &elements {
+        let c = mapped.cell(e.cell);
+        for &net in c.inputs.iter().chain([&c.output]) {
+            pin_hints.entry(net).or_default().push((e.x, e.y));
         }
-        pin_hints
-            .entry(c.output)
-            .or_default()
-            .push((site.x, site.y));
     }
-
-    // Placement. Chain tiles are pad-averse: a foreign pad on a chain tile
-    // burns a track the block's pins need.
-    let chain_tiles: std::collections::HashSet<(usize, usize)> =
-        used_blocks.iter().copied().collect();
+    // Chain tiles are pad-averse: a foreign pad on a chain tile burns a
+    // track the block's pins need.
+    let chain_tiles: HashSet<(usize, usize)> = elements.iter().map(|e| (e.x, e.y)).collect();
     let placement = place::place(&PlaceRequest {
         netlist: mapped,
         slots,
@@ -520,402 +387,437 @@ fn try_once(
         chain_tiles: &chain_tiles,
         budget: &options.budget,
     })?;
-    let mut degraded = Vec::new();
-    if let Some(why) = placement.degraded {
-        degraded.push(format!("place: {why}"));
-    }
-
-    // ------------------------------------------------------------------
-    // Build route requests.
-    // ------------------------------------------------------------------
-    // Net sources.
-    let mut source_of: HashMap<NetId, SourceKind> = HashMap::new();
-    for (i, &pi) in mapped.inputs().iter().enumerate() {
-        source_of.insert(pi, SourceKind::Pad(placement.input_pads[i]));
-    }
-    for (si, slot) in slots.iter().enumerate() {
-        let (x, y, s) = placement.sites[si];
-        source_of.insert(slot.output_net, SourceKind::Slot { x, y, slot: s });
-    }
-    // Chain outputs: only segment-final elements are visible, as the block
-    // output (after transparent fill elements).
-    let mut internal_chain_nets: std::collections::HashSet<NetId> =
-        std::collections::HashSet::new();
-    for (&cell, site) in &element_sites {
-        let c = mapped.cell(cell);
-        if site.j == site.last_j {
-            source_of.insert(
-                c.output,
-                SourceKind::ChainBlock {
-                    x: site.x,
-                    y: site.y,
-                },
-            );
-        } else {
-            internal_chain_nets.insert(c.output);
-        }
-    }
-
-    // Net sinks, dedup per (net, tile) for pin sinks.
-    let mut sinks_of: HashMap<NetId, Vec<SinkKind>> = HashMap::new();
-    let mut pin_tiles: HashMap<NetId, std::collections::HashSet<(usize, usize)>> = HashMap::new();
-    let mut add_pin_sink = |net: NetId, x: usize, y: usize| {
-        if internal_chain_nets.contains(&net) {
-            return; // hard-wired inside a block
-        }
-        if pin_tiles.entry(net).or_default().insert((x, y)) {
-            sinks_of
-                .entry(net)
-                .or_default()
-                .push(SinkKind::AnyTrackAt { x, y });
-        }
+    let layout = Layout {
+        mapped,
+        fabric,
+        slots,
+        elements: &elements,
+        placement: &placement,
     };
-    for (si, slot) in slots.iter().enumerate() {
-        let (x, y, _) = placement.sites[si];
-        for &net in &slot.input_nets {
-            add_pin_sink(net, x, y);
-        }
-    }
-    // Chain element pins: data pins (except hard-wired) and dynamic selects.
-    // Iterate in cell order: the per-net sink lists feed the router, whose
-    // results depend on sink order — hash order here would make bitstreams
-    // nondeterministic for a fixed seed.
-    let mut ordered_elements: Vec<(CellId, &ElementSite)> =
-        element_sites.iter().map(|(&c, s)| (c, s)).collect();
-    ordered_elements.sort_unstable_by_key(|&(c, _)| c);
-    for &(cell, site) in &ordered_elements {
-        let c = mapped.cell(cell);
-        let data_nets: Vec<Option<NetId>> = match c.kind {
-            // Mux4 netlist order [s1, s0, d0..d3] → element data pins 0..3.
-            CellKind::Mux4 => vec![
-                Some(c.inputs[2]),
-                Some(c.inputs[3]),
-                Some(c.inputs[4]),
-                Some(c.inputs[5]),
-            ],
-            // Mux2 [s, a, b] → d0 = a, d1 = b.
-            CellKind::Mux2 => vec![Some(c.inputs[1]), Some(c.inputs[2]), None, None],
-            _ => unreachable!(),
-        };
-        for (pin, net) in data_nets.iter().enumerate() {
-            let Some(net) = net else { continue };
-            if site.j > 0 && pin == 0 {
-                continue; // hard-wired to the previous element
-            }
-            add_pin_sink(*net, site.x, site.y);
-        }
-        let select_nets: Vec<Option<NetId>> = match c.kind {
-            CellKind::Mux4 => vec![Some(c.inputs[1]), Some(c.inputs[0])], // [s0, s1]
-            CellKind::Mux2 => vec![Some(c.inputs[0]), None],
-            _ => unreachable!(),
-        };
-        for net in select_nets.into_iter().flatten() {
-            if net_constant(mapped, net).is_none() {
-                add_pin_sink(net, site.x, site.y);
-            }
-        }
-    }
-    // Primary outputs.
-    for (oi, (_, net)) in mapped.outputs().iter().enumerate() {
-        sinks_of.entry(*net).or_default().push(SinkKind::OutputPad {
-            pad: placement.output_pads[oi],
-        });
-    }
-
-    // Assemble requests (nets with sinks and a source), in net order: the
-    // router's initial pass routes against growing occupancy, so request
-    // order steers every downstream decision and must not be hash order.
-    let mut requests = Vec::new();
-    let mut net_ids: Vec<NetId> = Vec::new();
-    let mut ordered_nets: Vec<(&NetId, &Vec<SinkKind>)> = sinks_of.iter().collect();
-    ordered_nets.sort_unstable_by_key(|&(net, _)| *net);
-    for (net, sinks) in ordered_nets {
-        if sinks.is_empty() {
-            continue;
-        }
-        let Some(&source) = source_of.get(net) else {
-            // Constants are generated by slots already; a sink on a net
-            // without source means the net is a constant-driver net handled
-            // by its const slot, or floating — reject.
-            if net_constant(mapped, *net).is_some() {
-                continue; // consts handled at the consuming pin
-            }
-            return Err(PnrError::Unsupported(format!(
-                "net `{}` has no mappable source",
-                mapped.net(*net).name
-            ))
-            .into());
-        };
-        let id = requests.len();
-        net_ids.push(*net);
-        requests.push(RouteRequest {
-            net: id,
-            source,
-            sinks: sinks.clone(),
-        });
-    }
-
-    // Route.
-    let mut router = Router::new(fabric);
-    let routing = router
+    let (nets, requests) = layout.route_requests()?;
+    let routing = Router::new(fabric)
         .route_all_budgeted(&requests, options.max_route_iterations, &options.budget)
         .map_err(|e| match e {
-            RouteError::Unroutable { net } => {
-                PnrError::Unroutable(format!("net `{}`", mapped.net(net_ids[net]).name))
+            RouteError::Unroutable { request } => {
+                PnrError::Unroutable(format!("net `{}`", mapped.net(nets[request]).name))
             }
             RouteError::Exhausted(why) => PnrError::Exhausted(format!("route: {why}")),
         })?;
-
-    // Track lookup: (net, tile) → track index carrying it. A net can hold
-    // several tracks at one tile; the lowest index is chosen, so the choice
-    // does not depend on hash-map iteration order.
-    let mut track_at: HashMap<(NetId, (usize, usize)), usize> = HashMap::new();
-    for (rid, routed) in &routing.nets {
-        let net = net_ids[*rid];
-        for &(x, y, t) in routed.nodes.keys() {
-            track_at
-                .entry((net, (x, y)))
-                .and_modify(|lowest| *lowest = (*lowest).min(t))
-                .or_insert(t);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Emit the bitstream.
-    // ------------------------------------------------------------------
-    let mut bs = Bitstream::zeros(fabric.config_bit_count());
-    // Routed switches.
-    for routed in routing.nets.values() {
-        for (&(x, y, t), &sel) in &routed.nodes {
-            let (base, width) = fabric.track_select_field(x, y, t);
-            bs.set_field(base, width, sel as u64);
-        }
-    }
-    // Slots.
-    for (si, slot) in slots.iter().enumerate() {
-        let (x, y, s) = placement.sites[si];
-        let mut first_used_track = None;
-        for (pin, &net) in slot.input_nets.iter().enumerate() {
-            let t = track_at.get(&(net, (x, y))).copied().ok_or_else(|| {
-                PnrError::DoesNotFit(format!(
-                    "pin net `{}` missing at tile ({x},{y})",
-                    mapped.net(net).name
-                ))
-            })?;
-            first_used_track.get_or_insert(t);
-            let (base, width) = fabric.clb_input_field(x, y, s, pin);
-            bs.set_field(base, width, t as u64);
-        }
-        // Unused pins must not point at a track carrying this slot's own
-        // output (the mask ignores them functionally, but the LUT read tree
-        // would close a structural loop). A track already feeding a used
-        // pin is provably upstream; otherwise pick any track not carrying
-        // the slot's output.
-        let own_tracks: std::collections::HashSet<usize> = routing
-            .nets
-            .iter()
-            .filter(|(rid, _)| net_ids[**rid] == slot.output_net)
-            .flat_map(|(_, routed)| {
-                routed
-                    .nodes
-                    .keys()
-                    .filter(|&&(nx, ny, _)| nx == x && ny == y)
-                    .map(|&(_, _, t)| t)
-            })
-            .collect();
-        let safe_track = first_used_track.unwrap_or_else(|| {
-            (0..config.channel_width)
-                .find(|t| !own_tracks.contains(t))
-                .unwrap_or(0)
-        });
-        for pin in slot.input_nets.len()..config.lut_k {
-            let (base, width) = fabric.clb_input_field(x, y, s, pin);
-            for b in 0..width {
-                bs.set_unused(base + b, (safe_track >> b) & 1 == 1);
-            }
-        }
-        let mask_base = fabric.lut_mask_base(x, y, s);
-        for row in 0..config.bits_per_lut() {
-            bs.set(mask_base + row, (slot.mask >> row) & 1 == 1);
-        }
-        // The FF-bypass bit is secret only when the register path is live;
-        // step 8 physically removes unused FFs, so unregistered slots tie
-        // the bypass to the combinational path.
-        if slot.registered {
-            bs.set(fabric.ff_bypass_bit(x, y, s), true);
-        } else {
-            bs.set_unused(fabric.ff_bypass_bit(x, y, s), false);
-        }
-    }
-    // Chain elements.
-    let mut chain_elements_used = 0usize;
-    for (&cell, site) in &element_sites {
-        chain_elements_used += 1;
-        let c = mapped.cell(cell);
-        let (x, y, j) = (site.x, site.y, site.j);
-        let data_nets: Vec<Option<NetId>> = match c.kind {
-            CellKind::Mux4 => vec![
-                Some(c.inputs[2]),
-                Some(c.inputs[3]),
-                Some(c.inputs[4]),
-                Some(c.inputs[5]),
-            ],
-            CellKind::Mux2 => vec![Some(c.inputs[1]), Some(c.inputs[2]), None, None],
-            _ => unreachable!(),
-        };
-        let mut first_data_track: Option<usize> = None;
-        for (pin, net) in data_nets.iter().enumerate() {
-            if j > 0 && pin == 0 {
-                continue; // hard-wired
-            }
-            let (base, width) = fabric.chain_data_field(x, y, j, pin);
-            match net {
-                Some(net) if !internal_chain_nets.contains(net) => {
-                    let t = track_at.get(&(*net, (x, y))).copied().ok_or_else(|| {
-                        PnrError::DoesNotFit(format!(
-                            "chain data net `{}` missing at ({x},{y})",
-                            mapped.net(*net).name
-                        ))
-                    })?;
-                    first_data_track.get_or_insert(t);
-                    bs.set_field(base, width, t as u64);
-                }
-                _ => {
-                    // Unused data pin: point it at a track already feeding a
-                    // real pin (provably upstream — never a structural
-                    // loop through the element's own block output).
-                    let safe = first_data_track.unwrap_or(0);
-                    for b in 0..width {
-                        bs.set_unused(base + b, (safe >> b) & 1 == 1);
-                    }
-                }
-            }
-        }
-        // Selects: netlist [s1, s0] → element select pins [0] = s0, [1] = s1.
-        let sel_nets: [Option<NetId>; 2] = match c.kind {
-            CellKind::Mux4 => [Some(c.inputs[1]), Some(c.inputs[0])],
-            CellKind::Mux2 => [Some(c.inputs[0]), None],
-            _ => unreachable!(),
-        };
-        for (pin, sel) in sel_nets.iter().enumerate() {
-            let (val_bit, mode_bit) = fabric.chain_select_bits(x, y, j, pin);
-            match sel {
-                None => {
-                    // Unused high select: constant 0.
-                    bs.set(mode_bit, false);
-                    bs.set(val_bit, false);
-                }
-                Some(net) => match net_constant(mapped, *net) {
-                    Some(v) => {
-                        bs.set(mode_bit, false);
-                        bs.set(val_bit, v);
-                    }
-                    None => {
-                        let t = track_at.get(&(*net, (x, y))).copied().ok_or_else(|| {
-                            PnrError::DoesNotFit(format!(
-                                "chain select net `{}` missing at ({x},{y})",
-                                mapped.net(*net).name
-                            ))
-                        })?;
-                        let (cbase, cwidth) = fabric.chain_sel_conn_field(x, y, j, pin);
-                        bs.set_field(cbase, cwidth, t as u64);
-                        bs.set(mode_bit, true);
-                        bs.set(val_bit, false);
-                    }
-                },
-            }
-        }
-        // Transparent fill after the segment's last element.
-        if j == site.last_j {
-            for fill in (site.last_j + 1)..config.chain_len {
-                for pin in 0..2 {
-                    let (val_bit, mode_bit) = fabric.chain_select_bits(x, y, fill, pin);
-                    bs.set_unused(mode_bit, false);
-                    bs.set_unused(val_bit, false);
-                }
-            }
-        }
-    }
-
-    // IO map.
+    let bitstream = layout.bitstream(&nets, &routing)?;
+    let usage = layout.usage(&routing, bitstream.used_count());
     let io_map = IoMap {
         inputs: mapped
             .inputs()
             .iter()
-            .enumerate()
-            .map(|(i, &n)| (mapped.net(n).name.clone(), placement.input_pads[i]))
+            .zip(&placement.input_pads)
+            .map(|(&net, &pad)| (mapped.net(net).name.clone(), pad))
             .collect(),
         outputs: mapped
             .outputs()
             .iter()
-            .enumerate()
-            .map(|(i, (name, _))| (name.clone(), placement.output_pads[i]))
+            .zip(&placement.output_pads)
+            .map(|((name, _), &pad)| (name.clone(), pad))
             .collect(),
-    };
-
-    // Utilization: tiles hosting slots, chain blocks or routed tracks.
-    let mut tile_used = vec![false; fabric.tile_count()];
-    for &(x, y, _) in &placement.sites {
-        tile_used[y * fabric.width() + x] = true;
-    }
-    for &(x, y) in &used_blocks {
-        tile_used[y * fabric.width() + x] = true;
-    }
-    for routed in routing.nets.values() {
-        for &(x, y, _) in routed.nodes.keys() {
-            tile_used[y * fabric.width() + x] = true;
-        }
-    }
-    let tiles_used = tile_used.iter().filter(|&&u| u).count();
-
-    // Usage counters (Table I accounting).
-    let clb_pins: usize = slots.iter().map(|s| s.input_nets.len()).sum();
-    let registered_slots = slots.iter().filter(|s| s.registered).count();
-    let mut chain_pins = 0usize;
-    for (&cell, site) in &element_sites {
-        let c = mapped.cell(cell);
-        match c.kind {
-            CellKind::Mux4 => {
-                chain_pins += if site.j == 0 { 4 } else { 3 };
-                for s in [c.inputs[0], c.inputs[1]] {
-                    if net_constant(mapped, s).is_none() {
-                        chain_pins += 1;
-                    }
-                }
-            }
-            CellKind::Mux2 => {
-                chain_pins += if site.j == 0 { 2 } else { 1 };
-                if net_constant(mapped, c.inputs[0]).is_none() {
-                    chain_pins += 1;
-                }
-            }
-            _ => unreachable!(),
-        }
-    }
-    let usage = FabricUsage {
-        track_switches: routing.wirelength,
-        clb_pins,
-        lut_slots: slots.len(),
-        registered_slots,
-        chain_elements: chain_elements_used,
-        chain_pins,
-        config_bits: bs.used_count(),
-        tiles_used,
     };
     Ok(PnrResult {
         fabric: fabric.clone(),
-        bitstream: bs,
+        bitstream,
         io_map,
-        slots_used: slots.len(),
-        chain_elements_used,
-        tiles_used,
-        utilization: tiles_used as f64 / fabric.tile_count() as f64,
+        utilization: usage.tiles_used as f64 / fabric.tile_count() as f64,
         route_iterations: routing.iterations,
-        wirelength: routing.wirelength,
         fit_attempts: 1,
         usage,
-        degraded,
+        degraded: placement
+            .degraded
+            .iter()
+            .map(|why| format!("place: {why}"))
+            .collect(),
     })
+}
+
+/// A chain element's select pin.
+#[derive(Debug, Clone, Copy)]
+enum Select {
+    /// Held at a constant; a Mux2's unused `s1` holds 0.
+    Const(bool),
+    /// Read from a track.
+    Net(NetId),
+}
+
+/// The element pins of one chain cell.
+#[derive(Debug, Clone)]
+struct ElementPins {
+    /// Data pins `d0..d3`; a Mux2 leaves `d2` and `d3` unused.
+    data: [Option<NetId>; 4],
+    /// Selects `s0` and `s1`.
+    selects: [Select; 2],
+}
+
+impl ElementPins {
+    /// The pins of mux cell `cell`, from its netlist order: Mux4
+    /// `[s1, s0, d0..d3]`, Mux2 `[s, d0, d1]`.
+    fn of(netlist: &Netlist, cell: CellId) -> Self {
+        let c = netlist.cell(cell);
+        let select = |net| match net_constant(netlist, net) {
+            Some(v) => Select::Const(v),
+            None => Select::Net(net),
+        };
+        match c.kind {
+            CellKind::Mux4 => Self {
+                data: [2, 3, 4, 5].map(|pin| Some(c.inputs[pin])),
+                selects: [select(c.inputs[1]), select(c.inputs[0])],
+            },
+            CellKind::Mux2 => Self {
+                data: [Some(c.inputs[1]), Some(c.inputs[2]), None, None],
+                selects: [select(c.inputs[0]), Select::Const(false)],
+            },
+            _ => unreachable!("only mux cells go on chain elements"),
+        }
+    }
+
+    /// The nets element `j` of a block reads over its tile's tracks, pin by
+    /// pin: the data pins with a connection mux, then the selects that read
+    /// a signal.
+    fn track_nets<'a>(&'a self, fabric: &'a Fabric, j: usize) -> impl Iterator<Item = NetId> + 'a {
+        let data = self
+            .data
+            .iter()
+            .enumerate()
+            .filter(move |&(pin, _)| fabric.chain_pin_is_muxed(j, pin))
+            .filter_map(|(_, &net)| net);
+        let selects = self.selects.iter().filter_map(|select| match *select {
+            Select::Net(net) => Some(net),
+            Select::Const(_) => None,
+        });
+        data.chain(selects)
+    }
+}
+
+/// A chain cell on its element.
+#[derive(Debug, Clone)]
+struct Element {
+    cell: CellId,
+    /// Tile of the element's chain block.
+    x: usize,
+    y: usize,
+    /// Position in the block.
+    j: usize,
+    /// Whether this is the segment's last element: its output is the block
+    /// output, and the block's later elements are transparent fill.
+    last: bool,
+    pins: ElementPins,
+}
+
+/// Stage 1: puts each chain on whole chain blocks, in chain order, on tiles
+/// in row-major order (placement-independent, so pad assignment can aim at
+/// the chain pins). Returns the elements in cell order.
+///
+/// A block's pins (data and dynamic selects) all arrive over its tile's
+/// tracks, so the distinct nets one segment pulls in must leave track
+/// headroom: a chain is split greedily where the next cell would exceed
+/// that budget or the block length.
+fn place_chains(
+    mapped: &Netlist,
+    chains: &[Vec<CellId>],
+    fabric: &Fabric,
+) -> Result<Vec<Element>, Shortage> {
+    let config = fabric.config();
+    let chain_len = config.chain_len.max(1);
+    let blocks_needed: usize = chains.iter().map(|c| c.len().div_ceil(chain_len)).sum();
+    if blocks_needed > fabric.tile_count() && config.mux_chains {
+        return Err(Shortage::ChainBlocks(format!(
+            "{blocks_needed} chain blocks > {} tiles",
+            fabric.tile_count()
+        )));
+    }
+    let track_budget = config.channel_width.saturating_sub(4).max(2);
+    let mut elements: Vec<Element> = Vec::new();
+    let mut blocks = 0usize;
+    for chain in chains {
+        let mut demand: HashSet<NetId> = HashSet::new();
+        let mut j = 0;
+        for &cell in chain {
+            let pins = ElementPins::of(mapped, cell);
+            demand.extend(pins.track_nets(fabric, j));
+            if j > 0 && (demand.len() > track_budget || j >= chain_len) {
+                // This cell heads the next block, where its d0 arrives over
+                // a track.
+                j = 0;
+                demand.clear();
+                demand.extend(pins.track_nets(fabric, 0));
+            }
+            if j == 0 {
+                // A new block: the element before it ends its segment.
+                if let Some(prev) = elements.last_mut() {
+                    prev.last = true;
+                }
+                if blocks == fabric.tile_count() {
+                    return Err(Shortage::ChainBlocks("out of chain blocks".into()));
+                }
+                blocks += 1;
+            }
+            let tile = blocks - 1;
+            elements.push(Element {
+                cell,
+                x: tile % fabric.width(),
+                y: tile / fabric.width(),
+                j,
+                last: false,
+                pins,
+            });
+            j += 1;
+        }
+    }
+    if let Some(e) = elements.last_mut() {
+        e.last = true;
+    }
+    elements.sort_unstable_by_key(|e| e.cell);
+    Ok(elements)
+}
+
+/// One fit attempt's design on its fabric: the slots where placement put
+/// them and the chain cells on their elements.
+struct Layout<'a> {
+    mapped: &'a Netlist,
+    fabric: &'a Fabric,
+    slots: &'a [Slot],
+    /// In cell order.
+    elements: &'a [Element],
+    placement: &'a Placement,
+}
+
+impl Layout<'_> {
+    /// Stage 2: one route request per net that has sinks and a source, in
+    /// net order, with the net of each. The router's initial pass routes
+    /// against growing occupancy and every sink search starts from the
+    /// tree so far, so both orders steer the routing: a net's sinks are
+    /// its slot pins in slot order, then its element pins in cell order
+    /// (one sink per tile), then its output pads.
+    fn route_requests(&self) -> Result<(Vec<NetId>, Vec<RouteRequest>), PnrError> {
+        let Self {
+            mapped,
+            fabric,
+            slots,
+            elements,
+            placement,
+        } = *self;
+        let mut source_of: HashMap<NetId, SourceKind> = HashMap::new();
+        for (&net, &pad) in mapped.inputs().iter().zip(&placement.input_pads) {
+            source_of.insert(net, SourceKind::Pad(pad));
+        }
+        for (slot, &(x, y, s)) in slots.iter().zip(&placement.sites) {
+            source_of.insert(slot.output_net, SourceKind::Slot { x, y, slot: s });
+        }
+        // Only a segment's last element drives its block output; the others
+        // feed the next element's hard-wired d0, which no pin reads from a
+        // track (their nets have fanout one, see `link_chains`).
+        for e in elements.iter().filter(|e| e.last) {
+            let source = SourceKind::ChainBlock { x: e.x, y: e.y };
+            source_of.insert(mapped.cell(e.cell).output, source);
+        }
+        let mut sinks_of: BTreeMap<NetId, Vec<SinkKind>> = BTreeMap::new();
+        let mut pin_tiles: HashSet<(NetId, usize, usize)> = HashSet::new();
+        let mut pin_sink = |net: NetId, x: usize, y: usize| {
+            if pin_tiles.insert((net, x, y)) {
+                sinks_of
+                    .entry(net)
+                    .or_default()
+                    .push(SinkKind::AnyTrackAt { x, y });
+            }
+        };
+        for (slot, &(x, y, _)) in slots.iter().zip(&placement.sites) {
+            for &net in &slot.input_nets {
+                pin_sink(net, x, y);
+            }
+        }
+        for e in elements {
+            for net in e.pins.track_nets(fabric, e.j) {
+                pin_sink(net, e.x, e.y);
+            }
+        }
+        for ((_, net), &pad) in mapped.outputs().iter().zip(&placement.output_pads) {
+            sinks_of
+                .entry(*net)
+                .or_default()
+                .push(SinkKind::OutputPad { pad });
+        }
+        let mut nets = Vec::new();
+        let mut requests = Vec::new();
+        for (net, sinks) in sinks_of {
+            let Some(&source) = source_of.get(&net) else {
+                // Constant-driven nets are skipped; any other net without a
+                // source is floating.
+                if net_constant(mapped, net).is_some() {
+                    continue;
+                }
+                return Err(PnrError::Unsupported(format!(
+                    "net `{}` has no mappable source",
+                    mapped.net(net).name
+                )));
+            };
+            nets.push(net);
+            requests.push(RouteRequest { source, sinks });
+        }
+        Ok((nets, requests))
+    }
+
+    /// Stage 3: the configuration bits of the routed switches, the slots
+    /// and the chain elements. `nets[i]`, in net order, is the net
+    /// `routing.nets[i]` carries.
+    fn bitstream(&self, nets: &[NetId], routing: &RoutingResult) -> Result<Bitstream, PnrError> {
+        let fabric = self.fabric;
+        let config = fabric.config();
+        let mut bs = Bitstream::zeros(fabric.config_bit_count());
+        // A net can hold several tracks at one tile; its pins there read
+        // the lowest.
+        let mut track_at: HashMap<(NetId, usize, usize), usize> = HashMap::new();
+        for (&net, routed) in nets.iter().zip(&routing.nets) {
+            for &((x, y, t), sel) in &routed.nodes {
+                let (base, width) = fabric.track_select_field(x, y, t);
+                bs.set_field(base, width, sel as u64);
+                track_at
+                    .entry((net, x, y))
+                    .and_modify(|lowest| *lowest = (*lowest).min(t))
+                    .or_insert(t);
+            }
+        }
+        let track = |what: &str, net: NetId, x: usize, y: usize| {
+            track_at.get(&(net, x, y)).copied().ok_or_else(|| {
+                PnrError::DoesNotFit(format!(
+                    "{what} net `{}` missing at ({x},{y})",
+                    self.mapped.net(net).name
+                ))
+            })
+        };
+        for (slot, &(x, y, s)) in self.slots.iter().zip(&self.placement.sites) {
+            for (pin, &net) in slot.input_nets.iter().enumerate() {
+                let (base, width) = fabric.clb_input_field(x, y, s, pin);
+                bs.set_field(base, width, track("pin", net, x, y)? as u64);
+            }
+            // Unused pins must not point at a track carrying this slot's own
+            // output (the mask ignores them functionally, but the LUT read
+            // tree would close a structural loop). A track already feeding a
+            // used pin is provably upstream; otherwise pick the first track
+            // not carrying the slot's output.
+            let safe_track = match slot.input_nets.first() {
+                Some(&net) => track("pin", net, x, y)?,
+                None => {
+                    let own = nets
+                        .binary_search(&slot.output_net)
+                        .ok()
+                        .map(|r| &routing.nets[r].nodes);
+                    let carries_own =
+                        |t| own.is_some_and(|nodes| nodes.iter().any(|&(n, _)| n == (x, y, t)));
+                    (0..config.channel_width)
+                        .find(|&t| !carries_own(t))
+                        .unwrap_or(0)
+                }
+            };
+            for pin in slot.input_nets.len()..config.lut_k {
+                let (base, width) = fabric.clb_input_field(x, y, s, pin);
+                set_unused_field(&mut bs, base, width, safe_track);
+            }
+            let mask_base = fabric.lut_mask_base(x, y, s);
+            for row in 0..config.bits_per_lut() {
+                bs.set(mask_base + row, (slot.mask >> row) & 1 == 1);
+            }
+            // The FF-bypass bit is secret only when the register path is
+            // live; step 8 physically removes unused FFs, so unregistered
+            // slots tie the bypass to the combinational path.
+            if slot.registered {
+                bs.set(fabric.ff_bypass_bit(x, y, s), true);
+            } else {
+                bs.set_unused(fabric.ff_bypass_bit(x, y, s), false);
+            }
+        }
+        for e in self.elements {
+            let (x, y, j) = (e.x, e.y, e.j);
+            let mut first_data_track = None;
+            for (pin, &net) in e.pins.data.iter().enumerate() {
+                if !fabric.chain_pin_is_muxed(j, pin) {
+                    continue; // hard-wired to the previous element
+                }
+                let (base, width) = fabric.chain_data_field(x, y, j, pin);
+                match net {
+                    Some(net) => {
+                        let t = track("chain data", net, x, y)?;
+                        first_data_track.get_or_insert(t);
+                        bs.set_field(base, width, t as u64);
+                    }
+                    // An unused data pin points at a track already feeding
+                    // a real pin (provably upstream — never a structural
+                    // loop through the element's own block output).
+                    None => set_unused_field(&mut bs, base, width, first_data_track.unwrap_or(0)),
+                }
+            }
+            for (pin, &select) in e.pins.selects.iter().enumerate() {
+                let (val_bit, mode_bit) = fabric.chain_select_bits(x, y, j, pin);
+                let (mode, value) = match select {
+                    Select::Const(v) => (false, v),
+                    Select::Net(net) => {
+                        let (base, width) = fabric.chain_sel_conn_field(x, y, j, pin);
+                        bs.set_field(base, width, track("chain select", net, x, y)? as u64);
+                        (true, false)
+                    }
+                };
+                bs.set(mode_bit, mode);
+                bs.set(val_bit, value);
+            }
+            if e.last {
+                for fill in j + 1..config.chain_len {
+                    for pin in 0..2 {
+                        let (val_bit, mode_bit) = fabric.chain_select_bits(x, y, fill, pin);
+                        bs.set_unused(mode_bit, false);
+                        bs.set_unused(val_bit, false);
+                    }
+                }
+            }
+        }
+        Ok(bs)
+    }
+
+    /// The Table I usage counters; `config_bits` is the bitstream's used
+    /// bit count.
+    fn usage(&self, routing: &RoutingResult, config_bits: usize) -> FabricUsage {
+        let Self {
+            fabric,
+            slots,
+            elements,
+            placement,
+            ..
+        } = *self;
+        // Tiles hosting slots, chain blocks or routed tracks.
+        let mut tile_used = vec![false; fabric.tile_count()];
+        let slot_tiles = placement.sites.iter().map(|&(x, y, _)| (x, y));
+        let chain_tiles = elements.iter().map(|e| (e.x, e.y));
+        let track_tiles = routing
+            .nets
+            .iter()
+            .flat_map(|routed| routed.nodes.iter().map(|&((x, y, _), _)| (x, y)));
+        for (x, y) in slot_tiles.chain(chain_tiles).chain(track_tiles) {
+            tile_used[y * fabric.width() + x] = true;
+        }
+        FabricUsage {
+            track_switches: routing.wirelength(),
+            clb_pins: slots.iter().map(|s| s.input_nets.len()).sum(),
+            lut_slots: slots.len(),
+            registered_slots: slots.iter().filter(|s| s.registered).count(),
+            chain_elements: elements.len(),
+            chain_pins: elements
+                .iter()
+                .map(|e| e.pins.track_nets(fabric, e.j).count())
+                .sum(),
+            config_bits,
+            tiles_used: tile_used.iter().filter(|&&used| used).count(),
+        }
+    }
+}
+
+/// Writes `value` into the `width`-bit field at `base` as unused bits.
+fn set_unused_field(bs: &mut Bitstream, base: usize, width: usize, value: usize) {
+    for b in 0..width {
+        bs.set_unused(base + b, (value >> b) & 1 == 1);
+    }
 }
 
 /// Value of a net when it is driven by a constant cell.
@@ -988,10 +890,10 @@ mod tests {
         let data: Vec<Vec<NetId>> = (0..words)
             .map(|i| b.input_bus(&format!("d{i}"), width))
             .collect();
-        for bit in 0..width {
-            let mut acc = data[0][bit];
-            for w in 1..words {
-                acc = b.mux2(grants[w - 1], acc, data[w][bit]);
+        for (bit, &first) in data[0].iter().enumerate() {
+            let mut acc = first;
+            for (g, word) in grants.iter().zip(&data[1..]) {
+                acc = b.mux2(*g, acc, word[bit]);
             }
             b.output(&format!("o[{bit}]"), acc);
         }
@@ -1004,7 +906,7 @@ mod tests {
         let mapped = lut_map(&n, 4).expect("acyclic").netlist;
         let cfg = FabricConfig::fabulous_style(false);
         let res = place_and_route(&mapped, cfg, &PnrOptions::default()).expect("fits");
-        assert!(res.slots_used > 0);
+        assert!(res.usage.lut_slots > 0);
         assert!(res.utilization > 0.0 && res.utilization <= 1.0);
         assert!(res.bitstream.used_count() > 0);
         // The post-route check already compared the fabric with `mapped`;
@@ -1084,7 +986,7 @@ mod tests {
         let n = xbar(4, 2);
         let cfg = FabricConfig::fabulous_style(true);
         let res = place_and_route_with_chains(&n, cfg, &PnrOptions::default()).expect("fits");
-        assert!(res.chain_elements_used > 0, "muxes mapped to chains");
+        assert!(res.usage.chain_elements > 0, "muxes mapped to chains");
         let configured =
             shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_exhaustive(&n, &configured, &[], &[]).is_equivalent());
@@ -1103,10 +1005,10 @@ mod tests {
         )
         .expect("fits");
         assert!(
-            chain_res.slots_used < lut_res.slots_used,
+            chain_res.usage.lut_slots < lut_res.usage.lut_slots,
             "chains {} vs luts {}",
-            chain_res.slots_used,
-            lut_res.slots_used
+            chain_res.usage.lut_slots,
+            lut_res.usage.lut_slots
         );
     }
 
@@ -1150,9 +1052,9 @@ mod tests {
         let res =
             place_and_route_with_chains(&n, cfg, &PnrOptions::default()).expect("long chain maps");
         assert!(
-            res.chain_elements_used >= 8,
+            res.usage.chain_elements >= 8,
             "chain elements {}",
-            res.chain_elements_used
+            res.usage.chain_elements
         );
         let configured =
             shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
@@ -1185,8 +1087,8 @@ mod tests {
             &PnrOptions::default(),
         )
         .expect("mixed maps");
-        assert!(res.chain_elements_used > 0, "chains used");
-        assert!(res.slots_used > 0, "CLBs used for the adder residue");
+        assert!(res.usage.chain_elements > 0, "chains used");
+        assert!(res.usage.lut_slots > 0, "CLBs used for the adder residue");
         let configured =
             shell_fabric::to_configured_netlist(&res.fabric, &res.bitstream, &res.io_map).unwrap();
         assert!(equiv_random(&n, &configured, &[], &[], 600, 4).is_equivalent());
@@ -1202,8 +1104,8 @@ mod tests {
             &PnrOptions::default(),
         )
         .expect("fits");
-        assert!(res.tiles_used >= 1);
-        assert!(res.wirelength > 0);
+        assert!(res.usage.tiles_used >= 1);
+        assert!(res.usage.track_switches > 0);
     }
 
     /// `n` with every port, cell and net name prefixed by `prefix`.

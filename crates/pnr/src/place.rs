@@ -36,36 +36,10 @@ impl fmt::Display for Shortage {
 
 impl std::error::Error for Shortage {}
 
-/// What a CLB slot implements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SlotContent {
-    /// A LUT (optionally registered). `lut_cell` is the source LUT cell,
-    /// `dff_cell` the fused register, if any.
-    Lut {
-        /// Source LUT cell.
-        lut_cell: CellId,
-        /// Fused DFF, when the LUT output is registered.
-        dff_cell: Option<CellId>,
-    },
-    /// A standalone register: identity LUT + FF. `pin_net` is the data net.
-    Reg {
-        /// Source DFF cell.
-        dff_cell: CellId,
-    },
-    /// A constant generator (mask all-ones or all-zeros).
-    Const {
-        /// Source constant cell.
-        cell: CellId,
-        /// The constant value.
-        value: bool,
-    },
-}
-
-/// A packed slot: content plus the nets on its pins.
+/// A packed slot: a LUT (with its fused register, if any), a standalone
+/// register or a constant generator, and the nets on its pins.
 #[derive(Debug, Clone)]
 pub struct Slot {
-    /// Implementation of the slot.
-    pub content: SlotContent,
     /// Input nets, in LUT-pin order (empty for constants).
     pub input_nets: Vec<NetId>,
     /// LUT truth table (already padded to the fabric's k).
@@ -134,16 +108,11 @@ pub fn pack_filtered(
                         k
                     ));
                 }
-                let dff_cell = fused_dff.get(&cid).copied();
-                let (output_net, registered) = match dff_cell {
-                    Some(d) => (netlist.cell(d).output, true),
+                let (output_net, registered) = match fused_dff.get(&cid) {
+                    Some(&d) => (netlist.cell(d).output, true),
                     None => (c.output, false),
                 };
                 slots.push(Slot {
-                    content: SlotContent::Lut {
-                        lut_cell: cid,
-                        dff_cell,
-                    },
                     input_nets: c.inputs.clone(),
                     mask: pad_mask(mask, k),
                     registered,
@@ -157,7 +126,6 @@ pub fn pack_filtered(
                 // Identity LUT on pin 0: mask = pin0 pattern padded to k.
                 let identity = pad_mask(LutMask::new(0b10, 1), k);
                 slots.push(Slot {
-                    content: SlotContent::Reg { dff_cell: cid },
                     input_nets: vec![c.inputs[0]],
                     mask: identity,
                     registered: true,
@@ -166,10 +134,6 @@ pub fn pack_filtered(
             }
             CellKind::Const(v) => {
                 slots.push(Slot {
-                    content: SlotContent::Const {
-                        cell: cid,
-                        value: v,
-                    },
                     input_nets: Vec::new(),
                     mask: if v { u64::MAX } else { 0 },
                     registered: false,
@@ -881,14 +845,10 @@ mod tests {
         n.add_output("q", q);
         let slots = pack(&n, 4).expect("packable");
         assert_eq!(slots.len(), 1);
+        // One slot: the LUT's pin, registered onto the DFF's output.
         assert!(slots[0].registered);
-        assert!(matches!(
-            slots[0].content,
-            SlotContent::Lut {
-                dff_cell: Some(_),
-                ..
-            }
-        ));
+        assert_eq!(slots[0].input_nets, vec![a]);
+        assert_eq!(slots[0].output_net, q);
     }
 
     #[test]
@@ -900,7 +860,9 @@ mod tests {
         n.add_output("q", q);
         let slots = pack(&n, 4).expect("packable");
         assert_eq!(slots.len(), 1);
-        assert!(matches!(slots[0].content, SlotContent::Reg { .. }));
+        assert!(slots[0].registered);
+        assert_eq!(slots[0].input_nets, vec![a]);
+        assert_eq!(slots[0].output_net, q);
         // Identity mask: rows with bit0 set are 1.
         for row in 0..16u64 {
             let expect = row & 1 == 1;
@@ -1080,7 +1042,7 @@ mod tests {
         }
         // Net terminals: movable slot members plus fixed tiles (chain-block
         // pins placed before the CLB pass, passed in as hints).
-        let nets: Vec<(Vec<usize>, Vec<(usize, usize)>)> = net_slots
+        let nets: Vec<_> = net_slots
             .iter()
             .map(|(net, members)| {
                 let fixed = pin_hints.get(net).cloned().unwrap_or_default();
@@ -1259,7 +1221,7 @@ mod tests {
             let count = rng.gen_range(0..fabric.lut_sites() + 1);
             let pool = rng.gen_range(1..2 * count + 4) as u32;
             let mut slots = Vec::with_capacity(count);
-            for i in 0..count {
+            for _ in 0..count {
                 let mut input_nets = Vec::new();
                 for _ in 0..rng.gen_range(0..5) {
                     input_nets.push(NetId(rng.gen_range(0..pool as usize) as u32));
@@ -1269,10 +1231,6 @@ mod tests {
                     _ => NetId(rng.gen_range(0..pool as usize) as u32),
                 };
                 slots.push(Slot {
-                    content: SlotContent::Const {
-                        cell: CellId(i as u32),
-                        value: false,
-                    },
                     input_nets,
                     mask: 0,
                     registered: false,

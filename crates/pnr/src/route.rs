@@ -14,17 +14,16 @@
 
 use shell_fabric::{Fabric, SignalRef};
 use shell_guard::{Budget, Exhausted};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why routing stopped without a legal solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteError {
-    /// `net` (the request's id) could not be routed legally within the
-    /// iteration limit — congestion, or an unreachable sink.
+    /// Request `request` (its index) could not be routed legally within
+    /// the iteration limit — congestion, or an unreachable sink.
     Unroutable {
-        /// Id of the offending request.
-        net: usize,
+        /// Index of the offending request.
+        request: usize,
     },
     /// The shared budget ran out mid-negotiation. Unlike placement, a
     /// half-negotiated routing is illegal (nets still share track nodes),
@@ -35,7 +34,7 @@ pub enum RouteError {
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouteError::Unroutable { net } => write!(f, "net {net} is unroutable"),
+            RouteError::Unroutable { request } => write!(f, "request {request} is unroutable"),
             RouteError::Exhausted(why) => write!(f, "routing budget exhausted ({why})"),
         }
     }
@@ -84,37 +83,38 @@ pub enum SinkKind {
     },
 }
 
-/// One net to route: a source and its sinks.
+/// One net to route: a source and its sinks. The router names a request
+/// by its index in the batch.
 #[derive(Debug, Clone)]
 pub struct RouteRequest {
-    /// Net identifier (caller-defined, reported back in results).
-    pub net: usize,
     /// Signal origin.
     pub source: SourceKind,
     /// All destinations.
     pub sinks: Vec<SinkKind>,
 }
 
-/// A routed net: the track nodes it occupies, the mux selection per node,
-/// and the track index satisfying each sink.
+/// A routed net: the track nodes it occupies with the mux selection of
+/// each.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutedNet {
-    /// `(x, y, t) → chosen switch-mux input index`.
-    pub nodes: HashMap<(usize, usize, usize), usize>,
-    /// For each sink (same order as the request), the track index `t` at the
-    /// sink tile that carries the signal.
-    pub sink_tracks: Vec<usize>,
+    /// `((x, y, t), chosen switch-mux input index)`, one entry per node.
+    pub nodes: Vec<((usize, usize, usize), usize)>,
 }
 
 /// Routing outcome for a batch of nets.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingResult {
-    /// Per-net routes, keyed by the request's `net` id.
-    pub nets: HashMap<usize, RoutedNet>,
+    /// Per-net routes, in request order.
+    pub nets: Vec<RoutedNet>,
     /// Negotiation iterations used.
     pub iterations: usize,
+}
+
+impl RoutingResult {
     /// Total track nodes occupied.
-    pub wirelength: usize,
+    pub fn wirelength(&self) -> usize {
+        self.nets.iter().map(|r| r.nodes.len()).sum()
+    }
 }
 
 /// The router. Holds the fabric topology and congestion state.
@@ -269,8 +269,8 @@ impl<'f> Router<'f> {
     ///
     /// # Errors
     ///
-    /// Returns the id of a net that could not be routed legally within
-    /// `max_iterations` (see [`Router::route_all_budgeted`]).
+    /// Returns the index of a request that could not be routed legally
+    /// within `max_iterations` (see [`Router::route_all_budgeted`]).
     pub fn route_all(
         &mut self,
         requests: &[RouteRequest],
@@ -278,7 +278,7 @@ impl<'f> Router<'f> {
     ) -> Result<RoutingResult, usize> {
         self.route_all_budgeted(requests, max_iterations, &Budget::unlimited())
             .map_err(|e| match e {
-                RouteError::Unroutable { net } => net,
+                RouteError::Unroutable { request } => request,
                 // An unlimited, unshared budget cannot exhaust.
                 RouteError::Exhausted(_) => unreachable!("unlimited budget exhausted"),
             })
@@ -293,8 +293,8 @@ impl<'f> Router<'f> {
     ///
     /// [`RouteError`] — an unroutable net or an exhausted budget. A net with
     /// an unreachable sink is reported as soon as it is met; when
-    /// negotiation ends with nodes still shared, the lowest request id on an
-    /// over-used node is reported.
+    /// negotiation ends with nodes still shared, the lowest request index on
+    /// an over-used node is reported.
     pub fn route_all_budgeted(
         &mut self,
         requests: &[RouteRequest],
@@ -302,11 +302,10 @@ impl<'f> Router<'f> {
         budget: &Budget,
     ) -> Result<RoutingResult, RouteError> {
         let _span = shell_trace::span!("route.negotiate");
-        let unroutable = |net: usize| RouteError::Unroutable { net };
+        let unroutable = |request: usize| RouteError::Unroutable { request };
         let n_nodes = self.history.len();
-        let mut routes: HashMap<usize, RoutedNet> = HashMap::new();
+        let mut routes: Vec<RoutedNet> = Vec::with_capacity(requests.len());
         let mut occupancy: Vec<u32> = vec![0; n_nodes];
-        let by_id: HashMap<usize, &RouteRequest> = requests.iter().map(|r| (r.net, r)).collect();
 
         // Initial pass, in two deterministic stages. Stage 1 computes a
         // candidate route per net in parallel against a *frozen* snapshot
@@ -327,22 +326,19 @@ impl<'f> Router<'f> {
             })
         };
         let mut scratch = Scratch::new(n_nodes);
-        for (req, candidate) in requests.iter().zip(candidates) {
-            let candidate = candidate.ok_or(unroutable(req.net))?;
-            let collides = candidate
-                .nodes
-                .keys()
-                .any(|&(x, y, t)| occupancy[self.node_index(x, y, t)] > 0);
+        for (id, (req, candidate)) in requests.iter().zip(candidates).enumerate() {
+            let candidate = candidate.ok_or(unroutable(id))?;
+            let collides = self.node_indices(&candidate).any(|i| occupancy[i] > 0);
             let routed = if collides {
                 self.route_one(req, &occupancy, 0, &mut scratch)
-                    .ok_or(unroutable(req.net))?
+                    .ok_or(unroutable(id))?
             } else {
                 candidate
             };
-            for &(x, y, t) in routed.nodes.keys() {
-                occupancy[self.node_index(x, y, t)] += 1;
+            for i in self.node_indices(&routed) {
+                occupancy[i] += 1;
             }
-            routes.insert(req.net, routed);
+            routes.push(routed);
         }
 
         // Negotiation: rip up and re-route only the nets sitting on
@@ -356,18 +352,14 @@ impl<'f> Router<'f> {
             // incremental bookkeeping must never drift, and a stale phantom
             // count would look like permanent congestion.
             occupancy.iter_mut().for_each(|o| *o = 0);
-            for routed in routes.values() {
-                for &(x, y, t) in routed.nodes.keys() {
-                    occupancy[self.node_index(x, y, t)] += 1;
-                }
+            for i in routes.iter().flat_map(|routed| self.node_indices(routed)) {
+                occupancy[i] += 1;
             }
             let offenders = self.offenders(&routes, &occupancy);
             if offenders.is_empty() {
-                let wirelength = routes.values().map(|r| r.nodes.len()).sum();
                 return Ok(RoutingResult {
                     nets: routes,
                     iterations,
-                    wirelength,
                 });
             }
             // Accumulate history on every overused node.
@@ -385,50 +377,41 @@ impl<'f> Router<'f> {
             }
             for id in offenders {
                 budget.checkpoint().map_err(RouteError::Exhausted)?;
-                let old = routes.remove(&id).expect("offender routed");
-                for &(x, y, t) in old.nodes.keys() {
-                    occupancy[self.node_index(x, y, t)] -= 1;
+                for i in self.node_indices(&routes[id]) {
+                    occupancy[i] -= 1;
                 }
-                let req = by_id[&id];
                 let routed = self
-                    .route_one(req, &occupancy, iter, &mut scratch)
+                    .route_one(&requests[id], &occupancy, iter, &mut scratch)
                     .ok_or(unroutable(id))?;
-                for &(x, y, t) in routed.nodes.keys() {
-                    occupancy[self.node_index(x, y, t)] += 1;
+                for i in self.node_indices(&routed) {
+                    occupancy[i] += 1;
                 }
-                routes.insert(id, routed);
+                routes[id] = routed;
             }
         }
         // Final legality check after the last iteration's re-routes.
         match self.offenders(&routes, &occupancy).first() {
-            None => {
-                let wirelength = routes.values().map(|r| r.nodes.len()).sum();
-                Ok(RoutingResult {
-                    nets: routes,
-                    iterations,
-                    wirelength,
-                })
-            }
-            // The lowest id, not the first in hash order: the culprit is
-            // named in the error and must not change from run to run.
+            None => Ok(RoutingResult {
+                nets: routes,
+                iterations,
+            }),
             Some(&culprit) => Err(unroutable(culprit)),
         }
     }
 
-    /// Ids of the nets occupying an over-used node, ascending.
-    fn offenders(&self, routes: &HashMap<usize, RoutedNet>, occupancy: &[u32]) -> Vec<usize> {
-        let mut offenders: Vec<usize> = routes
+    /// The node indices `routed` occupies.
+    fn node_indices<'a>(&'a self, routed: &'a RoutedNet) -> impl Iterator<Item = usize> + 'a {
+        routed
+            .nodes
             .iter()
-            .filter(|(_, routed)| {
-                routed
-                    .nodes
-                    .keys()
-                    .any(|&(x, y, t)| occupancy[self.node_index(x, y, t)] > 1)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        offenders.sort_unstable();
-        offenders
+            .map(|&((x, y, t), _)| self.node_index(x, y, t))
+    }
+
+    /// Indices of the requests occupying an over-used node, ascending.
+    fn offenders(&self, routes: &[RoutedNet], occupancy: &[u32]) -> Vec<usize> {
+        (0..routes.len())
+            .filter(|&id| self.node_indices(&routes[id]).any(|i| occupancy[i] > 1))
+            .collect()
     }
 
     /// Routes one net against current occupancy. Returns `None` when some
@@ -492,7 +475,6 @@ impl<'f> Router<'f> {
         }
         tree.clear();
         let mut relaxations = 0u64;
-        let mut sink_tracks = Vec::with_capacity(req.sinks.len());
         for sink in &req.sinks {
             dist.fill(f64::INFINITY);
             // Seed: existing tree nodes (free) + source attachments. Seed in
@@ -551,7 +533,6 @@ impl<'f> Router<'f> {
             // Walk back, adding nodes to the tree until it merges. A node
             // reached from `u` selects the mux input `u`'s reader entry for
             // it names; a root that is not in the tree is an attachment.
-            sink_tracks.push(target % self.tracks);
             let mut cur = target;
             while !in_tree[cur] {
                 in_tree[cur] = true;
@@ -570,7 +551,7 @@ impl<'f> Router<'f> {
             }
         }
         let nodes = tree.iter().map(|&(i, s)| (self.coords(i), s)).collect();
-        (Some(RoutedNet { nodes, sink_tracks }), relaxations)
+        (Some(RoutedNet { nodes }), relaxations)
     }
 
     /// The readers of node `u`, in relaxation order.
@@ -592,7 +573,7 @@ mod tests {
     use super::*;
     use shell_fabric::FabricConfig;
     use shell_util::{forall, Rng};
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
 
     fn fabric(w: usize, h: usize) -> Fabric {
         Fabric::generate(FabricConfig::fabulous_style(true), w, h)
@@ -607,6 +588,11 @@ mod tests {
                     && matches!(sig, SignalRef::Track { x, y: yy, t: tt } if x == 0 && yy == y && tt == t)
             })
             .expect("west pad")
+    }
+
+    /// The selection of node `at` in `net`, if `net` occupies it.
+    fn selection(net: &RoutedNet, at: (usize, usize, usize)) -> Option<usize> {
+        net.nodes.iter().find(|&&(n, _)| n == at).map(|&(_, s)| s)
     }
 
     /// Output pad reading track (x, y, t) on the east edge.
@@ -624,22 +610,20 @@ mod tests {
         let f = fabric(3, 1);
         let mut r = Router::new(&f);
         let req = RouteRequest {
-            net: 7,
             source: SourceKind::Pad(west_pad(&f, 0, 2)),
             sinks: vec![SinkKind::OutputPad {
                 pad: east_out_pad(&f, 0, 2),
             }],
         };
         let res = r.route_all(&[req], 8).expect("routable");
-        let net = &res.nets[&7];
+        let net = &res.nets[0];
         // Path spans all three tiles on track 2.
         assert_eq!(net.nodes.len(), 3);
         for x in 0..3 {
-            assert!(net.nodes.contains_key(&(x, 0, 2)), "tile {x}");
+            assert!(selection(net, (x, 0, 2)).is_some(), "tile {x}");
         }
         // Boundary node selects west (0); interior nodes select west (0).
-        assert_eq!(net.nodes[&(0, 0, 2)], 0);
-        assert_eq!(net.sink_tracks, vec![2]);
+        assert_eq!(selection(net, (0, 0, 2)), Some(0));
     }
 
     #[test]
@@ -647,7 +631,6 @@ mod tests {
         let f = fabric(2, 2);
         let mut r = Router::new(&f);
         let req = RouteRequest {
-            net: 1,
             source: SourceKind::Slot {
                 x: 0,
                 y: 0,
@@ -656,14 +639,14 @@ mod tests {
             sinks: vec![SinkKind::AnyTrackAt { x: 1, y: 1 }],
         };
         let res = r.route_all(&[req], 8).expect("routable");
-        let net = &res.nets[&1];
+        let net = &res.nets[0];
         // Source tile node selects clb input 4 + 2 = 6.
         let src_node = net
             .nodes
             .iter()
             .find(|((x, y, _), _)| *x == 0 && *y == 0)
             .expect("source tile used");
-        assert_eq!(*src_node.1, 6);
+        assert_eq!(src_node.1, 6);
         // Two hops (manhattan) + source node.
         assert_eq!(net.nodes.len(), 3);
     }
@@ -673,7 +656,6 @@ mod tests {
         let f = fabric(3, 1);
         let mut r = Router::new(&f);
         let req = RouteRequest {
-            net: 5,
             source: SourceKind::Slot {
                 x: 0,
                 y: 0,
@@ -685,10 +667,8 @@ mod tests {
             ],
         };
         let res = r.route_all(&[req], 8).expect("routable");
-        let net = &res.nets[&5];
         // The second sink lies on the path of the first: 3 nodes total.
-        assert_eq!(net.nodes.len(), 3);
-        assert_eq!(net.sink_tracks.len(), 2);
+        assert_eq!(res.nets[0].nodes.len(), 3);
     }
 
     #[test]
@@ -698,14 +678,12 @@ mod tests {
         let mut r = Router::new(&f);
         let reqs = vec![
             RouteRequest {
-                net: 0,
                 source: SourceKind::Pad(west_pad(&f, 0, 0)),
                 sinks: vec![SinkKind::OutputPad {
                     pad: east_out_pad(&f, 0, 0),
                 }],
             },
             RouteRequest {
-                net: 1,
                 source: SourceKind::Slot {
                     x: 0,
                     y: 0,
@@ -716,9 +694,8 @@ mod tests {
         ];
         let res = r.route_all(&reqs, 16).expect("routable");
         // No shared nodes.
-        let a: Vec<_> = res.nets[&0].nodes.keys().collect();
-        for k in res.nets[&1].nodes.keys() {
-            assert!(!a.contains(&k), "node {k:?} shared");
+        for &(node, _) in &res.nets[1].nodes {
+            assert_eq!(selection(&res.nets[0], node), None, "node {node:?} shared");
         }
     }
 
@@ -731,14 +708,12 @@ mod tests {
         let mut r = Router::new(&f);
         let reqs = vec![
             RouteRequest {
-                net: 0,
                 source: SourceKind::Pad(west_pad(&f, 0, 0)),
                 sinks: vec![SinkKind::OutputPad {
                     pad: east_out_pad(&f, 0, 0),
                 }],
             },
             RouteRequest {
-                net: 1,
                 source: SourceKind::Slot {
                     x: 0,
                     y: 0,
@@ -764,7 +739,6 @@ mod tests {
         let mut r = Router::new(&f);
         let reqs: Vec<RouteRequest> = (0..9)
             .map(|i| RouteRequest {
-                net: i,
                 source: SourceKind::Pad(west_pad(&f, 0, i % 8)),
                 sinks: vec![SinkKind::AnyTrackAt { x: 0, y: 0 }],
             })
@@ -776,11 +750,10 @@ mod tests {
     fn unroutable_culprit_is_the_lowest_id_on_every_run() {
         // The saturated tile above: nets 0 and 8 enter through the same pad
         // and so share its track on every iteration. Both are culprits, and
-        // the error names the lower one however the routes are hashed.
+        // the error names the lower one.
         let f = fabric(1, 1);
         let reqs: Vec<RouteRequest> = (0..9)
             .map(|i| RouteRequest {
-                net: i,
                 source: SourceKind::Pad(west_pad(&f, 0, i % 8)),
                 sinks: vec![SinkKind::AnyTrackAt { x: 0, y: 0 }],
             })
@@ -796,14 +769,13 @@ mod tests {
         let f = fabric(4, 1);
         let mut r = Router::new(&f);
         let req = RouteRequest {
-            net: 0,
             source: SourceKind::Pad(west_pad(&f, 0, 1)),
             sinks: vec![SinkKind::OutputPad {
                 pad: east_out_pad(&f, 0, 1),
             }],
         };
         let res = r.route_all(&[req], 4).expect("routable");
-        assert_eq!(res.wirelength, 4);
+        assert_eq!(res.wirelength(), 4);
         assert!(res.iterations >= 1);
     }
 
@@ -812,25 +784,23 @@ mod tests {
         let f = fabric(2, 1);
         let mut r = Router::new(&f);
         let req = RouteRequest {
-            net: 3,
             source: SourceKind::ChainBlock { x: 1, y: 0 },
             sinks: vec![SinkKind::AnyTrackAt { x: 0, y: 0 }],
         };
         let res = r.route_all(&[req], 8).expect("routable");
-        let net = &res.nets[&3];
-        let src_node = net
+        let src_node = res.nets[0]
             .nodes
             .iter()
             .find(|((x, _, _), _)| *x == 1)
             .expect("chain tile used");
         // Chain input position = 4 + luts_per_clb = 8.
-        assert_eq!(*src_node.1, 8);
+        assert_eq!(src_node.1, 8);
     }
 
     /// The search before the reader table, kept as the oracle of
     /// [`Router::search`]: every relaxation works out its tile and track
     /// and bounds-checks four neighbours, every sink allocates its own
-    /// buffers, and the tree is a map.
+    /// buffers, and the tree is a map. Returns the routed nodes sorted.
     fn oracle_search(
         r: &Router,
         req: &RouteRequest,
@@ -839,10 +809,7 @@ mod tests {
     ) -> (Option<RoutedNet>, u64) {
         let present_penalty = 1.0 + iteration as f64 * 2.0;
         let mut relaxations = 0u64;
-        let mut tree = RoutedNet {
-            nodes: HashMap::new(),
-            sink_tracks: Vec::with_capacity(req.sinks.len()),
-        };
+        let mut tree: HashMap<(usize, usize, usize), usize> = HashMap::new();
         let attachments = r.source_attachments(req.source);
         for sink in &req.sinks {
             let mut dist: Vec<f64> = vec![f64::INFINITY; r.history.len()];
@@ -850,7 +817,7 @@ mod tests {
             let mut sel: Vec<usize> = vec![usize::MAX; dist.len()];
             let mut queue: VecDeque<usize> = VecDeque::new();
             let mut tree_seeds: Vec<((usize, usize, usize), usize)> =
-                tree.nodes.iter().map(|(&n, &s)| (n, s)).collect();
+                tree.iter().map(|(&n, &s)| (n, s)).collect();
             tree_seeds.sort_unstable();
             for ((x, y, t), s) in tree_seeds {
                 let i = r.node_index(x, y, t);
@@ -916,26 +883,27 @@ mod tests {
             let Some(target) = target else {
                 return (None, relaxations);
             };
-            tree.sink_tracks.push(target % r.tracks);
             let mut cur = target as i64;
             while cur >= 0 {
                 let i = cur as usize;
                 let t = i % r.tracks;
                 let tile = i / r.tracks;
                 let (x, y) = (tile % r.width, tile / r.width);
-                if tree.nodes.contains_key(&(x, y, t)) {
+                if tree.contains_key(&(x, y, t)) {
                     break;
                 }
-                tree.nodes.insert((x, y, t), sel[i]);
+                tree.insert((x, y, t), sel[i]);
                 cur = from[i];
             }
         }
-        (Some(tree), relaxations)
+        let mut nodes: Vec<_> = tree.into_iter().collect();
+        nodes.sort_unstable();
+        (Some(RoutedNet { nodes }), relaxations)
     }
 
     /// A random request on `f`: a slot, chain-block or pad source, and one
     /// to four any-track or output-pad sinks.
-    fn random_request(f: &Fabric, net: usize, rng: &mut Rng) -> RouteRequest {
+    fn random_request(f: &Fabric, rng: &mut Rng) -> RouteRequest {
         let (w, h) = (f.width(), f.height());
         let (x, y) = (rng.gen_range(0..w), rng.gen_range(0..h));
         let source = match rng.gen_range(0..3) {
@@ -961,7 +929,7 @@ mod tests {
                 }
             })
             .collect();
-        RouteRequest { net, source, sinks }
+        RouteRequest { source, sinks }
     }
 
     #[test]
@@ -999,10 +967,18 @@ mod tests {
                     .collect();
                 // One scratch for all requests, as in a routing run.
                 let mut scratch = Scratch::new(router.history.len());
-                for net in 0..rng.gen_range(1..6) {
-                    let req = random_request(&f, net, &mut rng);
+                for _ in 0..rng.gen_range(1..6) {
+                    let req = random_request(&f, &mut rng);
                     let iteration = rng.gen_range(0..12);
-                    let got = router.search(&req, &occupancy, iteration, &mut scratch);
+                    let (routed, relaxations) =
+                        router.search(&req, &occupancy, iteration, &mut scratch);
+                    let got = (
+                        routed.map(|mut routed| {
+                            routed.nodes.sort_unstable();
+                            routed
+                        }),
+                        relaxations,
+                    );
                     let want = oracle_search(&router, &req, &occupancy, iteration);
                     if got != want {
                         return Err(format!(

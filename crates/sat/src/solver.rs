@@ -767,11 +767,10 @@ impl Solver {
         }
         let mut arena = Vec::with_capacity(self.arena.len());
         let mut clauses = Vec::with_capacity(self.clauses.len() - drop_n);
-        for i in 0..self.clauses.len() {
-            if drop[i] {
+        for (&h, dropped) in self.clauses.iter().zip(drop) {
+            if dropped {
                 continue;
             }
-            let h = self.clauses[i];
             let s = h.start as usize;
             let start = arena.len() as u32;
             arena.extend_from_slice(&self.arena[s..s + h.len as usize]);

@@ -79,7 +79,7 @@ impl MatrixOptions {
 impl Default for MatrixOptions {
     fn default() -> Self {
         MatrixOptions {
-            seed: 0xC4A5_11,
+            seed: 0xC4A511,
             workers: 0,
             stride: 1,
             requests: MatrixOptions::default_workload(),
@@ -178,17 +178,15 @@ pub fn scan_torn(dir: &Path) -> usize {
             }
             let name = entry.file_name().to_string_lossy().into_owned();
             let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-            if ext == TMP_EXT || ext == INTENT_EXT {
-                *torn += 1;
-            } else if ext == "json"
+            // A durable dir holds only records; anything else is debris.
+            let debris =
+                ext == TMP_EXT || ext == INTENT_EXT || (ext != "json" && !name.starts_with('.'));
+            let unparsable = ext == "json"
                 && std::fs::read_to_string(&path)
                     .ok()
                     .and_then(|text| Json::parse(&text).ok())
-                    .is_none()
-            {
-                *torn += 1;
-            } else if ext != "json" && !name.starts_with('.') {
-                // A durable dir holds only records; anything else is debris.
+                    .is_none();
+            if debris || unparsable {
                 *torn += 1;
             }
         }
@@ -240,14 +238,11 @@ pub fn run_matrix(root: &Path, options: &MatrixOptions) -> io::Result<MatrixRepo
         report.tested_points += 1;
         let dir = point_dir(root, k);
         let chaos = Arc::new(ChaosIo::new(ChaosConfig::crash_at(options.seed, k)));
-        match start_server(&dir, chaos.clone(), options.workers) {
-            Ok(server) => {
-                run_workload_lossy(&server, options);
-                server.crash();
-            }
-            // The injected crash landed inside startup itself; recovery
-            // below must still cope with whatever half-state it left.
-            Err(_) => {}
+        // When the injected crash lands inside startup itself, recovery
+        // below must still cope with whatever half-state it left.
+        if let Ok(server) = start_server(&dir, chaos.clone(), options.workers) {
+            run_workload_lossy(&server, options);
+            server.crash();
         }
         if chaos.crashed() {
             report.crashed_points += 1;

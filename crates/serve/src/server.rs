@@ -42,7 +42,7 @@ use shell_guard::Budget;
 use shell_util::Json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -395,7 +395,7 @@ impl Inner {
 
     /// One journaled durable commit under the bounded transient-retry
     /// ladder.
-    fn commit(&self, path: &PathBuf, bytes: &[u8]) -> std::io::Result<()> {
+    fn commit(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         let mut ladder = Vec::new();
         with_retry(&RetryPolicy::default(), &mut ladder, || {
             self.journal.commit(path, bytes)

@@ -167,7 +167,7 @@ fn percentile(sorted: &[u64], pct: u32) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = (pct as usize * sorted.len() + 99) / 100;
+    let rank = (pct as usize * sorted.len()).div_ceil(100);
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 

@@ -194,7 +194,7 @@ mod tests {
             128,
             |rng| rng.next_u64(),
             |&v| {
-                if v ^ 0 == v {
+                if (v ^ 0xFF) ^ 0xFF == v {
                     Ok(())
                 } else {
                     Err("xor".into())

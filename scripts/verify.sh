@@ -43,10 +43,9 @@ echo "ok"
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-# Clippy over every target, tests included: deny-level lints (the
-# correctness group) fail the run; warn-level findings are printed only.
-echo "== cargo clippy --workspace --all-targets (deny-level lints gate) =="
-cargo clippy -q --offline --workspace --all-targets
+# Clippy over every target, tests included: any finding fails the run.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "ok"
 
 # The suite runs twice: once pinned sequential and once with a small worker
@@ -318,9 +317,10 @@ if [ "$all" -eq 0 ] || [ "$all" -ne "$same" ]; then
 fi
 echo "ok"
 
-# PnR golden: what place and route produce on the lock corpus (key widths
-# and bitstream and locked-netlist digests) must not drift. Release only.
-echo "== PnR golden: lock corpus digests =="
+# PnR golden: what place and route produce on the lock corpus and on the
+# four redaction cases of Tables IV/V (key widths and bitstream and
+# locked-netlist digests) must not drift. Release only.
+echo "== PnR golden: lock corpus and redaction-case digests =="
 cargo test -q --release --offline -p xtests --test golden -- --include-ignored
 echo "ok"
 

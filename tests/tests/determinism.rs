@@ -133,7 +133,7 @@ fn bitstream_identical_across_jobs_settings() {
             parallel.bitstream.used_mask(),
             "used mask must not depend on jobs={jobs}"
         );
-        assert_eq!(baseline.wirelength, parallel.wirelength);
+        assert_eq!(baseline.usage, parallel.usage);
         assert_eq!(baseline.route_iterations, parallel.route_iterations);
     }
 }

@@ -38,7 +38,7 @@ fn chain_flow_roundtrip() {
         &PnrOptions::default(),
     )
     .expect("fits");
-    assert!(result.chain_elements_used > 0);
+    assert!(result.usage.chain_elements > 0);
     let configured = to_configured_netlist(&result.fabric, &result.bitstream, &result.io_map)
         .expect("configures");
     assert!(equiv_random(&design, &configured, &[], &[], 512, 77).is_equivalent());

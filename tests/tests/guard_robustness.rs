@@ -1,13 +1,12 @@
 //! Integration tests of the shell-guard robustness layer: the fit loop's
-//! auto-upsizing, typed errors instead of panics on impossible inputs, the
-//! retry ladder's attempt journal, and checkpoint/resume of a cancelled
-//! SAT attack.
+//! auto-upsizing, typed errors instead of panics on impossible inputs, and
+//! checkpoint/resume of a cancelled SAT attack.
 
 use shell_attacks::{sat_attack_report, AttackCheckpoint, SatAttackOptions, SatAttackOutcome};
-use shell_circuits::{mux_tree_circuit, ripple_adder};
+use shell_circuits::ripple_adder;
 use shell_fabric::FabricConfig;
 use shell_guard::Budget;
-use shell_lock::{lock_lut_random, shell_lock, ShellOptions};
+use shell_lock::lock_lut_random;
 use shell_pnr::{place_and_route, PnrError, PnrOptions};
 use shell_synth::lut_map;
 
@@ -64,18 +63,6 @@ fn unroutable_design_returns_structured_error() {
         msg.contains("unroutable") || msg.contains("does not fit"),
         "unhelpful error message: {msg}"
     );
-}
-
-/// The happy path records a one-rung attempt journal: the baseline
-/// configuration, outcome "ok".
-#[test]
-fn attempt_journal_records_baseline_success() {
-    let design = mux_tree_circuit(4, 2);
-    let outcome = shell_lock(&design, &ShellOptions::default()).expect("locks");
-    assert_eq!(outcome.attempts.len(), 1);
-    assert_eq!(outcome.attempts[0].attempt, 1);
-    assert_eq!(outcome.attempts[0].action, "baseline");
-    assert_eq!(outcome.attempts[0].outcome, "ok");
 }
 
 /// Cancelling a SAT attack mid-flight leaves a checkpoint on disk; resuming

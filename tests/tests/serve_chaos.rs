@@ -13,7 +13,7 @@ use shell_serve::{
 use shell_util::Json;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,8 +25,8 @@ fn state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_with(dir: &PathBuf, tweak: impl FnOnce(&mut ServerConfig)) -> (Server, Client) {
-    let mut config = ServerConfig::ephemeral(dir.clone());
+fn start_with(dir: &Path, tweak: impl FnOnce(&mut ServerConfig)) -> (Server, Client) {
+    let mut config = ServerConfig::ephemeral(dir.to_path_buf());
     tweak(&mut config);
     let server = Server::start(config).expect("server starts");
     let client = Client::connect(&server.local_addr().to_string()).expect("client connects");

@@ -5,7 +5,7 @@
 use shell_fabric::{FramedBitstream, PartialReconfig};
 use shell_serve::{CircuitSpec, Client, JobKind, JobRequest, Server, ServerConfig};
 use shell_util::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -14,8 +14,8 @@ fn state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start(dir: &PathBuf) -> (Server, Client) {
-    let server = Server::start(ServerConfig::ephemeral(dir.clone())).expect("server starts");
+fn start(dir: &Path) -> (Server, Client) {
+    let server = Server::start(ServerConfig::ephemeral(dir.to_path_buf())).expect("server starts");
     let client = Client::connect(&server.local_addr().to_string()).expect("client connects");
     (server, client)
 }
