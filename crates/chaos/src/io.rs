@@ -4,8 +4,8 @@
 //! The trait is deliberately primitive — one method per syscall-shaped
 //! operation, no compound helpers — because fault injection points live
 //! *between* primitives: a torn write is a `write` that kept a prefix, a
-//! crash between temp-write and rename is a death at the op boundary. Any
-//! compound operation (atomic publish, journaled commit) is built on top in
+//! crash between temp-write and rename is a death at the op boundary. The
+//! one compound operation, atomic publication, is built on top in
 //! [`crate::commit`], where every constituent step is individually
 //! interruptible.
 

@@ -14,18 +14,15 @@
 //!   subsequent operation fails, exactly as a process killed mid-syscall
 //!   would leave the disk.
 //! * **A commit discipline** ([`commit`]): [`atomic_write`] (temp file +
-//!   fsync + rename, never a torn target) and [`Journal`], a write-ahead
-//!   intent journal whose recovery scan rolls every interrupted commit
-//!   forward (intent present, target bytes verify) or back (anything
-//!   else), so the observable state of a journaled target is always the
-//!   old value or the new value — never a hybrid. The property test in
-//!   `tests/prop_atomic.rs` pins exactly that, over arbitrary seeded crash
-//!   points, with shrinking.
-//! * **A retry taxonomy** ([`retry`]): [`classify`] splits IO errors into
-//!   [`ErrorClass::Transient`] (interrupted, timeout, ENOSPC — worth
-//!   retrying, the condition can clear) and [`ErrorClass::Permanent`];
-//!   [`with_retry`] runs a bounded exponential-backoff ladder and journals
-//!   every attempt as a [`RetryAttempt`].
+//!   fsync + rename) publishes a whole file, so after a crash at any step
+//!   the target holds the old value or the new value — never a hybrid —
+//!   and [`sweep_tmp`] removes the temp litter at startup. The property
+//!   test in `tests/prop_atomic.rs` pins exactly that, over arbitrary
+//!   seeded crash points, with shrinking, and checks that concurrent
+//!   writers of one target never tear it.
+//! * **A retry ladder** ([`retry`]): [`with_retry`] retries transient IO
+//!   errors (interrupted, timeout, ENOSPC — the condition can clear) with
+//!   a bounded exponential backoff and surfaces every other error at once.
 //!
 //! Everything is deterministic from a seed: the same `(seed, crash_at)`
 //! pair reproduces the same torn bytes and the same recovery, which is what
@@ -50,6 +47,6 @@ pub mod commit;
 pub mod io;
 pub mod retry;
 
-pub use commit::{atomic_write, sweep_tmp, Journal, RecoveryReport, INTENT_EXT, TMP_EXT};
+pub use commit::{atomic_write, sweep_tmp, TMP_EXT};
 pub use io::{read_string, real, ChaosConfig, ChaosIo, Io, RealIo};
-pub use retry::{classify, with_retry, ErrorClass, RetryAttempt, RetryPolicy};
+pub use retry::with_retry;

@@ -27,12 +27,14 @@
 //!   canonical (compact) rendering. A corrupted or truncated file fails
 //!   verification, counts as `cache.corrupt`, is deleted, and reads as a
 //!   miss — the flow recomputes rather than serving damaged bytes.
-//! * **Atomic publication.** Artifacts are written to a temp file and
-//!   renamed into place, so a concurrent reader never observes a partial
-//!   write and a crash mid-store leaves no half-entry behind.
+//! * **Atomic publication.** Artifacts are published with
+//!   [`shell_chaos::atomic_write`] (temp file, fsync, rename into place),
+//!   so a concurrent reader never observes a partial write, two workers
+//!   storing one key never tear it, and a crash mid-store leaves at most
+//!   temp litter, which the startup scan sweeps.
 
 use crate::hash::ContentHash;
-use shell_chaos::{Io, Journal};
+use shell_chaos::Io;
 use shell_util::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,10 +76,6 @@ impl ArtifactCache {
             corrupt: AtomicU64::new(0),
             evicted_startup: AtomicU64::new(0),
         }
-    }
-
-    fn journal(&self) -> std::io::Result<Journal> {
-        Journal::open(self.io.clone(), self.root.join("journal"))
     }
 
     /// The on-disk path an artifact for `key` lives at (whether or not it
@@ -139,8 +137,9 @@ impl ArtifactCache {
         Some(payload)
     }
 
-    /// Stores `payload` under `key` as one journaled commit (write-ahead
-    /// intent, then temp file + rename).
+    /// Stores `payload` under `key` as one atomic publish (temp file,
+    /// fsync, rename). Counts `cache.stores` and, as one of the service's
+    /// durable commits, `journal.commits`.
     ///
     /// # Errors
     ///
@@ -154,21 +153,19 @@ impl ArtifactCache {
             ("payload", payload.clone()),
         ]);
         let bytes = envelope.to_string_pretty();
-        self.journal()?.commit(&path, bytes.as_bytes())?;
+        shell_chaos::atomic_write(&*self.io, &path, bytes.as_bytes())?;
+        shell_trace::counter_add("journal.commits", 1);
         shell_trace::counter_add("cache.stores", 1);
         Ok(path)
     }
 
-    /// Startup integrity scan: recovers the store journal (rolling
-    /// interrupted commits forward or back), sweeps temp litter, then
-    /// verifies every envelope of the current flow version and evicts the
-    /// ones that fail — corruption is discovered *now*, with an
-    /// `cache.evicted_startup` count, instead of lazily per-request.
-    /// Returns the number of entries evicted. Idempotent.
+    /// Startup integrity scan: sweeps each shard's temp litter (all an
+    /// interrupted store can leave), then verifies every envelope of the
+    /// current flow version and evicts the ones that fail — corruption is
+    /// discovered *now*, with an `cache.evicted_startup` count, instead of
+    /// lazily per-request. Returns the number of entries evicted.
+    /// Idempotent.
     pub fn scan_startup(&self) -> usize {
-        if let Ok(journal) = self.journal() {
-            journal.recover();
-        }
         let version_dir = self.root.join(format!("v{FLOW_VERSION}"));
         let mut evicted = 0;
         let Ok(shards) = self.io.list_dir(&version_dir) else {
@@ -354,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn journaled_store_recovers_from_crash_points() {
+    fn store_recovers_from_crash_points() {
         use shell_chaos::{ChaosConfig, ChaosIo, Io};
         let root = tmp_root("chaos_store");
         let key = ContentHash::of_bytes(b"chaos");

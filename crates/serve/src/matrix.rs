@@ -21,8 +21,8 @@
 //!    filesystem, the workload is resubmitted idempotently, and the final
 //!    payloads are byte-compared against the reference. Afterwards the
 //!    state dir is scanned for torn residue — unparseable records, orphaned
-//!    temp files, unresolved intents — all of which recovery must have
-//!    evicted or resolved.
+//!    temp files, any other stray file — all of which recovery must have
+//!    evicted or swept.
 //!
 //! The matrix passes iff every point recovers with zero torn states and
 //! zero payload mismatches.
@@ -30,7 +30,7 @@
 use crate::client::Client;
 use crate::request::JobRequest;
 use crate::server::{Server, ServerConfig};
-use shell_chaos::{ChaosConfig, ChaosIo, Io, INTENT_EXT, TMP_EXT};
+use shell_chaos::{ChaosConfig, ChaosIo, Io, TMP_EXT};
 use shell_util::Json;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -43,8 +43,9 @@ pub struct MatrixOptions {
     pub seed: u64,
     /// Worker threads per server instance (`0` = `SHELL_JOBS` sizing).
     pub workers: usize,
-    /// Test every `stride`-th crash point (`1` = exhaustive). The smoke
-    /// test uses a stride to bound wall-clock; CI nightlies run stride 1.
+    /// Test every `stride`-th crash point (`1` = exhaustive). The debug
+    /// smoke test uses a stride to bound wall-clock; the release-only test
+    /// runs stride 1.
     pub stride: usize,
     /// The workload submitted to every server instance.
     pub requests: Vec<JobRequest>,
@@ -100,7 +101,7 @@ pub struct MatrixReport {
     /// finished (late points on a shorter-than-recorded schedule may not).
     pub crashed_points: usize,
     /// Points whose post-recovery state dir still held torn residue:
-    /// unparseable records, orphaned temp files, or unresolved intents.
+    /// unparseable records, orphaned temp files, or other stray files.
     pub torn_states: usize,
     /// Points whose recovered payloads differed from the reference run.
     pub report_mismatches: usize,
@@ -163,8 +164,8 @@ fn run_workload_lossy(server: &Server, options: &MatrixOptions) {
 }
 
 /// Counts torn residue under `dir` after recovery: files that should have
-/// been evicted, resolved, or swept. Everything durable in a consistent
-/// state dir is parseable JSON with no temp or intent litter.
+/// been evicted or swept. Everything durable in a consistent state dir is
+/// parseable JSON with no temp or other litter.
 pub fn scan_torn(dir: &Path) -> usize {
     fn walk(dir: &Path, torn: &mut usize) {
         let Ok(entries) = std::fs::read_dir(dir) else {
@@ -179,8 +180,7 @@ pub fn scan_torn(dir: &Path) -> usize {
             let name = entry.file_name().to_string_lossy().into_owned();
             let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
             // A durable dir holds only records; anything else is debris.
-            let debris =
-                ext == TMP_EXT || ext == INTENT_EXT || (ext != "json" && !name.starts_with('.'));
+            let debris = ext == TMP_EXT || (ext != "json" && !name.starts_with('.'));
             let unparsable = ext == "json"
                 && std::fs::read_to_string(&path)
                     .ok()

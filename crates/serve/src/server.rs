@@ -37,7 +37,7 @@ use crate::job::{self, JobOutput};
 use crate::protocol::{write_frame, FrameReader, FrameStep};
 use crate::request::{JobKind, JobRequest, ResolvedJob};
 use shell_attacks::AttackCheckpoint;
-use shell_chaos::{with_retry, Io, Journal, RetryPolicy};
+use shell_chaos::{atomic_write, with_retry, Io};
 use shell_guard::Budget;
 use shell_util::Json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -149,8 +149,6 @@ struct Inner {
     state_dir: PathBuf,
     cache: ArtifactCache,
     io: Arc<dyn Io>,
-    /// Write-ahead intent journal governing `jobs/` and `results/` commits.
-    journal: Journal,
     max_deadline_ms: Option<u64>,
     max_conflicts: Option<u64>,
     max_queue: usize,
@@ -223,7 +221,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        let journal = Journal::open(config.io.clone(), config.state_dir.join("journal"))?;
         let max_queue = if config.max_queue != 0 {
             config.max_queue
         } else {
@@ -242,7 +239,6 @@ impl Server {
         let inner = Arc::new(Inner {
             cache: ArtifactCache::with_io(config.state_dir.join("cache"), config.io.clone()),
             io: config.io,
-            journal,
             state_dir: config.state_dir,
             max_deadline_ms: env_u64("SHELL_SERVE_MAX_DEADLINE_MS"),
             max_conflicts: env_u64("SHELL_SERVE_MAX_CONFLICTS"),
@@ -260,10 +256,10 @@ impl Server {
             crashing: AtomicBool::new(false),
             requests: AtomicU64::new(0),
         });
-        // Recovery order matters: resolve interrupted commits first (roll
-        // forward/back), then verify the cache, then rebuild the job table
-        // from what survived.
-        inner.journal.recover();
+        // Recovery order matters: verify the cache, then rebuild the job
+        // table from what survived. An interrupted commit leaves only temp
+        // litter beside its target, and each pass sweeps its own dirs of
+        // it before reading them.
         inner.cache.scan_startup();
         inner.recover_persisted_jobs();
 
@@ -393,13 +389,12 @@ impl Inner {
         }
     }
 
-    /// One journaled durable commit under the bounded transient-retry
-    /// ladder.
+    /// One durable record commit: an [`atomic_write`] under the bounded
+    /// transient-retry ladder, counted in `journal.commits`.
     fn commit(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let mut ladder = Vec::new();
-        with_retry(&RetryPolicy::default(), &mut ladder, || {
-            self.journal.commit(path, bytes)
-        })
+        with_retry(|| atomic_write(&*self.io, path, bytes))?;
+        shell_trace::counter_add("journal.commits", 1);
+        Ok(())
     }
 
     fn persist_pending(&self, id: u64, request: &JobRequest) -> std::io::Result<()> {

@@ -336,27 +336,26 @@ pub struct FuzzConfig {
     pub samples: usize,
     /// Root seed; sample sub-seeds are [`split_mix64`] draws from it.
     pub seed: u64,
-    /// Maximum primary inputs per sample (inputs are `1..=max_inputs`).
-    pub max_inputs: usize,
-    /// Maximum gates per sample.
-    pub max_gates: usize,
     /// Where to dump mismatch artifacts (`None` disables writing).
     pub artifact_dir: Option<PathBuf>,
 }
 
 impl FuzzConfig {
-    /// Default sizing: circuits small enough that PnR almost always fits
-    /// and every stage boundary gets the exhaustive cross-check.
+    /// A campaign of `samples` samples from `seed`, writing no artifacts.
     pub fn new(samples: usize, seed: u64) -> Self {
         FuzzConfig {
             samples,
             seed,
-            max_inputs: 6,
-            max_gates: 16,
             artifact_dir: None,
         }
     }
 }
+
+/// Sample sizing: circuits small enough that PnR almost always fits and
+/// every stage boundary gets the exhaustive cross-check. A sample has
+/// `1..=MAX_INPUTS` primary inputs and `0..=MAX_GATES` gates.
+const MAX_INPUTS: usize = 6;
+const MAX_GATES: usize = 16;
 
 /// A shrunk mismatch: the minimal spec still failing some stage boundary.
 #[derive(Debug, Clone)]
@@ -474,9 +473,9 @@ impl FuzzReport {
     }
 }
 
-fn gen_spec(rng: &mut Rng, max_inputs: usize, max_gates: usize) -> FuzzSpec {
-    let inputs = 1 + rng.gen_range(0..max_inputs.max(1));
-    let n_gates = rng.gen_range(0..max_gates.max(1) + 1);
+fn gen_spec(rng: &mut Rng) -> FuzzSpec {
+    let inputs = 1 + rng.gen_range(0..MAX_INPUTS);
+    let n_gates = rng.gen_range(0..MAX_GATES + 1);
     let gates = (0..n_gates)
         .map(|_| {
             let w = rng.next_u64();
@@ -490,9 +489,9 @@ fn gen_spec(rng: &mut Rng, max_inputs: usize, max_gates: usize) -> FuzzSpec {
     FuzzSpec { inputs, gates }
 }
 
-fn run_sample(index: usize, sub_seed: u64, config: &FuzzConfig) -> SampleReport {
+fn run_sample(index: usize, sub_seed: u64) -> SampleReport {
     let mut rng = Rng::seed_from_u64(sub_seed);
-    let spec = gen_spec(&mut rng, config.max_inputs, config.max_gates);
+    let spec = gen_spec(&mut rng);
     let status = run_pipeline(&spec);
     let shrunk = if let SampleStatus::Mismatch { stage, detail, .. } = &status {
         // Keep any-stage mismatch alive while shrinking: a simpler spec
@@ -534,9 +533,8 @@ pub fn run(config: &FuzzConfig) -> FuzzReport {
     let tasks: Vec<(usize, u64)> = (0..config.samples)
         .map(|i| (i, split_mix64(&mut root)))
         .collect();
-    let results: Vec<SampleReport> = parallel_map(&tasks, |&(index, sub_seed)| {
-        run_sample(index, sub_seed, config)
-    });
+    let results: Vec<SampleReport> =
+        parallel_map(&tasks, |&(index, sub_seed)| run_sample(index, sub_seed));
 
     let ok = results
         .iter()
@@ -615,22 +613,16 @@ mod tests {
 
     #[test]
     fn every_spec_builds_a_valid_netlist() {
-        shell_util::forall(
-            "fuzz specs always build",
-            0x5EED,
-            48,
-            |rng| gen_spec(rng, 6, 16),
-            |spec| {
-                let n = spec.build();
-                if n.outputs().is_empty() {
-                    return Err("no outputs".into());
-                }
-                if n.topo_order().is_err() {
-                    return Err("cyclic".into());
-                }
-                Ok(())
-            },
-        );
+        shell_util::forall("fuzz specs always build", 0x5EED, 48, gen_spec, |spec| {
+            let n = spec.build();
+            if n.outputs().is_empty() {
+                return Err("no outputs".into());
+            }
+            if n.topo_order().is_err() {
+                return Err("cyclic".into());
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -456,12 +456,12 @@ wait "$resume_pid" || true
 echo "ok"
 
 # Chaos smoke: the release-only serve_chaos test runs the deterministic
-# crash-point matrix at every 7th durable commit step at worker pools of
-# 1 and 4 — the server is killed at each selected step under injected IO
+# crash-point matrix at every durable commit step at worker pools of
+# 1 and 4 — the server is killed at each step under injected IO
 # faults, restarted, and its recovered artifacts byte-compared against an
 # uninterrupted run. Zero torn states and zero report mismatches are the
 # contract, and a warm cache lookup must take a median under 1 ms.
-echo "== chaos smoke: crash-point matrix subset, warm cache lookup =="
+echo "== chaos smoke: every crash point, warm cache lookup =="
 cargo test -q --release --offline -p xtests --test serve_chaos -- --include-ignored
 # Drain-mode shutdown: an idle draining server must exit on its own.
 "$serve_bin" serve --state-dir "$serve_tmp/c" --port-file "$serve_tmp/port_c" 2>/dev/null &
